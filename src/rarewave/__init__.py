@@ -11,6 +11,9 @@ Pieces, roughly in dependency order:
 * :mod:`rarewave.collision` -- the quadratic collision operator in
   divergence form, its linearization around local Maxwellians and the
   constrained solver on the microscopic subspace.
+* :mod:`rarewave.transport` -- Burnett preimages of the heat and shear
+  sources, the viscosity and heat-conductivity table, and the
+  wave-gradient correction field.
 """
 
 __version__ = "0.1.0"

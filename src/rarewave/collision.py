@@ -9,7 +9,10 @@ convolutions taken as pairwise lattice sums.  Because the velocity
 nodes form a uniform lattice, those sums are ordinary discrete
 convolutions; they are evaluated through zero-padded real FFTs, which
 reproduces the direct node-pair summation exactly up to floating-point
-reordering.  A literal direct-summation path is kept for
+reordering.  Each axis is padded to a period P >= 2n - 1: of the
+3n - 2 nodes of the linear convolution only the central n are kept,
+and P >= 2n - 1 keeps every wrapped term out of them (Hockney's
+zero-padding argument).  A literal direct-summation path is kept for
 cross-checking at small lattice sizes.
 
 The inner derivatives are taken on relative densities: d_j F is
@@ -147,7 +150,13 @@ def _center_weight(h: float, p: KernelParams) -> float:
 
 
 class _KernelTransforms:
-    """Cached FFTs of the six packed kernel components on the pair lattice."""
+    """Cached FFTs of the six packed kernel components, period next_fast_len(2n - 1).
+
+    Kernel offsets k - (n - 1), k in [0, 2n - 2], against field nodes
+    m in [0, n - 1] fill k + m in [0, 3n - 3]; the kept outputs j in
+    [n - 1, 2n - 2] have j + P > 3n - 3 and j - P < 0 for any P >= 2n - 1,
+    so nothing aliases into them (P = 2n - 2 would alias at j = n - 1).
+    """
 
     def __init__(self, g: VelocityGrid, p: KernelParams):
         n = g.n_per_axis
@@ -161,9 +170,9 @@ class _KernelTransforms:
         with np.errstate(divide="ignore"):
             mag = (ss + reg * reg) ** (0.5 * (p.gamma + 2.0))
         mag[center, center, center] = 0.0
-        pad = next_fast_len(3 * n - 2)
+        pad = next_fast_len(2 * n - 1)
         self.pad_shape = (pad, pad, pad)
-        self.n = n
+        self.keep = (slice(n - 1, 2 * n - 1),) * 3
         inv_ss = np.zeros_like(ss)
         nz = ss > 0.0
         inv_ss[nz] = 1.0 / ss[nz]
@@ -180,23 +189,17 @@ class _KernelTransforms:
         return rfftn(field, s=self.pad_shape)
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
-        n = self.n
-        full = irfftn(spec, s=self.pad_shape)
-        return full[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1, n - 1 : 2 * n - 1].copy()
+        return irfftn(spec, s=self.pad_shape)[self.keep].copy()
 
 
-_TRANSFORM_CACHE: dict[tuple, _KernelTransforms] = {}
+@lru_cache(maxsize=4)
+def _transforms_at(half_width: float, n_per_axis: int, p: KernelParams) -> _KernelTransforms:
+    return _KernelTransforms(VelocityGrid(half_width, n_per_axis), p)
 
 
 def _transforms(g: VelocityGrid, p: KernelParams) -> _KernelTransforms:
-    key = (g.half_width, g.n_per_axis, p.gamma, p.diag_regularization)
-    tr = _TRANSFORM_CACHE.get(key)
-    if tr is None:
-        if len(_TRANSFORM_CACHE) >= 4:
-            _TRANSFORM_CACHE.pop(next(iter(_TRANSFORM_CACHE)))
-        tr = _KernelTransforms(g, p)
-        _TRANSFORM_CACHE[key] = tr
-    return tr
+    """Memoized transforms, shared by grids that differ only in gas_constant."""
+    return _transforms_at(g.half_width, g.n_per_axis, p)
 
 
 def _conv_sides_fft(g, p, f0w, gradws):
@@ -591,19 +594,12 @@ class LMOperator:
         return num / den if den > 0.0 else 0.0
 
 
-_LM_CACHE: dict[tuple, LMOperator] = {}
+_lm_operator = lru_cache(maxsize=4)(LMOperator)
 
 
 def lm_operator(s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()) -> LMOperator:
     """Memoized LMOperator; the Maxwellian-side convolutions dominate setup."""
-    key = (s, g.half_width, g.n_per_axis, p)
-    op = _LM_CACHE.get(key)
-    if op is None:
-        if len(_LM_CACHE) >= 4:
-            _LM_CACHE.pop(next(iter(_LM_CACHE)))
-        op = LMOperator(s, g, p)
-        _LM_CACHE[key] = op
-    return op
+    return _lm_operator(s, g, p)
 
 
 def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, int]:

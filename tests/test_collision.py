@@ -31,6 +31,8 @@ from rarewave.collision import (
     phi_kernel,
     save_collision_coeffs,
     _grad_transpose,
+    _phi_conv_direct,
+    _transforms,
 )
 
 # Cell average of |u|^(gamma+2) over the unit cube at gamma = -3, from the
@@ -127,6 +129,23 @@ def test_fft_path_matches_direct_summation():
     q_dir = collision_Q(f1, f2, method="direct")
     scale = np.abs(q_dir.values).max()
     assert np.abs(q_fft.values - q_dir.values).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, period", [(8, 15), (12, 24)])
+@pytest.mark.parametrize("p", [KernelParams(), KernelParams(diag_regularization=0.3)])
+def test_transform_pair_matches_direct_summation_at_tight_period(n, period, p):
+    # weak_apply calls the transform pair itself; a random (asymmetric)
+    # field sees any wrap-around, which a symmetric kernel test cannot.
+    # At n = 8 the period is exactly 2n - 1.
+    g = grid(n)
+    tr = _transforms(g, p)
+    assert tr.pad_shape == (period,) * 3
+    f = np.random.default_rng(n).standard_normal(g.shape)
+    direct = _phi_conv_direct(g, p, f)
+    fhat = tr.forward(f)
+    for k in range(6):
+        conv = tr.inverse(tr.khat[k] * fhat)
+        assert np.abs(conv - direct[k]).max() <= 1e-12 * np.abs(direct[k]).max()
 
 
 def test_unknown_method_rejected():
