@@ -73,6 +73,11 @@ def _pidx(i: int, j: int) -> int:
     return _PAIR_INDEX[(i, j) if i <= j else (j, i)]
 
 
+def _contract(six, three, i: int):
+    """Row i of a packed symmetric field applied to a 3-vector field."""
+    return six[_pidx(i, 0)] * three[0] + six[_pidx(i, 1)] * three[1] + six[_pidx(i, 2)] * three[2]
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Kernel exponent and optional diagonal regularization."""
@@ -192,14 +197,7 @@ class _KernelTransforms:
         return irfftn(spec, s=self.pad_shape)[self.keep].copy()
 
 
-@lru_cache(maxsize=4)
-def _transforms_at(half_width: float, n_per_axis: int, p: KernelParams) -> _KernelTransforms:
-    return _KernelTransforms(VelocityGrid(half_width, n_per_axis), p)
-
-
-def _transforms(g: VelocityGrid, p: KernelParams) -> _KernelTransforms:
-    """Memoized transforms, shared by grids that differ only in gas_constant."""
-    return _transforms_at(g.half_width, g.n_per_axis, p)
+_transforms = lru_cache(maxsize=4)(_KernelTransforms)
 
 
 def _conv_sides_fft(g, p, f0w, gradws):
@@ -218,10 +216,7 @@ def _conv_sides_fft(g, p, f0w, gradws):
     ghats = [tr.forward(x) for x in gradws]
     b3 = np.empty((3,) + g.shape)
     for i in range(3):
-        acc = tr.khat[_pidx(i, 0)] * ghats[0]
-        acc = acc + tr.khat[_pidx(i, 1)] * ghats[1]
-        acc = acc + tr.khat[_pidx(i, 2)] * ghats[2]
-        b3[i] = tr.inverse(acc)
+        b3[i] = tr.inverse(_contract(tr.khat, ghats, i))
     return a6, b3
 
 
@@ -382,9 +377,7 @@ def collision_Q(
     grads2 = _relative_gradient(F2.values, g, wu, wrt)
     out = np.zeros(g.shape)
     for i in range(3):
-        flux = -b3[i] * F2.values
-        for j in range(3):
-            flux += a6[_pidx(i, j)] * grads2[j]
+        flux = _contract(a6, grads2, i) - b3[i] * F2.values
         out += np.gradient(flux, h, axis=i)
     return GridFunction(g, out)
 
@@ -452,6 +445,11 @@ class NonConvergenceError(RuntimeError):
         self.residuals = list(residuals)
 
 
+# Weight of the second-difference checkerboard penalty of the weak form,
+# relative to the axis collision frequency it is scaled by.
+_STAB_WEIGHT = 0.1
+
+
 class LMOperator:
     """Matrix-free forms of L_M at a fixed state, grid and kernel.
 
@@ -463,13 +461,7 @@ class LMOperator:
     that ``invert_LM_micro`` runs on ``apply``.
     """
 
-    def __init__(
-        self,
-        s: GasState,
-        g: VelocityGrid,
-        p: KernelParams = KernelParams(),
-        stab_weight: float = 0.1,
-    ):
+    def __init__(self, s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()):
         self.state = s
         self.grid = g
         self.params = p
@@ -498,30 +490,21 @@ class LMOperator:
         # relative on smooth potentials (so consistency is untouched),
         # exactly zero on the affine null directions, and lifts the
         # checkerboards toward the bulk spectral scale.
-        self.stab = [
-            stab_weight * self.wm * self.a6_m[comp] / (4.0 * h * h) for comp in (0, 3, 5)
-        ]
+        #
         # Jacobi scale of the weak form.  Every entry must carry the
         # true local magnitude of w M sigma / h^2: the dynamic range
         # across the lattice is ~1e40, and replacing tail entries by
-        # any uniform floor destroys the scaled conditioning.
+        # any uniform floor destroys the scaled conditioning.  Each axis
+        # penalty is _STAB_WEIGHT t, so the axis adds (1 + _STAB_WEIGHT)
+        # (t at both axis neighbours, faces repeated) + 4 _STAB_WEIGHT t.
+        n = g.n_per_axis
+        self.stab = []
         diag = np.zeros(g.shape)
         for axis, comp in enumerate((0, 3, 5)):
             t = self.wm * self.a6_m[comp] / (4.0 * h * h)
-            st = self.stab[axis]
-            up = np.concatenate(
-                [np.take(t, range(1, t.shape[axis]), axis), np.take(t, [-1], axis)], axis
-            )
-            dn = np.concatenate(
-                [np.take(t, [0], axis), np.take(t, range(0, t.shape[axis] - 1), axis)], axis
-            )
-            sup = np.concatenate(
-                [np.take(st, range(1, st.shape[axis]), axis), np.take(st, [-1], axis)], axis
-            )
-            sdn = np.concatenate(
-                [np.take(st, [0], axis), np.take(st, range(0, st.shape[axis] - 1), axis)], axis
-            )
-            diag += (up + dn) + (sup + 4.0 * st + sdn)
+            self.stab.append(_STAB_WEIGHT * t)
+            nb = sum(np.take(t, np.clip(np.arange(n) + k, 0, n - 1), axis) for k in (-1, 1))
+            diag += (1.0 + _STAB_WEIGHT) * nb + 4.0 * _STAB_WEIGHT * t
         self.diag = np.maximum(diag, 1e-300)
         # Conjugated geometry for the inner solve: u = sqrt(wM) x turns
         # the weak form into a uniformly scaled self-adjoint operator
@@ -542,10 +525,8 @@ class LMOperator:
         mv = self.m.values
         out = np.zeros(g.shape)
         for i in range(3):
-            flux = -b3_h[i] * mv - self.b3_m[i] * values
-            for j in range(3):
-                flux += a6_h[_pidx(i, j)] * self.grads_m[j]
-                flux += self.a6_m[_pidx(i, j)] * grads_h[j]
+            flux = _contract(a6_h, self.grads_m, i) + _contract(self.a6_m, grads_h, i)
+            flux -= b3_h[i] * mv + self.b3_m[i] * values
             out += np.gradient(flux, h, axis=i)
         return out
 
@@ -558,12 +539,8 @@ class LMOperator:
         ghats = [tr.forward(self.wm * gx_i) for gx_i in gx]
         out = np.zeros(g.shape)
         for j in range(3):
-            acc = tr.khat[_pidx(j, 0)] * ghats[0]
-            acc = acc + tr.khat[_pidx(j, 1)] * ghats[1]
-            acc = acc + tr.khat[_pidx(j, 2)] * ghats[2]
-            nonlocal_j = tr.inverse(acc)
-            local_j = sum(self.a6_m[_pidx(i, j)] * gx[i] for i in range(3))
-            flux_j = self.wm * (local_j - nonlocal_j)
+            nonlocal_j = tr.inverse(_contract(tr.khat, ghats, j))
+            flux_j = self.wm * (_contract(self.a6_m, gx, j) - nonlocal_j)
             out += _grad_transpose(flux_j, h, axis=j)
         for axis in range(3):
             f = np.moveaxis(x, axis, 0)
@@ -654,6 +631,8 @@ def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[n
 
 # Krylov vectors kept per flexible GMRES cycle before a restart.
 _RESTART = 20
+# Largest fluid fraction accepted in a right-hand side of invert_LM_micro.
+_MICRO_TOL = 1e-6
 
 
 def invert_LM_micro(
@@ -663,7 +642,6 @@ def invert_LM_micro(
     p: KernelParams = KernelParams(),
     tol: float = 1e-6,
     max_iter: int = 400,
-    micro_tol: float = 1e-6,
 ) -> GridFunction:
     """Solve L_M g = h on the microscopic subspace.
 
@@ -690,10 +668,10 @@ def invert_LM_micro(
         return GridFunction(g, np.zeros(g.shape))
     op = lm_operator(s, g, p)
     defect = op.micro_defect(h.values)
-    if defect > micro_tol:
+    if defect > _MICRO_TOL:
         raise ValueError(
             f"right-hand side is not microscopic: fluid fraction {defect:.3e} "
-            f"exceeds {micro_tol:.1e}"
+            f"exceeds {_MICRO_TOL:.1e}"
         )
     mv = op.m.values
     sw = np.sqrt(g.weights)

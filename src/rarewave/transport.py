@@ -15,6 +15,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -35,7 +36,9 @@ from .collision import (
 
 DEFAULT_TABLE_THETAS = (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)
 
-_AXIS_SWAPS = {(0, 1): (1, 0, 2), (0, 2): (2, 1, 0), (1, 2): (0, 2, 1)}
+# Axis indices of the heat components A_j and the shear components B_ij,
+# in the order burnett_solve produces them.
+_COMPONENTS = ((0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 # Relative defect of the rotation-invariance pairing identities per squared
 # lattice spacing in thermal units.  The cubic lattice only carries the
@@ -91,11 +94,13 @@ class BurnettSolution:
     ``A[j]`` solves the heat family, ``B[i][j]`` the shear family; the
     transport coefficients come from their quadratures against the bare
     polynomials.  ``residuals`` maps component names to the relative
-    residual of the linearized equation, for permuted components as
-    well as directly solved ones; ``solved`` lists which components ran
-    through the solver, the rest being produced by lattice axis swaps
-    valid for the state's symmetry.  ``grid_defect`` is the resolution
-    floor sup|Q(M, M)| measured on this lattice at this state.
+    residual of the linearized equation, for copied components as well
+    as solved ones; ``solved`` lists the components that ran through
+    the solver.  Every other component is the transpose of an earlier
+    one under an axis transposition (a, b) with u_a == u_b, which maps
+    the lattice, the state and the sources onto themselves.
+    ``grid_defect`` is the resolution floor sup|Q(M, M)| measured on
+    this lattice at this state.
     """
 
     state: GasState
@@ -108,10 +113,6 @@ class BurnettSolution:
     residuals: dict
     solved: tuple
     grid_defect: float
-
-
-def _swap(values: np.ndarray, pair) -> np.ndarray:
-    return np.transpose(values, _AXIS_SWAPS[pair]).copy()
 
 
 def thermal_grid(theta: float, n_per_axis: int, span: float = 6.5) -> VelocityGrid:
@@ -142,88 +143,48 @@ def burnett_solve(
 ) -> BurnettSolution:
     """Solve the linearized equations for both source families.
 
-    Only three independent solves run when the state's bulk velocity
-    permits it (any axis swap that fixes u maps one solved component
-    onto another); every produced component, swapped or solved, gets
-    its equation residual verified against the literal operator and
-    recorded.  Solver failures propagate per component.
+    The nine components run in the order A1, A2, A3, B11, B22, B33,
+    B12, B13, B23.  A component is copied as ``np.transpose`` of one
+    already produced when an axis transposition (a, b) with
+    ``s.u[a] == s.u[b]`` maps that one onto it; otherwise it is solved.
+    At rest that leaves three solves (A1, B11, B12), with u = (u1, 0, 0)
+    six.  Every component, copied or solved, gets its equation residual
+    verified against the literal operator and recorded.  Solver
+    failures propagate per component.
     """
     op = lm_operator(s, g, p)
-    basis = op.basis
     ha, hb = burnett_hats(s, g)
     m = maxwellian(s, g)
     qvals = collision_Q(m, m, g, p).values
     grid_defect = float(np.abs(qvals).max())
 
-    sources_a = [project_P1(f, basis) for f in ha]
-    sources_b = [[project_P1(hb[i][j], basis) for j in range(3)] for i in range(3)]
-
-    def swap_ok(pair):
-        return s.u[pair[0]] == s.u[pair[1]]
-
-    a_fields: list = [None, None, None]
-    b_fields: list = [[None] * 3 for _ in range(3)]
+    fields: dict = {}
     residuals: dict = {}
     solved: list = []
-
-    def solve(source, name):
-        sol = invert_LM_micro(source, s, g, p, tol=tol, max_iter=max_iter)
-        solved.append(name)
-        return sol.values
-
-    def offdiag_by_swap(i, j):
-        for pair in _AXIS_SWAPS:
-            if not swap_ok(pair):
-                continue
-            perm = {pair[0]: pair[1], pair[1]: pair[0]}
-            k, l = sorted((perm.get(i, i), perm.get(j, j)))
-            if (k, l) != (i, j) and b_fields[k][l] is not None:
-                return _swap(b_fields[k][l], pair)
-        return None
-
-    a_fields[0] = solve(sources_a[0], "A1")
-    for j in (1, 2):
-        for k in range(j):
-            if swap_ok((k, j)) and a_fields[k] is not None:
-                a_fields[j] = _swap(a_fields[k], (k, j))
+    for c in _COMPONENTS:
+        name = ("A" if len(c) == 1 else "B") + "".join(str(k + 1) for k in c)
+        source = project_P1(ha[c[0]] if len(c) == 1 else hb[c[0]][c[1]], op.basis)
+        for a, b in combinations(range(3), 2):
+            swap = {a: b, b: a}
+            origin = tuple(sorted(swap.get(k, k) for k in c))
+            if s.u[a] == s.u[b] and origin != c and origin in fields:
+                axes = [swap.get(k, k) for k in range(3)]
+                fields[c] = np.transpose(fields[origin], axes)
                 break
         else:
-            a_fields[j] = solve(sources_a[j], f"A{j + 1}")
-
-    b_fields[0][0] = solve(sources_b[0][0], "B11")
-    for i in (1, 2):
-        for k in range(i):
-            if swap_ok((k, i)) and b_fields[k][k] is not None:
-                b_fields[i][i] = _swap(b_fields[k][k], (k, i))
-                break
-        else:
-            b_fields[i][i] = solve(sources_b[i][i], f"B{i + 1}{i + 1}")
-
-    b_fields[0][1] = solve(sources_b[0][1], "B12")
-    for i, j in ((0, 2), (1, 2)):
-        got = offdiag_by_swap(i, j)
-        if got is None:
-            got = solve(sources_b[i][j], f"B{i + 1}{j + 1}")
-        b_fields[i][j] = got
-    b_fields[1][0] = b_fields[0][1]
-    b_fields[2][0] = b_fields[0][2]
-    b_fields[2][1] = b_fields[1][2]
-
-    for j in range(3):
-        residuals[f"A{j + 1}"] = _component_residual(op, sources_a[j], a_fields[j])
-    for i in range(3):
-        for j in range(i, 3):
-            residuals[f"B{i + 1}{j + 1}"] = _component_residual(
-                op, sources_b[i][j], b_fields[i][j]
-            )
+            fields[c] = invert_LM_micro(source, s, g, p, tol=tol, max_iter=max_iter).values
+            solved.append(name)
+        residuals[name] = _component_residual(op, source, fields[c])
 
     pa = heat_polynomials(s, g)
     pb = shear_polynomials(s, g)
-    kappa = -GAS_R * GAS_R * s.theta * g.integrate(pa[0] * a_fields[0])
-    mu = -GAS_R * s.theta * g.integrate(pb[0][1] * b_fields[0][1])
+    kappa = -GAS_R * GAS_R * s.theta * g.integrate(pa[0] * fields[(0,)])
+    mu = -GAS_R * s.theta * g.integrate(pb[0][1] * fields[0, 1])
 
-    A = tuple(GridFunction(g, f) for f in a_fields)
-    B = tuple(tuple(GridFunction(g, b_fields[i][j]) for j in range(3)) for i in range(3))
+    A = tuple(GridFunction(g, fields[(j,)]) for j in range(3))
+    B = tuple(
+        tuple(GridFunction(g, fields[min(i, j), max(i, j)]) for j in range(3)) for i in range(3)
+    )
     return BurnettSolution(
         state=s,
         grid=g,
@@ -440,10 +401,10 @@ def transport_table(
 ) -> TransportTable:
     """Build the (theta, mu, kappa) table by solving at each temperature.
 
-    The states sit at rest with unit density; the coefficients are
-    independent of density and bulk velocity, which the property tests
-    verify separately.  Each temperature gets its own thermally sized
-    lattice so the achievable residual stays uniform down the column.
+    The states sit at rest with unit density; the coefficients do not
+    depend on density, which ``tests/test_transport.py`` checks.  Each
+    temperature gets its own thermally sized lattice so the achievable
+    residual stays uniform down the column.
     Temperatures must be strictly increasing and within (3/4, 3), the
     regime the downstream wave states occupy.
     """
@@ -469,14 +430,14 @@ def transport_table(
 
 
 @dataclass(frozen=True)
-class DecayRow:
+class PreimageDecayRow:
     epsilon: float
     constant: float
     radius_at_max: float
     component: str
 
 
-def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[DecayRow]:
+def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[PreimageDecayRow]:
     """Smallest C with |field| <= C M^(1 - eps) pointwise, per exponent.
 
     The ratio is only formed where the Maxwellian power stays above the
@@ -504,7 +465,7 @@ def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[DecayRo
                 best_c = float(ratio.flat[k])
                 best_r = float(rad.flat[k])
                 best_name = name
-        rows.append(DecayRow(float(eps), best_c, best_r, best_name))
+        rows.append(PreimageDecayRow(float(eps), best_c, best_r, best_name))
     return rows
 
 

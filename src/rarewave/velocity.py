@@ -34,7 +34,6 @@ class VelocityGrid:
 
     half_width: float = 8.0
     n_per_axis: int = 32
-    gas_constant: float = GAS_R
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
@@ -42,8 +41,6 @@ class VelocityGrid:
         n = self.n_per_axis
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_per_axis must be an even integer >= 4, got {n}")
-        if not math.isclose(self.gas_constant, GAS_R, rel_tol=1e-15):
-            raise ValueError("gas constant is fixed at 2/3 by convention")
 
     @property
     def shape(self) -> tuple[int, int, int]:

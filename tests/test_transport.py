@@ -1,18 +1,24 @@
 """Burnett preimages, transport coefficients and the transport table."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rarewave.euler import GasState
+from rarewave.burgers import SmoothWave
+from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
 from rarewave.transport import (
     TransportTable,
     burnett_property_check,
     burnett_solve,
+    decay_check,
+    gbar_construct,
+    gbar_from_gradients,
     thermal_grid,
     transport_table,
 )
+from rarewave.velocity import VelocityGrid
 
 N = 20
 TOL = 1e-2
@@ -27,6 +33,18 @@ def solutions():
         s = GasState.make(rho, 0.0, theta)
         out[rho, theta] = burnett_solve(s, thermal_grid(theta, N), tol=TOL)
     return out
+
+
+@pytest.fixture(scope="module")
+def wave_point():
+    """A smoothed 3-rarefaction wave, mid-fan at t = 2, with its solve."""
+    data = RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5)
+    wave = SmoothWave.build(data, 0.5)
+    t = 2.0
+    x = 0.5 * t * (lambda3(data.left) + lambda3(data.right))
+    s = wave.state(t, x)
+    g = VelocityGrid(abs(s.u1) + 6.5 * math.sqrt(GAS_R * s.theta), N)
+    return wave, t, x, burnett_solve(s, g, tol=TOL)
 
 
 def scaled(sol):
@@ -92,3 +110,69 @@ def test_table_rejects_bad_inputs(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         TransportTable.from_csv(path)
+
+
+def fields_by_name(sol):
+    out = {f"A{j + 1}": sol.A[j].values for j in range(3)}
+    for i in range(3):
+        for j in range(i, 3):
+            out[f"B{i + 1}{j + 1}"] = sol.B[i][j].values
+    return out
+
+
+def transposed_origins(sol, name):
+    """Components an allowed axis transposition maps onto ``name``, transposed."""
+    idx = [int(k) - 1 for k in name[1:]]
+    fields = fields_by_name(sol)
+    for a, b in combinations(range(3), 2):
+        if sol.state.u[a] != sol.state.u[b]:
+            continue
+        swap = {a: b, b: a}
+        origin = name[0] + "".join(str(k + 1) for k in sorted(swap.get(k, k) for k in idx))
+        axes = [swap.get(k, k) for k in range(3)]
+        if origin != name:
+            yield np.transpose(fields[origin], axes)
+
+
+def test_transposition_rule_fixes_the_solved_components(solutions, wave_point):
+    assert solutions[1.0, 1.0].solved == ("A1", "B11", "B12")
+    sol = wave_point[3]
+    assert sol.state.u[0] != 0.0 and sol.state.u[1] == sol.state.u[2] == 0.0
+    assert sol.solved == ("A1", "A2", "B11", "B22", "B12", "B23")
+    assert max(sol.residuals.values()) <= 5.1e-3
+
+
+def test_copied_components_are_exact_transposes(solutions, wave_point):
+    for sol in (solutions[1.0, 1.0], wave_point[3]):
+        for name, field in fields_by_name(sol).items():
+            if name not in sol.solved:
+                assert any(np.array_equal(field, o) for o in transposed_origins(sol, name)), name
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(sol.B[i][j].values, sol.B[j][i].values)
+
+
+def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
+    wave, t, x, sol = wave_point
+
+    def gbar(eps, a):
+        return gbar_construct(wave, t, x, sol.state, eps, a, sol).values
+
+    prof = wave.profile(t, x, order=1)
+    unit = gbar_from_gradients(float(prof["u1_x"]), float(prof["theta_x"]), sol).values
+    ref = gbar(0.1, 0.5)
+    bound = 1e-12 * np.abs(ref).max()
+    assert bound > 0.0
+    assert np.abs(ref - 0.1 * unit).max() <= bound
+    for a in (0.0, 1.0):
+        assert np.abs(gbar(0.1, a) - ref).max() <= bound
+    for eps in (0.25, 0.5):
+        assert np.abs(gbar(eps, 0.5) - (eps / 0.1) * ref).max() <= (eps / 0.1) * bound
+
+
+def test_decay_check_constants_positive_and_nonincreasing_in_eps(wave_point):
+    rows = decay_check(wave_point[3])
+    assert [r.epsilon for r in rows] == [0.1, 0.25, 0.5]
+    consts = [r.constant for r in rows]
+    assert all(math.isfinite(c) and c > 0.0 for c in consts)
+    assert all(c2 <= c1 for c1, c2 in zip(consts, consts[1:]))

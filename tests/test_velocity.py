@@ -71,10 +71,6 @@ class TestVelocityGrid:
         with pytest.raises(ValueError):
             VelocityGrid(half_width=0.0)
 
-    def test_gas_constant_fixed(self):
-        with pytest.raises(ValueError, match="fixed"):
-            VelocityGrid(gas_constant=1.0)
-
     def test_integrate_constant(self):
         g = small_grid(n=8, L=2.0)
         assert g.integrate(np.ones(g.shape)) == pytest.approx(4.0**3)
