@@ -7,8 +7,9 @@ times the ``_KernelTransforms`` build, ``LMOperator.apply`` and
 ``LMOperator.weak_apply`` (best of 5, one thread) twice over: once with this
 checkout's ``src/`` and once with ``src/`` of git revision REV, exported by
 ``git archive`` into a temporary directory.  Each side runs in a fresh
-process, the sides alternate for ``--rounds`` rounds, and each time is the
-best over all rounds.  The accuracy figure is the maximum relative
+process, the sides alternate for ``--rounds`` rounds (``before`` runs first
+on even rounds, ``after`` on odd ones), and each time is the best over all
+rounds.  The accuracy figure is the maximum relative
 difference of the ``apply`` and ``weak_apply`` outputs between the two
 sides on the same seeded input, relative to the largest entry of the
 output.  The result is written as JSON.
@@ -128,9 +129,10 @@ def main() -> None:
         export_src(args.before, tmp / "before")
         srcs = {"before": tmp / "before" / "src", "after": ROOT / "src"}
         runs = {side: [] for side in srcs}
-        for _ in range(args.rounds):
-            for side, src in srcs.items():
-                runs[side].append(run_side(src, tmp / f"{side}.npz"))
+        for k in range(args.rounds):
+            order = list(srcs) if k % 2 == 0 else list(srcs)[::-1]
+            for side in order:
+                runs[side].append(run_side(srcs[side], tmp / f"{side}.npz"))
 
     rows = []
     for n in SIZES:

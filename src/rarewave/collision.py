@@ -60,8 +60,8 @@ from .velocity import (
     GridFunction,
     VelocityGrid,
     macro_basis,
-    macro_coefficients,
     maxwellian,
+    project_P0,
 )
 
 # index of the (i, j) component inside a packed symmetric 6-vector
@@ -563,9 +563,7 @@ class LMOperator:
     def micro_defect(self, values: np.ndarray) -> float:
         """Relative size of the fluid part of an h-space field."""
         g = self.grid
-        coef = macro_coefficients(GridFunction(g, values), self.basis)
-        coef = np.linalg.solve(self.gram, coef)
-        p0 = np.tensordot(coef, np.stack([c.values for c in self.basis.chi]), axes=(0, 0))
+        p0 = project_P0(GridFunction(g, values), self.basis).values
         num = math.sqrt(g.integrate(p0 * p0))
         den = math.sqrt(g.integrate(values * values))
         return num / den if den > 0.0 else 0.0

@@ -6,22 +6,21 @@ xi = (v - u) / sqrt(R theta): an odd heat-flux family and a trace-free
 shear family.  Their preimages under the linearized collision operator
 determine the viscosity and heat-conductivity coefficients through
 plain velocity quadratures, and assemble the wave-gradient correction
-field consumed by the fluid solver.
+field that ``gbar_construct`` evaluates at points of the wave.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .euler import GAS_R, GasState
 from .velocity import (
+    GAMMA_DEFAULT,
     GridFunction,
     VelocityGrid,
     maxwellian,
@@ -126,6 +125,17 @@ def thermal_grid(theta: float, n_per_axis: int, span: float = 6.5) -> VelocityGr
     of resolution.
     """
     return VelocityGrid(half_width=span * math.sqrt(GAS_R * theta), n_per_axis=n_per_axis)
+
+
+def thermal_exponent(gamma: float) -> float:
+    """Exponent a of the exact law mu, kappa proportional to theta^a at rest.
+
+    ``thermal_grid`` scales the lattice with sqrt(theta), so v = sqrt(theta) xi
+    maps the nodes, the kernel |v|^(gamma+2), the cell-averaged coincident
+    weight h^(gamma+2) and the relative stencils onto the theta = 1 problem:
+    L_M scales by theta^(gamma/2), the quadratures by theta^(1 - gamma/2).
+    """
+    return 1.0 - 0.5 * gamma
 
 
 def _component_residual(op, source: GridFunction, field: np.ndarray) -> float:
@@ -328,7 +338,11 @@ def burnett_property_check(sol: BurnettSolution, tol: float = 1e-6) -> list[Prop
 
 @dataclass(frozen=True)
 class TransportTable:
-    """Tabulated viscosity and heat conductivity against temperature."""
+    """Viscosity and heat conductivity against temperature, one solve per row.
+
+    ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
+    at any temperature: the first row times (theta / theta_0)^thermal_exponent.
+    """
 
     theta: tuple
     mu: tuple
@@ -344,21 +358,12 @@ class TransportTable:
         ):
             raise ValueError("table needs at least two strictly increasing temperatures")
 
-    def _clamped(self, theta):
-        lo, hi = self.theta[0], self.theta[-1]
-        th = np.asarray(theta, dtype=float)
-        if np.any(th < lo) or np.any(th > hi):
-            warnings.warn(
-                f"temperature outside table range [{lo}, {hi}]; clamping", stacklevel=3
-            )
-        return np.clip(th, lo, hi)
-
     def mu_of(self, theta):
-        out = PchipInterpolator(self.theta, self.mu)(self._clamped(theta))
+        out = self.mu[0] * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
         return float(out) if np.isscalar(theta) else out
 
     def kappa_of(self, theta):
-        out = PchipInterpolator(self.theta, self.kappa)(self._clamped(theta))
+        out = self.kappa[0] * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
         return float(out) if np.isscalar(theta) else out
 
     def to_csv(self, path) -> None:
@@ -396,15 +401,16 @@ def transport_table(
     theta_values=DEFAULT_TABLE_THETAS,
     n_per_axis: int = 20,
     span: float = 6.5,
-    p: KernelParams = KernelParams(),
     tol: float = 1e-2,
 ) -> TransportTable:
     """Build the (theta, mu, kappa) table by solving at each temperature.
 
     The states sit at rest with unit density; the coefficients do not
     depend on density, which ``tests/test_transport.py`` checks.  Each
-    temperature gets its own thermally sized lattice so the achievable
-    residual stays uniform down the column.
+    temperature gets its own thermally sized lattice, so the residual
+    stays uniform down the column and the rows follow the exact law of
+    ``thermal_exponent``.  Each row is still solved, as the law's check;
+    the kernel is unregularized, since a regularization length breaks it.
     Temperatures must be strictly increasing and within (3/4, 3), the
     regime the downstream wave states occupy.
     """
@@ -414,7 +420,7 @@ def transport_table(
     mus, kappas, resids = [], [], []
     for t in thetas:
         g = thermal_grid(t, n_per_axis, span)
-        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, p, tol=tol)
+        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol)
         mus.append(sol.mu_theta)
         kappas.append(sol.kappa_theta)
         resids.append(max(sol.residuals.values()))
@@ -425,7 +431,7 @@ def transport_table(
         residual=tuple(resids),
         span=span,
         n_per_axis=n_per_axis,
-        gamma=p.gamma,
+        gamma=GAMMA_DEFAULT,
     )
 
 

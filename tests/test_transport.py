@@ -1,12 +1,14 @@
 """Burnett preimages, transport coefficients and the transport table."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from rarewave.burgers import SmoothWave
+from rarewave.collision import KernelParams
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
 from rarewave.transport import (
     TransportTable,
@@ -15,6 +17,7 @@ from rarewave.transport import (
     decay_check,
     gbar_construct,
     gbar_from_gradients,
+    thermal_exponent,
     thermal_grid,
     transport_table,
 )
@@ -69,6 +72,18 @@ def test_coefficients_are_exactly_theta_covariant(solutions):
     assert math.isclose(ka1, ka2, rel_tol=1e-12)
 
 
+def test_thermal_exponent_holds_at_another_gamma():
+    p = KernelParams(-2.5)
+    one, two = (
+        burnett_solve(GasState.make(1.0, 0.0, th), thermal_grid(th, N), p, tol=TOL)
+        for th in (1.0, 1.7)
+    )
+    factor = 1.7 ** thermal_exponent(-2.5)
+    assert thermal_exponent(-2.5) == 2.25
+    assert math.isclose(two.mu_theta, factor * one.mu_theta, rel_tol=1e-12)
+    assert math.isclose(two.kappa_theta, factor * one.kappa_theta, rel_tol=1e-12)
+
+
 def test_coefficients_are_independent_of_density(solutions):
     one, two = solutions[1.0, 1.0], solutions[2.0, 1.0]
     assert math.isclose(one.mu_theta, two.mu_theta, rel_tol=1e-12)
@@ -99,6 +114,14 @@ def test_table_csv_roundtrip(solutions, tmp_path):
     assert back == table
     assert back.mu_of(1.7) == pytest.approx(table.mu[1], rel=1e-14)
     assert np.allclose(back.kappa_of(np.array([1.0, 1.7])), table.kappa, rtol=1e-14)
+    # outside the table range the exact law holds, with no clamp and no warning
+    law = (np.array([0.8, 2.5]) / table.theta[0]) ** thermal_exponent(table.gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, th in enumerate((0.8, 2.5)):
+            assert back.mu_of(th) == pytest.approx(table.mu[0] * law[k], rel=1e-14)
+            assert back.kappa_of(th) == pytest.approx(table.kappa[0] * law[k], rel=1e-14)
+        assert np.allclose(back.mu_of([0.8, 2.5]), table.mu[0] * law, rtol=1e-14, atol=0.0)
 
 
 def test_table_rejects_bad_inputs(tmp_path):
