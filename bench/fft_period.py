@@ -1,6 +1,6 @@
 """Per-layer cost of the padded FFT convolution, against an earlier revision.
 
-    python bench/fft_period.py --before REV [--rounds 3] [--out BENCH_fft_period.json]
+    python bench/fft_period.py --before REV [--rounds 10] [--out BENCH_fft_period.json]
 
 Run it from the root of a checkout.  For n_per_axis in {16, 24, 32} it
 times the ``_KernelTransforms`` build, ``LMOperator.apply`` and
@@ -8,11 +8,14 @@ times the ``_KernelTransforms`` build, ``LMOperator.apply`` and
 checkout's ``src/`` and once with ``src/`` of git revision REV, exported by
 ``git archive`` into a temporary directory.  Each side runs in a fresh
 process, the sides alternate for ``--rounds`` rounds (``before`` runs first
-on even rounds, ``after`` on odd ones), and each time is the best over all
-rounds.  The accuracy figure is the maximum relative
-difference of the ``apply`` and ``weak_apply`` outputs between the two
-sides on the same seeded input, relative to the largest entry of the
-output.  The result is written as JSON.
+on even rounds, ``after`` on odd ones).  Each layer reports every round's
+time per side, their median and quartiles, and the share of rounds in
+which ``after`` is faster than ``before``.  A difference counts as resolved
+only when one side wins at least nine tenths of the rounds and the medians
+differ by more than the distance between the quartiles of ``before``.  The accuracy figure is
+the maximum relative difference of the ``apply`` and ``weak_apply``
+outputs between the two sides on the same seeded input, relative to the
+largest entry of the output.  The result is written as JSON.
 """
 
 from __future__ import annotations
@@ -114,6 +117,11 @@ def run_side(src: Path, out: Path) -> dict:
         return {k: dat[k] for k in dat.files}
 
 
+def quartiles(xs) -> dict:
+    q1, med, q3 = np.percentile(xs, [25, 50, 75])
+    return {"q1": float(q1), "median": float(med), "q3": float(q3)}
+
+
 def max_rel(a, b) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
@@ -121,7 +129,7 @@ def max_rel(a, b) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", default=str(ROOT / "BENCH_fft_period.json"))
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,9 +150,17 @@ def main() -> None:
             row[f"pad_{side}"] = pad
             row[f"fft_points_{side}"] = pad**3
         for layer in ("build_s", "apply_s", "weak_apply_s"):
-            t = {side: min(float(r[f"{layer}_{n}"]) for r in runs[side]) for side in srcs}
-            t["speedup"] = t["before"] / t["after"]
-            row[layer] = t
+            t = {side: [float(r[f"{layer}_{n}"]) for r in runs[side]] for side in srcs}
+            stats = {side: quartiles(t[side]) for side in srcs}
+            wins = sum(a < b for a, b in zip(t["after"], t["before"])) / args.rounds
+            losses = sum(a > b for a, b in zip(t["after"], t["before"])) / args.rounds
+            gap = abs(stats["after"]["median"] - stats["before"]["median"])
+            row[layer] = {
+                **{side: {"rounds": t[side], **stats[side]} for side in srcs},
+                "after_wins": wins,
+                "resolved": max(wins, losses) >= 0.9
+                and gap > stats["before"]["q3"] - stats["before"]["q1"],
+            }
         before, after = runs["before"][0], runs["after"][0]
         row["apply_max_rel_diff"] = max_rel(after[f"apply_{n}"], before[f"apply_{n}"])
         row["weak_apply_max_rel_diff"] = max_rel(
@@ -158,7 +174,8 @@ def main() -> None:
         "after_rev": git("rev-parse", "HEAD")
         + (" with uncommitted src changes" if git("status", "--short", "src") else ""),
         "state": {"rho": RHO, "u1": U1, "theta": THETA, "lattice": "thermal_grid(theta, n)"},
-        "timing": f"best of {REPEATS} x {args.rounds} alternating rounds, one thread, seconds",
+        "timing": f"best of {REPEATS} per round, {args.rounds} alternating rounds, one thread, "
+        "seconds; median and quartiles over rounds",
         "accuracy": "max |after - before| / max |before| on the same seeded input",
         "host": {
             "cpu_model": cpu_model(),
@@ -170,7 +187,15 @@ def main() -> None:
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(rows, indent=2))
+    print(f"{'n':>3} {'layer':<13} {'before q1/med/q3':>30} {'after q1/med/q3':>30} wins resolved")
+    for row in rows:
+        for layer in ("build_s", "apply_s", "weak_apply_s"):
+            r = row[layer]
+            b, a = (" ".join(f"{r[side][k]:.3e}" for k in ("q1", "median", "q3")) for side in srcs)
+            print(
+                f"{row['n_per_axis']:>3} {layer:<13} {b:>30} {a:>30} "
+                f"{r['after_wins']:4.0%} {r['resolved']}"
+            )
 
 
 if __name__ == "__main__":

@@ -31,10 +31,8 @@ origin, so the coincident node needs care: the lattice sums give it
 the exact average of the kernel over one mesh cell, which keeps the
 quadrature of the singular convolution second-order accurate (simply
 zeroing that node stalls the refinement of Q(M, M) near the origin at
-first order).  A regularization knob instead replaces |v - v*| with
-sqrt(|v - v*|^2 + reg^2) for sensitivity studies; the coincident node
-then carries the pointwise regularized value with the spherically
-averaged projector (2/3) I.
+first order).  At the default gamma = -3 this is the Coulomb kernel of
+the paper.
 
 On top of Q sit the collision frequency sigma^{ij} = phi^{ij} * mu,
 the linearization L_M h = Q(h, M) + Q(M, h), its sqrt(mu)-conjugated
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
@@ -62,6 +60,7 @@ from .velocity import (
     macro_basis,
     maxwellian,
     project_P0,
+    project_P1,
 )
 
 # index of the (i, j) component inside a packed symmetric 6-vector
@@ -80,34 +79,26 @@ def _contract(six, three, i: int):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel exponent and optional diagonal regularization."""
+    """Kernel exponent gamma of the very soft potential |v|^(gamma+2)."""
 
     gamma: float = GAMMA_DEFAULT
-    diag_regularization: float = 0.0
 
     def __post_init__(self):
         if not (-3.0 <= self.gamma < -2.0):
             raise ValueError(f"gamma must lie in [-3, -2), got {self.gamma}")
-        if not (math.isfinite(self.diag_regularization) and self.diag_regularization >= 0.0):
-            raise ValueError("diag_regularization must be a nonnegative real")
 
 
 def phi_kernel(v, p: KernelParams = KernelParams()) -> np.ndarray:
     """The 3x3 kernel matrix (I - v v^T / |v|^2) |v|^(gamma+2) at one point.
 
-    At v = 0 the projector has no limit; the value is 0 when the
-    regularization is off, and (2/3) reg^(gamma+2) I (the spherical
-    average of the projector) when it is on.
+    At v = 0 the projector has no limit and the value is 0; the lattice
+    sums give that node the cell average of :func:`_center_weight`.
     """
     v = np.asarray(v, dtype=float)
     ss = float(v @ v)
-    reg = p.diag_regularization
     if ss == 0.0:
-        if reg == 0.0:
-            return np.zeros((3, 3))
-        return (2.0 / 3.0) * reg ** (p.gamma + 2.0) * np.eye(3)
-    mag = (ss + reg * reg) ** (0.5 * (p.gamma + 2.0))
-    return (np.eye(3) - np.outer(v, v) / ss) * mag
+        return np.zeros((3, 3))
+    return (np.eye(3) - np.outer(v, v) / ss) * ss ** (0.5 * (p.gamma + 2.0))
 
 
 @lru_cache(maxsize=8)
@@ -143,14 +134,10 @@ def _cell_average_constant(gamma: float) -> float:
 def _center_weight(h: float, p: KernelParams) -> float:
     """Diagonal kernel weight at the coincident node.
 
-    With regularization off this is the cell average of the kernel over
-    one mesh cell, (2/3) C h^(gamma+2), which restores second-order
-    consistency of the singular convolution sums; with regularization
-    on it is the pointwise regularized value (2/3) reg^(gamma+2).
+    The cell average of the kernel over one mesh cell, (2/3) C h^(gamma+2),
+    which restores second-order consistency of the singular convolution
+    sums.
     """
-    reg = p.diag_regularization
-    if reg > 0.0:
-        return (2.0 / 3.0) * reg ** (p.gamma + 2.0)
     return (2.0 / 3.0) * _cell_average_constant(p.gamma) * h ** (p.gamma + 2.0)
 
 
@@ -171,9 +158,8 @@ class _KernelTransforms:
         comps = (dx, dy, dz)
         ss = dx * dx + dy * dy + dz * dz
         center = n - 1
-        reg = p.diag_regularization
         with np.errstate(divide="ignore"):
-            mag = (ss + reg * reg) ** (0.5 * (p.gamma + 2.0))
+            mag = ss ** (0.5 * (p.gamma + 2.0))
         mag[center, center, center] = 0.0
         pad = next_fast_len(2 * n - 1)
         self.pad_shape = (pad, pad, pad)
@@ -269,9 +255,8 @@ def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> n
     nodes = np.stack([vx.ravel(), vy.ravel(), vz.ravel()], axis=1)
     diff = nodes[:, None, :] - nodes[None, :, :]
     ss = np.einsum("kmi,kmi->km", diff, diff)
-    reg = p.diag_regularization
     with np.errstate(divide="ignore"):
-        mag = (ss + reg * reg) ** (0.5 * (p.gamma + 2.0))
+        mag = ss ** (0.5 * (p.gamma + 2.0))
     zero = ss == 0.0
     mag[zero] = 0.0
     inv_ss = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, ss))
@@ -286,56 +271,15 @@ def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> n
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CollisionCoeffs:
-    """Collision frequency matrix sigma^{ij} = phi^{ij} * mu on the lattice."""
+def collision_frequency(g: VelocityGrid, p: KernelParams = KernelParams()) -> np.ndarray:
+    """sigma^{ij} = phi^{ij} * mu against the global Maxwellian.
 
-    grid: VelocityGrid
-    params: KernelParams
-    sigma: tuple[tuple[GridFunction, ...], ...]
-
-    @cached_property
-    def sigma_array(self) -> np.ndarray:
-        out = np.empty((3, 3) + self.grid.shape)
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = self.sigma[i][j].values
-        return out
-
-    @cached_property
-    def trace(self) -> np.ndarray:
-        return sum(self.sigma[i][i].values for i in range(3))
-
-
-def _pack_coeffs(g: VelocityGrid, p: KernelParams, a6: np.ndarray) -> CollisionCoeffs:
-    gf = [GridFunction(g, a6[idx]) for idx in range(6)]
-    rows = tuple(tuple(gf[_pidx(i, j)] for j in range(3)) for i in range(3))
-    return CollisionCoeffs(g, p, rows)
-
-
-def collision_frequency(g: VelocityGrid, p: KernelParams = KernelParams()) -> CollisionCoeffs:
-    """sigma^{ij} against the global Maxwellian, symmetric PSD at each node."""
+    Returned as an array of shape (3, 3) + g.shape, symmetric positive
+    semidefinite at each node.
+    """
     mu = maxwellian(REFERENCE_STATE, g)
     a6, _ = _conv_sides_fft(g, p, mu.values * g.weights, [])
-    return _pack_coeffs(g, p, a6)
-
-
-def save_collision_coeffs(c: CollisionCoeffs, path) -> None:
-    np.savez(
-        path,
-        half_width=c.grid.half_width,
-        n_per_axis=c.grid.n_per_axis,
-        gamma=c.params.gamma,
-        diag_regularization=c.params.diag_regularization,
-        packed=np.stack([c.sigma[i][j].values for (i, j) in _PAIRS]),
-    )
-
-
-def load_collision_coeffs(path) -> CollisionCoeffs:
-    with np.load(path) as dat:
-        g = VelocityGrid(float(dat["half_width"]), int(dat["n_per_axis"]))
-        p = KernelParams(float(dat["gamma"]), float(dat["diag_regularization"]))
-        return _pack_coeffs(g, p, dat["packed"])
+    return a6[np.array([[_pidx(i, j) for j in range(3)] for i in range(3)])]
 
 
 def collision_Q(
@@ -480,8 +424,6 @@ class LMOperator:
         self.grads_m = _relative_gradient(mv, g, self.rel_u, self.rel_rtheta)
         self.a6_m, self.b3_m = _conv_sides_fft(g, p, mv * w, [x * w for x in self.grads_m])
         self.basis = macro_basis(s, g)
-        self.duals = np.stack(self.basis.duals)
-        self.gram = self.basis.gram
         self.wm = w * mv
         # Centered differences annihilate odd-even (checkerboard) modes
         # away from the faces, which would leave the Dirichlet form with
@@ -552,13 +494,6 @@ class LMOperator:
             z[:-2] += pen
             out += np.moveaxis(z, 0, axis)
         return out
-
-    def project_potential(self, x: np.ndarray) -> np.ndarray:
-        """Remove the fluid directions from a potential-space vector."""
-        g = self.grid
-        b = np.array([g.integrate(self.m.values * x * d) for d in self.basis.duals])
-        c = np.linalg.solve(self.gram, b)
-        return x - np.tensordot(c, self.duals, axes=(0, 0))
 
     def micro_defect(self, values: np.ndarray) -> float:
         """Relative size of the fluid part of an h-space field."""
@@ -680,7 +615,7 @@ def invert_LM_micro(
         beta = math.sqrt(float(np.sum(r * r)))
         history.append(beta / normh)
         if history[-1] <= tol:
-            return GridFunction(g, mv * op.project_potential(x))
+            return project_P1(GridFunction(g, mv * x), op.basis)
         vs = [r / beta]
         zs = []
         hess = np.zeros((_RESTART + 1, _RESTART))
@@ -706,7 +641,7 @@ def invert_LM_micro(
         if zs:
             x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
         if history[-1] <= tol:
-            return GridFunction(g, mv * op.project_potential(x))
+            return project_P1(GridFunction(g, mv * x), op.basis)
         if not zs or iters_used >= max_iter:
             raise NonConvergenceError(
                 f"constrained solve stalled at relative residual {history[-1]:.3e} "

@@ -11,7 +11,6 @@ field that ``gbar_construct`` evaluates at points of the wave.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -149,7 +148,6 @@ def burnett_solve(
     g: VelocityGrid,
     p: KernelParams = KernelParams(),
     tol: float = 1e-6,
-    max_iter: int = 600,
 ) -> BurnettSolution:
     """Solve the linearized equations for both source families.
 
@@ -159,8 +157,8 @@ def burnett_solve(
     ``s.u[a] == s.u[b]`` maps that one onto it; otherwise it is solved.
     At rest that leaves three solves (A1, B11, B12), with u = (u1, 0, 0)
     six.  Every component, copied or solved, gets its equation residual
-    verified against the literal operator and recorded.  Solver
-    failures propagate per component.
+    verified against the literal operator and recorded.  Each solve
+    gets 600 inner iterations; solver failures propagate per component.
     """
     op = lm_operator(s, g, p)
     ha, hb = burnett_hats(s, g)
@@ -182,7 +180,7 @@ def burnett_solve(
                 fields[c] = np.transpose(fields[origin], axes)
                 break
         else:
-            fields[c] = invert_LM_micro(source, s, g, p, tol=tol, max_iter=max_iter).values
+            fields[c] = invert_LM_micro(source, s, g, p, tol=tol, max_iter=600).values
             solved.append(name)
         residuals[name] = _component_residual(op, source, fields[c])
 
@@ -221,16 +219,17 @@ class PropertyCheck:
         return self.defect <= self.tolerance
 
 
-def burnett_property_check(sol: BurnettSolution, tol: float = 1e-6) -> list[PropertyCheck]:
+def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
     """Evaluate the classical identities of the source preimages.
 
     Every bullet is reported with its worst numerical defect.  The
-    tolerance self-calibrates per lattice: the solver tolerance plus
-    the measured second-order anisotropy of the cubic lattice, both
-    scaled by the magnitude of the quadratures involved, plus the
-    state's intrinsic resolution defect.  Bullets protected by exact
-    lattice symmetries sit at round-off far below this; the
-    rotation-mixing identity is the one that genuinely consumes it.
+    tolerance self-calibrates per solution: the largest equation
+    residual it records plus the measured second-order anisotropy of
+    the cubic lattice, both scaled by the magnitude of the quadratures
+    involved, plus the state's intrinsic resolution defect.  Bullets
+    protected by exact lattice symmetries sit at round-off far below
+    this; the rotation-mixing identity is the one that genuinely
+    consumes it.
     """
     g = sol.grid
     s = sol.state
@@ -252,7 +251,8 @@ def burnett_property_check(sol: BurnettSolution, tol: float = 1e-6) -> list[Prop
 
     h_thermal = g.spacing / math.sqrt(GAS_R * s.theta)
     scale = max(np.abs(paa).max(), np.abs(pbb).max())
-    base = scale * (5.0 * tol + PAIRING_ANISOTROPY * h_thermal**2) + 100.0 * sol.grid_defect
+    solver = max(sol.residuals.values())
+    base = scale * (5.0 * solver + PAIRING_ANISOTROPY * h_thermal**2) + 100.0 * sol.grid_defect
     checks = []
 
     diag_a = np.diag(paa)
@@ -366,36 +366,6 @@ class TransportTable:
         out = self.kappa[0] * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
         return float(out) if np.isscalar(theta) else out
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "mu", "kappa", "residual"])
-            writer.writerow(
-                ["# grid", f"{self.span:.17g}", self.n_per_axis, f"{self.gamma:.17g}"]
-            )
-            for row in zip(self.theta, self.mu, self.kappa, self.residual):
-                writer.writerow([f"{v:.17g}" for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "TransportTable":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows[0] != ["theta", "mu", "kappa", "residual"] or rows[1][0] != "# grid":
-            raise ValueError("not a transport table file")
-        span = float(rows[1][1])
-        n = int(rows[1][2])
-        gamma = float(rows[1][3])
-        data = np.array([[float(v) for v in r] for r in rows[2:]])
-        return cls(
-            theta=tuple(data[:, 0]),
-            mu=tuple(data[:, 1]),
-            kappa=tuple(data[:, 2]),
-            residual=tuple(data[:, 3]),
-            span=span,
-            n_per_axis=n,
-            gamma=gamma,
-        )
-
 
 def transport_table(
     theta_values=DEFAULT_TABLE_THETAS,
@@ -409,8 +379,8 @@ def transport_table(
     depend on density, which ``tests/test_transport.py`` checks.  Each
     temperature gets its own thermally sized lattice, so the residual
     stays uniform down the column and the rows follow the exact law of
-    ``thermal_exponent``.  Each row is still solved, as the law's check;
-    the kernel is unregularized, since a regularization length breaks it.
+    ``thermal_exponent``.  Each row is still solved, as the law's check,
+    with the default kernel ``KernelParams()``.
     Temperatures must be strictly increasing and within (3/4, 3), the
     regime the downstream wave states occupy.
     """

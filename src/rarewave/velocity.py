@@ -233,22 +233,16 @@ def weight_w(v, gamma: float = GAMMA_DEFAULT):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sigma_norm(h: GridFunction, coeffs, ell: float = 0.0, gamma: float = GAMMA_DEFAULT) -> float:
+def sigma_norm(h: GridFunction, sigma, ell: float = 0.0, gamma: float = GAMMA_DEFAULT) -> float:
     """Weighted dissipation norm |h|_{sigma, ell}.
 
-    ``coeffs`` supplies the diffusion matrix sigma^{ij}(v), either as an
-    ndarray of shape (3, 3) + grid.shape or as any object exposing one
-    through a ``sigma_array`` attribute.  Velocity gradients use centered
-    second-order differences (one-sided at the box edge, where the
-    integrand is negligible anyway).
+    ``sigma`` is the diffusion matrix sigma^{ij}(v) as an array of shape
+    (3, 3) + grid.shape, the form :func:`rarewave.collision.collision_frequency`
+    returns.  Velocity gradients use centered second-order differences
+    (one-sided at the box edge, where the integrand is negligible anyway).
     """
     g = h.grid
-    try:
-        sig = np.asarray(getattr(coeffs, "sigma_array", coeffs), dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ValueError(
-            "coeffs must be a (3, 3) + grid.shape array or expose sigma_array"
-        ) from err
+    sig = np.asarray(sigma, dtype=float)
     if sig.shape != (3, 3) + g.shape:
         raise ValueError(f"sigma coefficients have shape {sig.shape}, expected {(3, 3) + g.shape}")
     grads = np.gradient(h.values, g.spacing, edge_order=2)
@@ -294,20 +288,3 @@ def maxwellian_l2mu_distance(s1: GasState, s2: GasState) -> float:
     d2 = _pair_integral(s1, s1) + _pair_integral(s2, s2) - 2.0 * _pair_integral(s1, s2)
     return math.sqrt(max(d2, 0.0))
 
-
-def save_grid_function(f: GridFunction, path, gamma: float = GAMMA_DEFAULT) -> None:
-    """Write a nodal field with its (L, N, gamma) header for fixtures."""
-    np.savez(
-        path,
-        half_width=f.grid.half_width,
-        n_per_axis=f.grid.n_per_axis,
-        gamma=gamma,
-        values=f.values,
-    )
-
-
-def load_grid_function(path) -> tuple[GridFunction, float]:
-    """Read a field written by :func:`save_grid_function`."""
-    with np.load(path) as dat:
-        g = VelocityGrid(float(dat["half_width"]), int(dat["n_per_axis"]))
-        return GridFunction(g, dat["values"]), float(dat["gamma"])

@@ -1,5 +1,6 @@
 """Burnett preimages, transport coefficients and the transport table."""
 
+import dataclasses
 import math
 import warnings
 from itertools import combinations
@@ -92,12 +93,15 @@ def test_coefficients_are_independent_of_density(solutions):
 
 def test_property_check_passes_on_converged_solves(solutions):
     for sol in solutions.values():
-        checks = burnett_property_check(sol, tol=TOL)
+        checks = burnett_property_check(sol)
         assert len(checks) == 9
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+        # the tolerance follows the residuals the solution records
+        worse = dataclasses.replace(sol, residuals={k: 10.0 * r for k, r in sol.residuals.items()})
+        assert burnett_property_check(worse)[0].tolerance > checks[0].tolerance
 
 
-def test_table_csv_roundtrip(solutions, tmp_path):
+def test_table_follows_exact_thermal_law(solutions):
     sols = [solutions[1.0, 1.0], solutions[1.0, 1.7]]
     table = TransportTable(
         theta=tuple(s.state.theta for s in sols),
@@ -108,31 +112,23 @@ def test_table_csv_roundtrip(solutions, tmp_path):
         n_per_axis=N,
         gamma=sols[0].params.gamma,
     )
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    back = TransportTable.from_csv(path)
-    assert back == table
-    assert back.mu_of(1.7) == pytest.approx(table.mu[1], rel=1e-14)
-    assert np.allclose(back.kappa_of(np.array([1.0, 1.7])), table.kappa, rtol=1e-14)
+    assert table.mu_of(1.7) == pytest.approx(table.mu[1], rel=1e-14)
+    assert np.allclose(table.kappa_of(np.array([1.0, 1.7])), table.kappa, rtol=1e-14)
     # outside the table range the exact law holds, with no clamp and no warning
     law = (np.array([0.8, 2.5]) / table.theta[0]) ** thermal_exponent(table.gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k, th in enumerate((0.8, 2.5)):
-            assert back.mu_of(th) == pytest.approx(table.mu[0] * law[k], rel=1e-14)
-            assert back.kappa_of(th) == pytest.approx(table.kappa[0] * law[k], rel=1e-14)
-        assert np.allclose(back.mu_of([0.8, 2.5]), table.mu[0] * law, rtol=1e-14, atol=0.0)
+            assert table.mu_of(th) == pytest.approx(table.mu[0] * law[k], rel=1e-14)
+            assert table.kappa_of(th) == pytest.approx(table.kappa[0] * law[k], rel=1e-14)
+        assert np.allclose(table.mu_of([0.8, 2.5]), table.mu[0] * law, rtol=1e-14, atol=0.0)
 
 
-def test_table_rejects_bad_inputs(tmp_path):
+def test_table_rejects_bad_inputs():
     with pytest.raises(ValueError):
         TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
     with pytest.raises(ValueError):
         transport_table((0.5, 1.0))
-    path = tmp_path / "other.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        TransportTable.from_csv(path)
 
 
 def fields_by_name(sol):

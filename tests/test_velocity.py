@@ -10,7 +10,6 @@ from rarewave.euler import GAS_R, GasState
 from rarewave.velocity import (
     GridFunction,
     VelocityGrid,
-    load_grid_function,
     macro_basis,
     macro_coefficients,
     maxwellian,
@@ -19,7 +18,6 @@ from rarewave.velocity import (
     moments,
     project_P0,
     project_P1,
-    save_grid_function,
     sigma_norm,
     weight_w,
 )
@@ -94,16 +92,6 @@ class TestGridFunction:
         f = GridFunction(g, np.zeros(g.shape))
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 1.0
-
-    def test_save_load_round_trip(self, tmp_path):
-        g = small_grid(n=8, L=3.0)
-        f = GridFunction(g, np.random.default_rng(3).standard_normal(g.shape))
-        path = tmp_path / "field.npz"
-        save_grid_function(f, path, gamma=-2.5)
-        back, gamma = load_grid_function(path)
-        assert gamma == -2.5
-        assert back.grid == g
-        np.testing.assert_array_equal(back.values, f.values)
 
 
 class TestMaxwellian:
@@ -326,16 +314,6 @@ class TestSigmaNorm:
         plain = sigma_norm(self.m, sig, ell=0.0)
         weighted = sigma_norm(self.m, sig, ell=1.0)
         assert 0 < weighted < plain
-
-    def test_accepts_object_with_sigma_array_attribute(self):
-        class Coeffs:
-            def __init__(self, sigma_array):
-                self.sigma_array = sigma_array
-
-        sig = identity_sigma(self.g)
-        direct = sigma_norm(self.m, sig)
-        wrapped = sigma_norm(self.m, Coeffs(sig))
-        assert wrapped == direct
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
