@@ -63,18 +63,17 @@ from .velocity import (
     project_P1,
 )
 
-# index of the (i, j) component inside a packed symmetric 6-vector
+# The components i <= j of a symmetric 3x3 field, packed as a 6-vector;
+# _UNPACK[i, j] is the packed index of component (i, j).
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PAIR_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
-
-
-def _pidx(i: int, j: int) -> int:
-    return _PAIR_INDEX[(i, j) if i <= j else (j, i)]
+_UNPACK = np.array([[_PAIRS.index((min(i, j), max(i, j))) for j in range(3)] for i in range(3)])
+_DIAGONAL = tuple(int(k) for k in np.diag(_UNPACK))
 
 
 def _contract(six, three, i: int):
     """Row i of a packed symmetric field applied to a 3-vector field."""
-    return six[_pidx(i, 0)] * three[0] + six[_pidx(i, 1)] * three[1] + six[_pidx(i, 2)] * three[2]
+    row = _UNPACK[i]
+    return six[row[0]] * three[0] + six[row[1]] * three[1] + six[row[2]] * three[2]
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,32 @@ class KernelParams:
             raise ValueError(f"gamma must lie in [-3, -2), got {self.gamma}")
 
 
+def _phi_packed(d, p: KernelParams) -> np.ndarray:
+    """Six packed components of phi^{ij}(d) = (delta_ij - d_i d_j / |d|^2) |d|^(gamma+2).
+
+    ``d`` holds the three displacement components as arrays (or scalars)
+    of one shape; the result has shape (6,) + that shape and is 0 where
+    d = 0, where the projector has no limit.
+    """
+    ss = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    zero = ss == 0.0
+    with np.errstate(divide="ignore"):
+        mag = np.where(zero, 0.0, ss ** (0.5 * (p.gamma + 2.0)))
+        inv_ss = np.where(zero, 0.0, 1.0 / ss)
+    out = np.empty((6,) + np.shape(ss))
+    for k, (i, j) in enumerate(_PAIRS):
+        out[k] = ((1.0 if i == j else 0.0) - d[i] * d[j] * inv_ss) * mag
+    return out
+
+
 def phi_kernel(v, p: KernelParams = KernelParams()) -> np.ndarray:
     """The 3x3 kernel matrix (I - v v^T / |v|^2) |v|^(gamma+2) at one point.
 
-    At v = 0 the projector has no limit and the value is 0; the lattice
-    sums give that node the cell average of :func:`_center_weight`.
+    Unpacked from the same builder the lattice sums use.  At v = 0 the
+    projector has no limit and the value is 0; the lattice sums give
+    that node the cell average of :func:`_center_weight` instead.
     """
-    v = np.asarray(v, dtype=float)
-    ss = float(v @ v)
-    if ss == 0.0:
-        return np.zeros((3, 3))
-    return (np.eye(3) - np.outer(v, v) / ss) * ss ** (0.5 * (p.gamma + 2.0))
+    return _phi_packed(np.asarray(v, dtype=float), p)[_UNPACK]
 
 
 @lru_cache(maxsize=8)
@@ -154,27 +168,12 @@ class _KernelTransforms:
         n = g.n_per_axis
         h = g.spacing
         d = h * np.arange(-(n - 1), n, dtype=float)
-        dx, dy, dz = np.meshgrid(d, d, d, indexing="ij")
-        comps = (dx, dy, dz)
-        ss = dx * dx + dy * dy + dz * dz
-        center = n - 1
-        with np.errstate(divide="ignore"):
-            mag = ss ** (0.5 * (p.gamma + 2.0))
-        mag[center, center, center] = 0.0
+        kernel = _phi_packed(np.meshgrid(d, d, d, indexing="ij"), p)
+        kernel[_DIAGONAL, n - 1, n - 1, n - 1] = _center_weight(h, p)
         pad = next_fast_len(2 * n - 1)
         self.pad_shape = (pad, pad, pad)
         self.keep = (slice(n - 1, 2 * n - 1),) * 3
-        inv_ss = np.zeros_like(ss)
-        nz = ss > 0.0
-        inv_ss[nz] = 1.0 / ss[nz]
-        cw = _center_weight(h, p)
-        khat = []
-        for i, j in _PAIRS:
-            proj = (1.0 if i == j else 0.0) - comps[i] * comps[j] * inv_ss
-            kij = proj * mag
-            kij[center, center, center] = cw if i == j else 0.0
-            khat.append(rfftn(kij, s=self.pad_shape))
-        self.khat = khat
+        self.khat = [rfftn(k, s=self.pad_shape) for k in kernel]
 
     def forward(self, field: np.ndarray) -> np.ndarray:
         return rfftn(field, s=self.pad_shape)
@@ -186,24 +185,24 @@ class _KernelTransforms:
 _transforms = lru_cache(maxsize=4)(_KernelTransforms)
 
 
-def _conv_sides_fft(g, p, f0w, gradws):
-    """phi * F1 (six packed components) and the contracted phi * grad F1.
+def _phi_conv_fft(g, p, fw):
+    """Six packed components of phi * F; one forward and six inverse transforms.
 
-    ``f0w`` and ``gradws`` carry the quadrature weights already; four
-    forward and nine inverse transforms in total.
+    ``fw`` carries the quadrature weights already, as in every lattice sum.
     """
     tr = _transforms(g, p)
-    f0hat = tr.forward(f0w)
-    a6 = np.empty((6,) + g.shape)
-    for idx in range(6):
-        a6[idx] = tr.inverse(tr.khat[idx] * f0hat)
-    if not gradws:
-        return a6, None
+    fhat = tr.forward(fw)
+    return np.stack([tr.inverse(k * fhat) for k in tr.khat])
+
+
+def _phi_grad_fft(g, p, gradws):
+    """The three contractions sum_j phi^{ij} * G_j of weighted fields G_j.
+
+    Three forward and three inverse transforms.
+    """
+    tr = _transforms(g, p)
     ghats = [tr.forward(x) for x in gradws]
-    b3 = np.empty((3,) + g.shape)
-    for i in range(3):
-        b3[i] = tr.inverse(_contract(tr.khat, ghats, i))
-    return a6, b3
+    return np.stack([tr.inverse(_contract(tr.khat, ghats, i)) for i in range(3)])
 
 
 def _relative_gradient(
@@ -251,23 +250,15 @@ def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> n
     n = g.n_per_axis
     if n > 12:
         raise ValueError("direct summation is sized for cross-checks (n_per_axis <= 12)")
-    vx, vy, vz = g.components
-    nodes = np.stack([vx.ravel(), vy.ravel(), vz.ravel()], axis=1)
-    diff = nodes[:, None, :] - nodes[None, :, :]
-    ss = np.einsum("kmi,kmi->km", diff, diff)
-    with np.errstate(divide="ignore"):
-        mag = ss ** (0.5 * (p.gamma + 2.0))
-    zero = ss == 0.0
-    mag[zero] = 0.0
-    inv_ss = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, ss))
+    nodes = [c.ravel() for c in g.components]
     cw = _center_weight(g.spacing, p)
-    fw = field_w.ravel()
     out = np.empty((6,) + g.shape)
-    for idx, (i, j) in enumerate(_PAIRS):
-        proj = (1.0 if i == j else 0.0) - diff[..., i] * diff[..., j] * inv_ss
-        comp = proj * mag
-        comp[zero] = cw if i == j else 0.0
-        out[idx] = (comp @ fw).reshape(g.shape)
+    for a in range(n):  # target nodes one plane v1 = const at a time
+        rows = slice(a * n * n, (a + 1) * n * n)
+        kernel = _phi_packed([c[rows, None] - c for c in nodes], p)
+        for idx in _DIAGONAL:
+            np.fill_diagonal(kernel[idx, :, rows], cw)
+        out[:, a] = (kernel @ field_w.ravel()).reshape(6, n, n)
     return out
 
 
@@ -278,8 +269,7 @@ def collision_frequency(g: VelocityGrid, p: KernelParams = KernelParams()) -> np
     semidefinite at each node.
     """
     mu = maxwellian(REFERENCE_STATE, g)
-    a6, _ = _conv_sides_fft(g, p, mu.values * g.weights, [])
-    return a6[np.array([[_pidx(i, j) for j in range(3)] for i in range(3)])]
+    return _phi_conv_fft(g, p, mu.values * g.weights)[_UNPACK]
 
 
 def collision_Q(
@@ -309,13 +299,12 @@ def collision_Q(
     wu, wrt = weight.u, GAS_R * weight.theta
     grads1 = _relative_gradient(F1.values, g, wu, wrt)
     if method == "fft":
-        a6, b3 = _conv_sides_fft(g, p, F1.values * w, [x * w for x in grads1])
+        a6 = _phi_conv_fft(g, p, F1.values * w)
+        b3 = _phi_grad_fft(g, p, [x * w for x in grads1])
     elif method == "direct":
         a6 = _phi_conv_direct(g, p, F1.values * w)
-        b3 = np.empty((3,) + g.shape)
         parts = [_phi_conv_direct(g, p, x * w) for x in grads1]
-        for i in range(3):
-            b3[i] = sum(parts[j][_pidx(i, j)] for j in range(3))
+        b3 = [sum(parts[j][_UNPACK[i, j]] for j in range(3)) for i in range(3)]
     else:
         raise ValueError(f"unknown method {method!r}")
     grads2 = _relative_gradient(F2.values, g, wu, wrt)
@@ -422,7 +411,8 @@ class LMOperator:
         self.rel_u = s.u
         self.rel_rtheta = GAS_R * s.theta
         self.grads_m = _relative_gradient(mv, g, self.rel_u, self.rel_rtheta)
-        self.a6_m, self.b3_m = _conv_sides_fft(g, p, mv * w, [x * w for x in self.grads_m])
+        self.a6_m = _phi_conv_fft(g, p, mv * w)
+        self.b3_m = _phi_grad_fft(g, p, [x * w for x in self.grads_m])
         self.basis = macro_basis(s, g)
         self.wm = w * mv
         # Centered differences annihilate odd-even (checkerboard) modes
@@ -442,7 +432,7 @@ class LMOperator:
         n = g.n_per_axis
         self.stab = []
         diag = np.zeros(g.shape)
-        for axis, comp in enumerate((0, 3, 5)):
+        for axis, comp in enumerate(_DIAGONAL):
             t = self.wm * self.a6_m[comp] / (4.0 * h * h)
             self.stab.append(_STAB_WEIGHT * t)
             nb = sum(np.take(t, np.clip(np.arange(n) + k, 0, n - 1), axis) for k in (-1, 1))
@@ -463,7 +453,8 @@ class LMOperator:
         h = g.spacing
         w = g.weights
         grads_h = _relative_gradient(values, g, self.rel_u, self.rel_rtheta)
-        a6_h, b3_h = _conv_sides_fft(g, self.params, values * w, [x * w for x in grads_h])
+        a6_h = _phi_conv_fft(g, self.params, values * w)
+        b3_h = _phi_grad_fft(g, self.params, [x * w for x in grads_h])
         mv = self.m.values
         out = np.zeros(g.shape)
         for i in range(3):
@@ -476,13 +467,11 @@ class LMOperator:
         """Positive-semidefinite Dirichlet form on potentials (6 transforms)."""
         g = self.grid
         h = g.spacing
-        tr = _transforms(g, self.params)
         gx = np.gradient(x, h)
-        ghats = [tr.forward(self.wm * gx_i) for gx_i in gx]
+        nonlocal_ = _phi_grad_fft(g, self.params, [self.wm * gx_i for gx_i in gx])
         out = np.zeros(g.shape)
         for j in range(3):
-            nonlocal_j = tr.inverse(_contract(tr.khat, ghats, j))
-            flux_j = self.wm * (_contract(self.a6_m, gx, j) - nonlocal_j)
+            flux_j = self.wm * (_contract(self.a6_m, gx, j) - nonlocal_[j])
             out += _grad_transpose(flux_j, h, axis=j)
         for axis in range(3):
             f = np.moveaxis(x, axis, 0)
@@ -590,7 +579,10 @@ def invert_LM_micro(
     true residual of the initial guess and of every restart, and the
     GMRES least-squares residual after each Krylov step.  Raises
     :class:`NonConvergenceError` (with that history) when the inner
-    budget is spent or the preconditioner returns no direction.
+    budget is spent, the preconditioner returns no direction, or a full
+    restart cycle cuts the true residual by less than 2x.  Consistent
+    right-hand sides gain orders of magnitude per cycle; a stall means
+    the source has content the lattice operator cannot reach.
     """
     if g is None:
         g = h.grid
@@ -610,12 +602,23 @@ def invert_LM_micro(
     sw = np.sqrt(g.weights)
     x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=max_iter)
     history = [1.0]
+    cycle_start = None  # true residual before the last full restart cycle
+
+    def stalled(why: str = "") -> NonConvergenceError:
+        return NonConvergenceError(
+            f"constrained solve stalled at relative residual {history[-1]:.3e} "
+            f"after {iters_used} inner iterations{why}",
+            history,
+        )
+
     while True:
         r = sw * (h.values - op.apply(mv * x))
         beta = math.sqrt(float(np.sum(r * r)))
         history.append(beta / normh)
         if history[-1] <= tol:
             return project_P1(GridFunction(g, mv * x), op.basis)
+        if cycle_start is not None and beta > 0.5 * cycle_start:
+            raise stalled(f": a full restart cycle cut it by only {cycle_start / beta:.2f}x")
         vs = [r / beta]
         zs = []
         hess = np.zeros((_RESTART + 1, _RESTART))
@@ -638,13 +641,10 @@ def invert_LM_micro(
             if hess[k + 1, k] == 0.0:
                 break
             vs.append(w / hess[k + 1, k])
+        cycle_start = beta if len(zs) == _RESTART else None
         if zs:
             x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
         if history[-1] <= tol:
             return project_P1(GridFunction(g, mv * x), op.basis)
         if not zs or iters_used >= max_iter:
-            raise NonConvergenceError(
-                f"constrained solve stalled at relative residual {history[-1]:.3e} "
-                f"after {iters_used} inner iterations",
-                history,
-            )
+            raise stalled()

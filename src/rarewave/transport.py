@@ -46,42 +46,43 @@ _COMPONENTS = ((0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 PAIRING_ANISOTROPY = 0.2
 
 
-def _scaled_coords(s: GasState, g: VelocityGrid):
-    """Components of xi = (v - u) / sqrt(R theta) as lattice arrays."""
+def _name(c: tuple) -> str:
+    return ("A" if len(c) == 1 else "B") + "".join(str(k + 1) for k in c)
+
+
+def _sources(s: GasState, g: VelocityGrid) -> tuple[np.ndarray, dict]:
+    """|xi|^2 and the nine bare source polynomials keyed by ``_COMPONENTS``.
+
+    With xi = (v - u) / sqrt(R theta), the heat sources are
+    ((|xi|^2 - 5) / 2) xi_j and the shear sources the trace-free
+    xi_i xi_j - delta_ij |xi|^2 / 3.
+    """
     rt = math.sqrt(GAS_R * s.theta)
-    vx, vy, vz = g.components
-    return ((vx - s.u[0]) / rt, (vy - s.u[1]) / rt, (vz - s.u[2]) / rt)
-
-
-def heat_polynomials(s: GasState, g: VelocityGrid) -> list[np.ndarray]:
-    """The odd sources ((|xi|^2 - 5) / 2) xi_j, bare polynomials."""
-    xi = _scaled_coords(s, g)
+    xi = [(v - u) / rt for v, u in zip(g.components, s.u)]
     sq = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
-    return [0.5 * (sq - 5.0) * xi[j] for j in range(3)]
-
-
-def shear_polynomials(s: GasState, g: VelocityGrid) -> list[list[np.ndarray]]:
-    """The trace-free sources xi_i xi_j - delta_ij |xi|^2 / 3."""
-    xi = _scaled_coords(s, g)
-    sq = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
-    return [
-        [xi[i] * xi[j] - (sq / 3.0 if i == j else 0.0) for j in range(3)]
-        for i in range(3)
-    ]
+    polys = {
+        c: 0.5 * (sq - 5.0) * xi[c[0]]
+        if len(c) == 1
+        else xi[c[0]] * xi[c[1]] - (sq / 3.0 if c[0] == c[1] else 0.0)
+        for c in _COMPONENTS
+    }
+    return sq, polys
 
 
 def burnett_hats(s: GasState, g: VelocityGrid):
     """Both source families multiplied by the local Maxwellian.
 
-    Returns (hat_a, hat_b) where hat_a is a list of three GridFunctions
-    and hat_b a 3x3 nested list; hat_b is symmetric and pointwise
+    Returns (hat_a, hat_b): hat_a lists the three heat GridFunctions and
+    hat_b is a 3x3 nested list of the shear ones in which hat_b[i][j]
+    and hat_b[j][i] are the same object.  The shear family is pointwise
     trace-free, and every member integrates to zero against the
-    collision invariants.
+    collision invariants.  ``burnett_solve`` builds the same products
+    from the same table.
     """
     m = maxwellian(s, g).values
-    ha = [GridFunction(g, p * m) for p in heat_polynomials(s, g)]
-    hb_polys = shear_polynomials(s, g)
-    hb = [[GridFunction(g, hb_polys[i][j] * m) for j in range(3)] for i in range(3)]
+    hats = {c: GridFunction(g, q * m) for c, q in _sources(s, g)[1].items()}
+    ha = [hats[(j,)] for j in range(3)]
+    hb = [[hats[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
     return ha, hb
 
 
@@ -89,14 +90,15 @@ def burnett_hats(s: GasState, g: VelocityGrid):
 class BurnettSolution:
     """Microscopic preimages of the viscous sources at one state.
 
-    ``A[j]`` solves the heat family, ``B[i][j]`` the shear family; the
-    transport coefficients come from their quadratures against the bare
-    polynomials.  ``residuals`` maps component names to the relative
-    residual of the linearized equation, for copied components as well
-    as solved ones; ``solved`` lists the components that ran through
-    the solver.  Every other component is the transpose of an earlier
-    one under an axis transposition (a, b) with u_a == u_b, which maps
-    the lattice, the state and the sources onto themselves.
+    ``A[j]`` solves the heat family, ``B[i][j]`` the shear family, and
+    ``B[j][i]`` is the same GridFunction as ``B[i][j]``; the transport
+    coefficients come from the quadratures of A1 and B12 against their
+    bare source polynomials.  ``residuals`` maps component names to the
+    relative residual of the linearized equation, for copied components
+    as well as solved ones; ``solved`` lists the components that ran
+    through the solver.  Every other component is the transpose of an
+    earlier one under an axis transposition (a, b) with u_a == u_b,
+    which maps the lattice, the state and the sources onto themselves.
     ``grid_defect`` is the resolution floor sup|Q(M, M)| measured on
     this lattice at this state.
     """
@@ -137,12 +139,6 @@ def thermal_exponent(gamma: float) -> float:
     return 1.0 - 0.5 * gamma
 
 
-def _component_residual(op, source: GridFunction, field: np.ndarray) -> float:
-    g = op.grid
-    res = source.values - op.apply(field)
-    return math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))
-
-
 def burnett_solve(
     s: GasState,
     g: VelocityGrid,
@@ -161,8 +157,8 @@ def burnett_solve(
     gets 600 inner iterations; solver failures propagate per component.
     """
     op = lm_operator(s, g, p)
-    ha, hb = burnett_hats(s, g)
-    m = maxwellian(s, g)
+    _, polys = _sources(s, g)
+    m = op.m
     qvals = collision_Q(m, m, g, p).values
     grid_defect = float(np.abs(qvals).max())
 
@@ -170,8 +166,8 @@ def burnett_solve(
     residuals: dict = {}
     solved: list = []
     for c in _COMPONENTS:
-        name = ("A" if len(c) == 1 else "B") + "".join(str(k + 1) for k in c)
-        source = project_P1(ha[c[0]] if len(c) == 1 else hb[c[0]][c[1]], op.basis)
+        name = _name(c)
+        source = project_P1(GridFunction(g, polys[c] * m.values), op.basis)
         for a, b in combinations(range(3), 2):
             swap = {a: b, b: a}
             origin = tuple(sorted(swap.get(k, k) for k in c))
@@ -182,17 +178,15 @@ def burnett_solve(
         else:
             fields[c] = invert_LM_micro(source, s, g, p, tol=tol, max_iter=600).values
             solved.append(name)
-        residuals[name] = _component_residual(op, source, fields[c])
+        res = source.values - op.apply(fields[c])
+        residuals[name] = math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))
 
-    pa = heat_polynomials(s, g)
-    pb = shear_polynomials(s, g)
-    kappa = -GAS_R * GAS_R * s.theta * g.integrate(pa[0] * fields[(0,)])
-    mu = -GAS_R * s.theta * g.integrate(pb[0][1] * fields[0, 1])
+    kappa = -GAS_R * GAS_R * s.theta * g.integrate(polys[(0,)] * fields[(0,)])
+    mu = -GAS_R * s.theta * g.integrate(polys[0, 1] * fields[0, 1])
 
-    A = tuple(GridFunction(g, fields[(j,)]) for j in range(3))
-    B = tuple(
-        tuple(GridFunction(g, fields[min(i, j), max(i, j)]) for j in range(3)) for i in range(3)
-    )
+    fns = {c: GridFunction(g, f) for c, f in fields.items()}
+    A = tuple(fns[(j,)] for j in range(3))
+    B = tuple(tuple(fns[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
     return BurnettSolution(
         state=s,
         grid=g,
@@ -219,121 +213,68 @@ class PropertyCheck:
         return self.defect <= self.tolerance
 
 
+def _solution_field(sol: BurnettSolution, c: tuple) -> GridFunction:
+    return sol.A[c[0]] if len(c) == 1 else sol.B[c[0]][c[1]]
+
+
+def _vanishing(x: np.ndarray) -> tuple:
+    worst = float(np.abs(x).max())
+    return worst, (worst,)
+
+
+def _positive_equal(vals: np.ndarray) -> tuple:
+    return max(float(-vals.min()), float(vals.max() - vals.min())), vals
+
+
 def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
     """Evaluate the classical identities of the source preimages.
 
-    Every bullet is reported with its worst numerical defect.  The
+    All nine bullets read one 9x9 pairing table, the quadratures of each
+    bare source polynomial against each preimage in ``_COMPONENTS``
+    order, and each is reported with its worst numerical defect.  The
     tolerance self-calibrates per solution: the largest equation
     residual it records plus the measured second-order anisotropy of
     the cubic lattice, both scaled by the magnitude of the quadratures
-    involved, plus the state's intrinsic resolution defect.  Bullets
-    protected by exact lattice symmetries sit at round-off far below
-    this; the rotation-mixing identity is the one that genuinely
+    involved, plus the state's intrinsic resolution defect.  At rest,
+    bullets protected by exact lattice symmetries sit at round-off far
+    below this; the rotation-mixing identity is the one that genuinely
     consumes it.
     """
     g = sol.grid
-    s = sol.state
-    pa = heat_polynomials(s, g)
-    pb = shear_polynomials(s, g)
-    a = [f.values for f in sol.A]
-    b = [[sol.B[i][j].values for j in range(3)] for i in range(3)]
+    _, polys = _sources(sol.state, g)
+    fields = [_solution_field(sol, c).values for c in _COMPONENTS]
+    pair = np.array([[g.integrate(polys[c] * f) for f in fields] for c in _COMPONENTS])
+    # heat block over A1..A3; shear block over B11, B22, B33, B12, B13, B23
+    heat, shear = pair[:3, :3], pair[3:, 3:]
 
-    paa = np.array([[g.integrate(pa[i] * a[j]) for j in range(3)] for i in range(3)])
-    pab = np.array(
-        [[[g.integrate(pa[i] * b[j][k]) for k in range(3)] for j in range(3)] for i in range(3)]
-    )
-    pbb = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    pbb[i, j, k, l] = g.integrate(pb[i][j] * b[k][l])
-
-    h_thermal = g.spacing / math.sqrt(GAS_R * s.theta)
-    scale = max(np.abs(paa).max(), np.abs(pbb).max())
+    h_thermal = g.spacing / math.sqrt(GAS_R * sol.state.theta)
+    scale = max(np.abs(heat).max(), np.abs(shear).max())
     solver = max(sol.residuals.values())
     base = scale * (5.0 * solver + PAIRING_ANISOTROPY * h_thermal**2) + 100.0 * sol.grid_defect
-    checks = []
 
-    diag_a = np.diag(paa)
-    checks.append(
-        PropertyCheck(
-            "heat pairings negative and isotropic",
+    diag_a = np.diag(heat)
+    off = ~np.eye(3, dtype=bool)
+    unrelated = ~np.eye(6, dtype=bool)
+    unrelated[:3, :3] = False  # the diagonal-diagonal pairs have their own bullet
+    identity = (shear[0, 0], shear[0, 1], shear[3, 3])
+    bullets = {
+        "heat pairings negative and isotropic": (
             max(float(diag_a.max()), float(np.abs(diag_a - diag_a.mean()).max())),
-            base,
-            tuple(diag_a),
-        )
-    )
-    off_a = max(abs(paa[i, j]) for i in range(3) for j in range(3) if i != j)
-    checks.append(
-        PropertyCheck("heat cross pairings vanish", float(off_a), base, (off_a,))
-    )
-    checks.append(
-        PropertyCheck(
-            "heat against shear vanishes", float(np.abs(pab).max()), base, (np.abs(pab).max(),)
-        )
-    )
-
-    sym = float(np.abs(pbb - np.transpose(pbb, (2, 3, 0, 1))).max())
-    checks.append(
-        PropertyCheck("shear pairing symmetric between hat and solution", sym, base, (sym,))
-    )
-
-    off_bb = [-pbb[i, j, i, j] for i in range(3) for j in range(3) if i != j]
-    checks.append(
-        PropertyCheck(
-            "off-diagonal shear pairings positive and equal",
-            max(
-                float(-min(off_bb)),
-                float(max(off_bb) - min(off_bb)),
-            ),
-            base,
-            tuple(off_bb),
-        )
-    )
-    cross_diag = [pbb[i, i, j, j] for i in range(3) for j in range(3) if i != j]
-    checks.append(
-        PropertyCheck(
-            "diagonal-diagonal cross pairings positive and equal",
-            max(float(-min(cross_diag)), float(max(cross_diag) - min(cross_diag))),
-            base,
-            tuple(cross_diag),
-        )
-    )
-    diag_b = [-pbb[i, i, i, i] for i in range(3)]
-    checks.append(
-        PropertyCheck(
-            "diagonal shear pairings positive and isotropic",
-            max(float(-min(diag_b)), float(max(diag_b) - min(diag_b))),
-            base,
-            tuple(diag_b),
-        )
-    )
-
-    worst_zero = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    if (i, j) in ((k, l), (l, k)):
-                        continue
-                    if i == j and k == l:
-                        continue
-                    worst_zero = max(worst_zero, abs(pbb[i, j, k, l]))
-    checks.append(
-        PropertyCheck("unrelated shear pairings vanish", float(worst_zero), base, (worst_zero,))
-    )
-
-    identity = pbb[0, 0, 0, 0] - pbb[0, 0, 1, 1] - 2.0 * pbb[0, 1, 0, 1]
-    checks.append(
-        PropertyCheck(
-            "diagonal difference equals twice the off-diagonal pairing",
-            float(abs(identity)),
-            base,
-            (pbb[0, 0, 0, 0], pbb[0, 0, 1, 1], pbb[0, 1, 0, 1]),
-        )
-    )
-    return checks
+            diag_a,
+        ),
+        "heat cross pairings vanish": _vanishing(heat[off]),
+        "heat against shear vanishes": _vanishing(pair[:3, 3:]),
+        "shear pairing symmetric between hat and solution": _vanishing(shear - shear.T),
+        "off-diagonal shear pairings positive and equal": _positive_equal(-np.diag(shear)[3:]),
+        "diagonal-diagonal cross pairings positive and equal": _positive_equal(shear[:3, :3][off]),
+        "diagonal shear pairings positive and isotropic": _positive_equal(-np.diag(shear)[:3]),
+        "unrelated shear pairings vanish": _vanishing(shear[unrelated]),
+        "diagonal difference equals twice the off-diagonal pairing": (
+            abs(identity[0] - identity[1] - 2.0 * identity[2]),
+            identity,
+        ),
+    }
+    return [PropertyCheck(name, float(d), base, tuple(v)) for name, (d, v) in bullets.items()]
 
 
 @dataclass(frozen=True)
@@ -358,13 +299,15 @@ class TransportTable:
         ):
             raise ValueError("table needs at least two strictly increasing temperatures")
 
-    def mu_of(self, theta):
-        out = self.mu[0] * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
+    def _law(self, first: float, theta):
+        out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
         return float(out) if np.isscalar(theta) else out
 
+    def mu_of(self, theta):
+        return self._law(self.mu[0], theta)
+
     def kappa_of(self, theta):
-        out = self.kappa[0] * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
-        return float(out) if np.isscalar(theta) else out
+        return self._law(self.kappa[0], theta)
 
 
 def transport_table(
@@ -421,14 +364,9 @@ def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[Preimag
     the thermally scaled variable.
     """
     g = sol.grid
-    s = sol.state
-    m = maxwellian(s, g).values
-    xi = _scaled_coords(s, g)
-    rad = np.sqrt(xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2)
-    fields = {f"A{j + 1}": sol.A[j].values for j in range(3)}
-    for i in range(3):
-        for j in range(i, 3):
-            fields[f"B{i + 1}{j + 1}"] = sol.B[i][j].values
+    m = maxwellian(sol.state, g).values
+    rad = np.sqrt(_sources(sol.state, g)[0])
+    fields = {_name(c): _solution_field(sol, c).values for c in _COMPONENTS}
     rows = []
     for eps in epsilons:
         env = m ** (1.0 - eps)

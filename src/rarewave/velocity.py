@@ -15,6 +15,7 @@ equals the temperature; downstream constants bake that in.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,9 +39,12 @@ class VelocityGrid:
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
-        n = self.n_per_axis
+        try:
+            n = operator.index(self.n_per_axis)
+        except TypeError:
+            n = 0
         if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_per_axis must be an even integer >= 4, got {n}")
+            raise ValueError(f"n_per_axis must be an even integer >= 4, got {self.n_per_axis!r}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -90,7 +94,6 @@ class GridFunction:
 
     grid: VelocityGrid
     values: np.ndarray
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -114,23 +117,20 @@ def maxwellian_value(s: GasState, v) -> float:
 def maxwellian(s: GasState, g: VelocityGrid) -> GridFunction:
     """Local Maxwellian sampled on the lattice.
 
-    Flags the result with ``"small-grid"`` (and warns) when the box does
-    not cover six thermal radii around the bulk velocity, which is when
-    trapezoid moments start losing digits.
+    Warns when the box does not cover six thermal radii around the bulk
+    velocity, which is when trapezoid moments start losing digits.
     """
     rt = GAS_R * s.theta
     vx, vy, vz = g.components
     q = (vx - s.u[0]) ** 2 + (vy - s.u[1]) ** 2 + (vz - s.u[2]) ** 2
     vals = s.rho * (2.0 * math.pi * rt) ** -1.5 * np.exp(-q / (2.0 * rt))
-    flags: tuple[str, ...] = ()
     reach = float(np.linalg.norm(s.u)) + 6.0 * math.sqrt(rt)
     if g.half_width < reach:
-        flags = ("small-grid",)
         warnings.warn(
             f"box half-width {g.half_width} below |u| + 6 sqrt(R theta) = {reach:.3f}",
             stacklevel=2,
         )
-    return GridFunction(g, vals, flags)
+    return GridFunction(g, vals)
 
 
 def moments(F: GridFunction, g: VelocityGrid) -> GasState:
