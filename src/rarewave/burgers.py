@@ -15,18 +15,16 @@ in the residual cross-check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euler import GasState, RiemannData, curve_coefficients, lambda3, pressure
+from .euler import GasState, RiemannData, curve_coefficients, curve_lift, lambda3, pressure
 
 __all__ = [
     "WaveParams",
     "SmoothWave",
     "burgers_init",
-    "burgers_eval",
     "burgers_eval_full",
     "euler_residual",
     "derivative_decay_report",
@@ -59,10 +57,6 @@ class WaveParams:
     def half_span(self) -> float:
         return 0.5 * (self.omega_plus - self.omega_minus)
 
-    @classmethod
-    def from_riemann(cls, data: RiemannData, delta: float) -> "WaveParams":
-        return cls(delta, lambda3(data.left), lambda3(data.right))
-
 
 def burgers_init(p: WaveParams, x):
     """Initial profile omega0(x); accepts scalars or arrays."""
@@ -92,11 +86,13 @@ def _foot_points(p: WaveParams, t: float, x):
     hi = x - p.omega_minus * t
     x0 = np.clip(x - t * burgers_init(p, x), lo, hi)  # fixed-point starting guess
     tol = 1e-13 * (1.0 + np.abs(x))
-    for _ in range(FOOT_MAX_ITER):
+    for k in range(FOOT_MAX_ITER + 1):
         g, gp, _ = _init_derivs(p, x0)
         f = x0 + t * g - x
         if np.all(np.abs(f) <= tol):
             return x0
+        if k == FOOT_MAX_ITER:
+            break
         lo = np.where(f < 0.0, x0, lo)
         hi = np.where(f > 0.0, x0, hi)
         step = f / (1.0 + t * gp)
@@ -106,20 +102,10 @@ def _foot_points(p: WaveParams, t: float, x):
         # rules out the two-point cycling Newton is prone to on tanh data.
         ok = (cand > lo) & (cand < hi) & (np.abs(step) <= 0.5 * (hi - lo))
         x0 = np.where(ok, cand, 0.5 * (lo + hi))
-    g, _, _ = _init_derivs(p, x0)
-    bad = np.abs(x0 + t * g - x) > tol
-    if not np.any(bad):  # last update converged after the in-loop check
-        return x0
     raise RuntimeError(
-        f"foot-point iteration failed for {int(np.count_nonzero(bad))} points "
+        f"foot-point iteration failed for {int(np.count_nonzero(np.abs(f) > tol))} points "
         f"at t={t} (bracket width {np.max(hi - lo):.3e})"
     )
-
-
-def burgers_eval(p: WaveParams, t: float, x):
-    """Value and first derivatives (omega, d/dx, d/dt) of the exact solution."""
-    w, wx, wt, _, _, _ = burgers_eval_full(p, t, x)
-    return w, wx, wt
 
 
 def burgers_eval_full(p: WaveParams, t: float, x):
@@ -162,7 +148,7 @@ class SmoothWave:
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
-        return cls(WaveParams.from_riemann(data, delta), data)
+        return cls(WaveParams(delta, lambda3(data.left), lambda3(data.right)), data)
 
     @property
     def left(self) -> GasState:
@@ -173,20 +159,12 @@ class SmoothWave:
         return self.data.right
 
     def _curve_values(self, omega, order=0):
-        """rho, u1, theta on the curve as functions of omega, with omega-derivatives."""
+        """rho, u1, theta at omega clipped to the edge speeds, with omega-derivatives."""
         a, b, cstar = self._coeffs
-        omega = np.asarray(omega, dtype=float)
-        bad = (omega < self.params.omega_minus - 1e-12) | (
-            omega > self.params.omega_plus + 1e-12
-        )
-        if np.any(bad):
-            warnings.warn("fan speed outside the wave range; clamping", stacklevel=3)
-        omega = np.clip(omega, self.params.omega_minus, self.params.omega_plus)
+        p = self.params
+        omega = np.clip(np.asarray(omega, dtype=float), p.omega_minus, p.omega_plus)
         z = (omega - a) / b
-        rho = z ** 3
-        u1 = self.left.u1 + math.sqrt(15.0) * cstar * (z - self.left.rho ** (1.0 / 3.0))
-        theta = 1.5 * cstar * cstar * z * z
-        out = {"rho": rho, "u1": u1, "theta": theta}
+        out = dict(zip(("rho", "u1", "theta"), curve_lift(self.left, z)))
         if order >= 1:
             out.update(
                 rho_w=3.0 * z * z / b,
@@ -203,7 +181,7 @@ class SmoothWave:
 
     def state(self, t: float, x: float) -> GasState:
         """Pointwise GasState of the wave (u2 = u3 = 0)."""
-        w, _, _ = burgers_eval(self.params, t, float(x))
+        w = burgers_eval_full(self.params, t, float(x))[0]
         c = self._curve_values(w)
         return GasState.make(float(c["rho"]), float(c["u1"]), float(c["theta"]))
 
@@ -238,38 +216,33 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     Rows: mass, x-momentum, transverse momentum, internal energy.  Centered
     second-order differences with step ``stencil_h`` in both t and x; the
     analytic wave should satisfy the system, so the residual measures only
-    the stencil error (O(h^2)).  Requires t > stencil_h.
+    the stencil error (O(h^2)).  Requires 0 < stencil_h < t.
     """
+    if not stencil_h > 0.0:
+        raise ValueError(f"stencil_h must be positive, got {stencil_h}")
     if t <= stencil_h:
         raise ValueError("need t > stencil_h for the centered time stencil")
 
-    def fields(tt, xx):
-        s = wave.state(tt, xx)
-        p = pressure(s)
+    def cons(s):
+        return np.array([s.rho, s.rho * s.u1, s.rho * s.u[1], s.rho * s.theta])
+
+    def flux(s):
         return np.array(
             [
-                s.rho,
                 s.rho * s.u1,
-                s.rho * s.u[1],
-                s.rho * s.theta,
-            ]
-        ), np.array(
-            [
-                s.rho * s.u1,
-                s.rho * s.u1 * s.u1 + p,
+                s.rho * s.u1 * s.u1 + pressure(s),
                 s.rho * s.u1 * s.u[1],
                 s.rho * s.u1 * s.theta,
             ]
-        ), p, s.u1
+        )
 
     h = stencil_h
-    cons_tp, _, _, _ = fields(t + h, x)
-    cons_tm, _, _, _ = fields(t - h, x)
-    _, flux_xp, _, u1_xp = fields(t, x + h)
-    _, flux_xm, _, u1_xm = fields(t, x - h)
-    _, _, p0, _ = fields(t, x)
-    resid = (cons_tp - cons_tm) / (2 * h) + (flux_xp - flux_xm) / (2 * h)
-    resid[3] += p0 * (u1_xp - u1_xm) / (2 * h)
+    xp = wave.state(t, x + h)
+    xm = wave.state(t, x - h)
+    resid = (cons(wave.state(t + h, x)) - cons(wave.state(t - h, x))) / (2 * h) + (
+        flux(xp) - flux(xm)
+    ) / (2 * h)
+    resid[3] += pressure(wave.state(t, x)) * (xp.u1 - xm.u1) / (2 * h)
     return resid
 
 
@@ -300,12 +273,15 @@ def _char_grid(wave: SmoothWave, t: float, n: int = 20001):
 def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayRow]:
     """L^p norms of first and second x-derivatives of (rho, u1, theta).
 
-    For each time and exponent the report pairs the quadrature value with the
-    decay shapes (omega+ - omega-)^(1/p) (delta+t)^(-1+1/p) for j = 1 and
-    delta^(-1+1/p) (delta+t)^(-1) for j = 2; the ratio column is the implied
+    For each time and exponent p >= 1 (math.inf included) the report pairs
+    the quadrature value with the decay shapes, with q = 1/p,
+    (omega+ - omega-)^q (delta+t)^(-1+q) for j = 1 and
+    delta^(-1+q) (delta+t)^(-1) for j = 2; the ratio column is the implied
     constant.  Norms integrate over the foot-point parameterization, where
     the integrand support is known exactly.
     """
+    if not all(p >= 1.0 for p in p_exponents):
+        raise ValueError(f"exponents must satisfy p >= 1, got {list(p_exponents)}")
     p_ = wave.params
     span = p_.omega_plus - p_.omega_minus
     rows = []
@@ -315,22 +291,13 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
         mag1 = np.sqrt(prof["rho_x"] ** 2 + prof["u1_x"] ** 2 + prof["theta_x"] ** 2)
         mag2 = np.sqrt(prof["rho_xx"] ** 2 + prof["u1_xx"] ** 2 + prof["theta_xx"] ** 2)
         for p in p_exponents:
-            for j, mag in ((1, mag1), (2, mag2)):
-                if math.isinf(p):
-                    value = float(np.max(mag))
-                    shape = (
-                        1.0 / (p_.delta + t)
-                        if j == 1
-                        else 1.0 / (p_.delta * (p_.delta + t))
-                    )
-                else:
-                    value = float(np.trapezoid(mag ** p * jac, x0) ** (1.0 / p))
-                    shape = (
-                        span ** (1.0 / p) * (p_.delta + t) ** (-1.0 + 1.0 / p)
-                        if j == 1
-                        else p_.delta ** (-1.0 + 1.0 / p) / (p_.delta + t)
-                    )
-                rows.append(DecayRow(float(t), float(p), j, value, shape))
+            q = 1.0 / p
+            for j, mag, shape in (
+                (1, mag1, span ** q * (p_.delta + t) ** (-1.0 + q)),
+                (2, mag2, p_.delta ** (-1.0 + q) / (p_.delta + t)),
+            ):
+                value = np.max(mag) if math.isinf(p) else np.trapezoid(mag ** p * jac, x0) ** q
+                rows.append(DecayRow(float(t), float(p), j, float(value), shape))
     return rows
 
 

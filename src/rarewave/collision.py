@@ -12,8 +12,9 @@ reproduces the direct node-pair summation exactly up to floating-point
 reordering.  Each axis is padded to a period P >= 2n - 1: of the
 3n - 2 nodes of the linear convolution only the central n are kept,
 and P >= 2n - 1 keeps every wrapped term out of them (Hockney's
-zero-padding argument).  A literal direct-summation path is kept for
-cross-checking at small lattice sizes.
+zero-padding argument).  The literal node-pair summation
+``_phi_conv_direct`` is kept only as the reference the tests compare the
+transforms against at small lattice sizes.
 
 The inner derivatives are taken on relative densities: d_j F is
 evaluated as mu d_j (F / mu) with mu the global reference Maxwellian.
@@ -205,30 +206,25 @@ def _phi_grad_fft(g, p, gradws):
     return np.stack([tr.inverse(_contract(tr.khat, ghats, i)) for i in range(3)])
 
 
-def _relative_gradient(
-    field: np.ndarray,
-    g: VelocityGrid,
-    u: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    rtheta: float = 1.0,
-) -> list[np.ndarray]:
-    """The three fields W d_j (field / W) for a Maxwellian weight W.
+def _relative_gradient(field: np.ndarray, g: VelocityGrid, weight: GasState) -> list[np.ndarray]:
+    """The three fields W d_j (field / W) for the Maxwellian W of ``weight``.
 
     Written through neighbor ratios of W, so the underflowing Gaussian
-    tail never appears in a denominator.  The default weight is the
-    global reference Maxwellian.  Fourth-order five-point stencils in
-    the interior, centered second-order one node from each face and
+    tail never appears in a denominator.  Fourth-order five-point stencils
+    in the interior, centered second-order one node from each face and
     one-sided at the faces; collision fields decay fast enough that the
     low-order face closures never matter.
     """
     h = g.spacing
+    u = weight.u
+    rtheta = GAS_R * weight.theta
     out = []
     for j in range(3):
-        c = g.axis - u[j]
-        sh = (-1,) + (1,) * 2
-        rp = np.exp((c * h + 0.5 * h * h) / rtheta).reshape(sh)  # W_k / W_{k+1}
-        rm = np.exp((-c * h + 0.5 * h * h) / rtheta).reshape(sh)  # W_k / W_{k-1}
-        rp2 = np.exp((2.0 * c * h + 2.0 * h * h) / rtheta).reshape(sh)  # W_k / W_{k+2}
-        rm2 = np.exp((-2.0 * c * h + 2.0 * h * h) / rtheta).reshape(sh)  # W_k / W_{k-2}
+        c = (g.axis - u[j]).reshape(-1, 1, 1)
+        # W_k / W_{k+m} for the offsets m = 1, -1, 2, -2
+        rp, rm, rp2, rm2 = (
+            np.exp((m * c * h + 0.5 * m * m * h * h) / rtheta) for m in (1, -1, 2, -2)
+        )
         f = np.moveaxis(field, j, 0)
         gj = np.empty_like(f)
         gj[2:-2] = (
@@ -243,6 +239,23 @@ def _relative_gradient(
         gj[-1] = (f[-1] - f[-2] * rm[-1]) / h
         out.append(np.moveaxis(gj, 0, j))
     return out
+
+
+def _field_sums(g: VelocityGrid, p: KernelParams, values: np.ndarray, weight: GasState):
+    """A field's relative gradients and its two kernel sums (13 transforms).
+
+    Returns (grads, a6, b3): the gradients W d_j (F / W) of
+    :func:`_relative_gradient`, the packed phi * F and the contractions
+    sum_j phi^{ij} * grads_j, every sum over quadrature-weighted fields.
+    """
+    w = g.weights
+    grads = _relative_gradient(values, g, weight)
+    return grads, _phi_conv_fft(g, p, values * w), _phi_grad_fft(g, p, [x * w for x in grads])
+
+
+def _divergence(fluxes, h: float) -> np.ndarray:
+    """Centered-difference divergence sum_i d_i flux_i of three flux fields."""
+    return sum(np.gradient(flux, h, axis=i) for i, flux in enumerate(fluxes))
 
 
 def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> np.ndarray:
@@ -277,42 +290,24 @@ def collision_Q(
     F2: GridFunction,
     g: VelocityGrid | None = None,
     p: KernelParams = KernelParams(),
-    method: str = "fft",
     weight: GasState = REFERENCE_STATE,
 ) -> GridFunction:
     """Bilinear Landau operator Q(F1, F2) in divergence form.
 
-    ``method="fft"`` evaluates the pairwise convolution sums through
-    padded real FFTs; ``method="direct"`` performs the literal O(N^6)
-    summation and is limited to small lattices.  ``weight`` selects the
-    Maxwellian envelope of the relative-difference stencils; the drift
-    it introduces cancels through the kernel projection, so the choice
-    moves only truncation error, which is smallest when the weight
-    tracks the inputs.
+    The pairwise convolution sums are evaluated through padded real FFTs.
+    ``weight`` selects the Maxwellian envelope of the relative-difference
+    stencils; the drift it introduces cancels through the kernel
+    projection, so the choice moves only truncation error, which is
+    smallest when the weight tracks the inputs.
     """
     if g is None:
         g = F1.grid
     if F1.grid != g or F2.grid != g:
         raise ValueError("collision inputs live on different lattices")
-    h = g.spacing
-    w = g.weights
-    wu, wrt = weight.u, GAS_R * weight.theta
-    grads1 = _relative_gradient(F1.values, g, wu, wrt)
-    if method == "fft":
-        a6 = _phi_conv_fft(g, p, F1.values * w)
-        b3 = _phi_grad_fft(g, p, [x * w for x in grads1])
-    elif method == "direct":
-        a6 = _phi_conv_direct(g, p, F1.values * w)
-        parts = [_phi_conv_direct(g, p, x * w) for x in grads1]
-        b3 = [sum(parts[j][_UNPACK[i, j]] for j in range(3)) for i in range(3)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    grads2 = _relative_gradient(F2.values, g, wu, wrt)
-    out = np.zeros(g.shape)
-    for i in range(3):
-        flux = _contract(a6, grads2, i) - b3[i] * F2.values
-        out += np.gradient(flux, h, axis=i)
-    return GridFunction(g, out)
+    _, a6, b3 = _field_sums(g, p, F1.values, weight)
+    grads2 = _relative_gradient(F2.values, g, weight)
+    fluxes = (_contract(a6, grads2, i) - b3[i] * F2.values for i in range(3))
+    return GridFunction(g, _divergence(fluxes, g.spacing))
 
 
 def linearized_LM(
@@ -401,20 +396,15 @@ class LMOperator:
         self.m = maxwellian(s, g)
         mv = self.m.values
         h = g.spacing
-        w = g.weights
         # Differences weighted by the operator's own Maxwellian: the
         # weight drift cancels through the kernel projection, so any
         # Maxwellian weight is consistent, but only the state's own
         # envelope keeps the stencil error at the polynomial scale on
         # hot states, where fields grow like exp(+c|v|^2) relative to
         # the global reference weight.
-        self.rel_u = s.u
-        self.rel_rtheta = GAS_R * s.theta
-        self.grads_m = _relative_gradient(mv, g, self.rel_u, self.rel_rtheta)
-        self.a6_m = _phi_conv_fft(g, p, mv * w)
-        self.b3_m = _phi_grad_fft(g, p, [x * w for x in self.grads_m])
+        self.grads_m, self.a6_m, self.b3_m = _field_sums(g, p, mv, s)
         self.basis = macro_basis(s, g)
-        self.wm = w * mv
+        self.wm = g.weights * mv
         # Centered differences annihilate odd-even (checkerboard) modes
         # away from the faces, which would leave the Dirichlet form with
         # a large quasi-null space at the Maxwellian-tail scale; the
@@ -450,18 +440,14 @@ class LMOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Literal L_M applied to nodal values (13 transforms)."""
         g = self.grid
-        h = g.spacing
-        w = g.weights
-        grads_h = _relative_gradient(values, g, self.rel_u, self.rel_rtheta)
-        a6_h = _phi_conv_fft(g, self.params, values * w)
-        b3_h = _phi_grad_fft(g, self.params, [x * w for x in grads_h])
+        grads_h, a6_h, b3_h = _field_sums(g, self.params, values, self.state)
         mv = self.m.values
-        out = np.zeros(g.shape)
-        for i in range(3):
-            flux = _contract(a6_h, self.grads_m, i) + _contract(self.a6_m, grads_h, i)
-            flux -= b3_h[i] * mv + self.b3_m[i] * values
-            out += np.gradient(flux, h, axis=i)
-        return out
+        fluxes = (
+            (_contract(a6_h, self.grads_m, i) + _contract(self.a6_m, grads_h, i))
+            - (b3_h[i] * mv + self.b3_m[i] * values)
+            for i in range(3)
+        )
+        return _divergence(fluxes, g.spacing)
 
     def weak_apply(self, x: np.ndarray) -> np.ndarray:
         """Positive-semidefinite Dirichlet form on potentials (6 transforms)."""

@@ -27,6 +27,7 @@ __all__ = [
     "entropy",
     "sound_speed",
     "lambda3",
+    "curve_lift",
     "r3_state",
     "riemann_rarefaction",
     "fan_state",
@@ -46,6 +47,8 @@ class GasState:
     theta: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.rho, self.theta, *self.u)):
+            raise ValueError(f"state components must be finite, got {self}")
         if not (self.rho > 0.0):
             raise ValueError(f"density must be positive, got {self.rho}")
         if not (self.theta > 0.0):
@@ -106,12 +109,15 @@ def curve_coefficients(left: GasState) -> tuple[float, float, float]:
     return a, b, cstar
 
 
-def _curve_state(left: GasState, z: float) -> GasState:
-    """Curve state parameterized by z = rho^(1/3); no branch check."""
+def curve_lift(left: GasState, z):
+    """(rho, u1, theta) on the 3-rarefaction curve through ``left`` at z = rho^(1/3).
+
+    The closed form of :func:`curve_coefficients` for a scalar or an array z;
+    no branch check.
+    """
     _, _, cstar = curve_coefficients(left)
-    z_left = left.rho ** (1.0 / 3.0)
-    u1 = left.u1 + math.sqrt(15.0) * cstar * (z - z_left)
-    return GasState.make(z ** 3, u1, 1.5 * cstar * cstar * z * z)
+    u1 = left.u1 + math.sqrt(15.0) * cstar * (z - left.rho ** (1.0 / 3.0))
+    return z ** 3, u1, 1.5 * cstar * cstar * z * z
 
 
 def r3_state(left: GasState, rho: float) -> GasState:
@@ -125,7 +131,7 @@ def r3_state(left: GasState, rho: float) -> GasState:
         raise ValueError(
             f"rho={rho} below left density {left.rho}: not on the 3-rarefaction branch"
         )
-    return _curve_state(left, rho ** (1.0 / 3.0))
+    return GasState.make(*curve_lift(left, rho ** (1.0 / 3.0)))
 
 
 def fan_state(left: GasState, speed: float) -> GasState:
@@ -138,7 +144,7 @@ def fan_state(left: GasState, speed: float) -> GasState:
     z = (speed - a) / b
     if z <= 0.0:
         raise ValueError(f"speed {speed} below the vacuum edge of the fan")
-    return _curve_state(left, z)
+    return GasState.make(*curve_lift(left, z))
 
 
 @dataclass(frozen=True)

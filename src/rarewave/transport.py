@@ -277,6 +277,11 @@ def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
     return [PropertyCheck(name, float(d), base, tuple(v)) for name, (d, v) in bullets.items()]
 
 
+def _check_temperatures(thetas: tuple) -> None:
+    if len(thetas) < 2 or any(t2 <= t1 for t1, t2 in zip(thetas, thetas[1:])):
+        raise ValueError("table needs at least two strictly increasing temperatures")
+
+
 @dataclass(frozen=True)
 class TransportTable:
     """Viscosity and heat conductivity against temperature, one solve per row.
@@ -294,10 +299,7 @@ class TransportTable:
     gamma: float
 
     def __post_init__(self):
-        if len(self.theta) < 2 or any(
-            t2 <= t1 for t1, t2 in zip(self.theta, self.theta[1:])
-        ):
-            raise ValueError("table needs at least two strictly increasing temperatures")
+        _check_temperatures(self.theta)
 
     def _law(self, first: float, theta):
         out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
@@ -325,9 +327,11 @@ def transport_table(
     ``thermal_exponent``.  Each row is still solved, as the law's check,
     with the default kernel ``KernelParams()``.
     Temperatures must be strictly increasing and within (3/4, 3), the
-    regime the downstream wave states occupy.
+    regime the downstream wave states occupy; both are checked before
+    anything is solved.
     """
     thetas = tuple(float(t) for t in theta_values)
+    _check_temperatures(thetas)
     if any(t <= 0.75 or t >= 3.0 for t in thetas):
         raise ValueError("table temperatures must lie inside (0.75, 3)")
     mus, kappas, resids = [], [], []

@@ -106,14 +106,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def maxwellian_value(s: GasState, v) -> float:
-    """Pointwise local Maxwellian M_[rho,u,theta](v)."""
-    v = np.asarray(v, dtype=float)
-    rt = GAS_R * s.theta
-    q = float(np.sum((v - np.asarray(s.u)) ** 2))
-    return s.rho * (2.0 * math.pi * rt) ** -1.5 * math.exp(-q / (2.0 * rt))
-
-
 def maxwellian(s: GasState, g: VelocityGrid) -> GridFunction:
     """Local Maxwellian sampled on the lattice.
 

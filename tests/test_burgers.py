@@ -14,7 +14,6 @@ from rarewave.euler import GasState, RiemannData, lambda3, riemann_rarefaction
 from rarewave.burgers import (
     SmoothWave,
     WaveParams,
-    burgers_eval,
     burgers_eval_full,
     burgers_init,
     derivative_decay_report,
@@ -54,7 +53,7 @@ def test_burgers_init_values():
 
 @pytest.mark.parametrize("t,x,w_ref,wx_ref,wt_ref", ORACLES)
 def test_characteristic_oracles(t, x, w_ref, wx_ref, wt_ref):
-    w, wx, wt = burgers_eval(PARAMS, t, x)
+    w, wx, wt = burgers_eval_full(PARAMS, t, x)[:3]
     assert w == pytest.approx(w_ref, rel=1e-14)
     assert wx == pytest.approx(wx_ref, rel=1e-13)
     assert wt == pytest.approx(wt_ref, rel=1e-13)
@@ -62,7 +61,7 @@ def test_characteristic_oracles(t, x, w_ref, wx_ref, wt_ref):
 
 def test_t0_matches_initial_profile():
     x = np.linspace(-2, 2, 41)
-    w, wx, _ = burgers_eval(PARAMS, 0.0, x)
+    w, wx, _ = burgers_eval_full(PARAMS, 0.0, x)[:3]
     assert np.allclose(w, burgers_init(PARAMS, x), rtol=0, atol=0)
     sech2 = 1.0 / np.cosh(x / PARAMS.delta) ** 2
     assert np.allclose(wx, PARAMS.half_span / PARAMS.delta * sech2, rtol=1e-14)
@@ -74,7 +73,7 @@ def test_pde_residual_random_points():
     x = rng.uniform(-5.0, 8.0, 1000)
     worst = 0.0
     for ti, xi in zip(t, x):
-        w, wx, wt = burgers_eval(PARAMS, ti, xi)
+        w, wx, wt = burgers_eval_full(PARAMS, ti, xi)[:3]
         worst = max(worst, abs(wt + w * wx))
     assert worst <= 1e-11
 
@@ -87,18 +86,18 @@ def test_derivatives_match_finite_differences(t):
     xs = np.array([-0.5, 0.05, 0.4, 1.2])
     w, wx, wt, wxx, wxt, wtt = burgers_eval_full(PARAMS, t, xs)
     h = 1e-6
-    wp = burgers_eval(PARAMS, t, xs + h)[0]
-    wm = burgers_eval(PARAMS, t, xs - h)[0]
+    wp = burgers_eval_full(PARAMS, t, xs + h)[0]
+    wm = burgers_eval_full(PARAMS, t, xs - h)[0]
     assert np.max(np.abs((wp - wm) / (2 * h) - wx)) < 1e-9
-    wtp = burgers_eval(PARAMS, t + h, xs)[0]
-    wtm = burgers_eval(PARAMS, t - h, xs)[0]
+    wtp = burgers_eval_full(PARAMS, t + h, xs)[0]
+    wtm = burgers_eval_full(PARAMS, t - h, xs)[0]
     assert np.max(np.abs((wtp - wtm) / (2 * h) - wt)) < 1e-9
     h = 3e-4
-    wp = burgers_eval(PARAMS, t, xs + h)[0]
-    wm = burgers_eval(PARAMS, t, xs - h)[0]
+    wp = burgers_eval_full(PARAMS, t, xs + h)[0]
+    wm = burgers_eval_full(PARAMS, t, xs - h)[0]
     assert np.max(np.abs((wp - 2 * w + wm) / h ** 2 - wxx)) < 1e-5
-    wtp = burgers_eval(PARAMS, t + h, xs)[0]
-    wtm = burgers_eval(PARAMS, t - h, xs)[0]
+    wtp = burgers_eval_full(PARAMS, t + h, xs)[0]
+    wtm = burgers_eval_full(PARAMS, t - h, xs)[0]
     assert np.max(np.abs((wtp - 2 * w + wtm) / h ** 2 - wtt)) < 1e-5
 
 
@@ -108,7 +107,7 @@ def test_foot_point_residual_bulk():
     rng = np.random.default_rng(3)
     for t in (0.0, 0.4, 3.0, 50.0):
         x = rng.uniform(-30, 30, 5000)
-        w = burgers_eval(PARAMS, t, x)[0]
+        w = burgers_eval_full(PARAMS, t, x)[0]
         assert np.all(w >= PARAMS.omega_minus)
         assert np.all(w <= PARAMS.omega_plus)
         inner = np.abs(x - PARAMS.mid * t) < 5.0
@@ -119,7 +118,7 @@ def test_foot_point_residual_bulk():
 def test_monotone_and_bounded():
     x = np.linspace(-4, 4, 4001)
     for t in (0.1, 1.0, 10.0):
-        w, wx, _ = burgers_eval(PARAMS, t, x)
+        w, wx, _ = burgers_eval_full(PARAMS, t, x)[:3]
         assert np.all(wx >= 0)
         assert np.all(wx[np.abs(x) < 3.0] > 0)
         env = min(PARAMS.half_span / PARAMS.delta, 1.0 / t)
@@ -134,7 +133,7 @@ def test_envelope_constant_stable_across_delta():
         best = 0.0
         for t in (0.1, 1.0, 10.0):
             x = np.linspace(-4, 4 + t * SPAN, 30001)
-            wx = burgers_eval(p, t, x)[1]
+            wx = burgers_eval_full(p, t, x)[1]
             best = max(best, wx.max() * (delta + t))
         consts.append(best)
     assert max(consts) <= 1.2
@@ -160,7 +159,7 @@ class TestSmoothWave:
     def test_speed_consistency(self):
         # omega is lambda3 of the lifted state
         for (t, x) in ((0.5, 0.1), (2.0, 0.35), (1.0, -0.2)):
-            w = burgers_eval(self.wave.params, t, x)[0]
+            w = burgers_eval_full(self.wave.params, t, x)[0]
             assert lambda3(self.wave.state(t, x)) == pytest.approx(w, rel=1e-13)
 
     def test_theta_gradient_identity(self):
@@ -173,7 +172,7 @@ class TestSmoothWave:
 
     def test_u1_gradient_proportional_to_omega(self):
         prof = self.wave.profile(0.7, np.linspace(-1, 2, 51), order=1)
-        w, wx, _ = burgers_eval(self.wave.params, 0.7, np.linspace(-1, 2, 51))
+        w, wx, _ = burgers_eval_full(self.wave.params, 0.7, np.linspace(-1, 2, 51))[:3]
         assert np.allclose(prof["u1_x"], 0.75 * wx, rtol=1e-13)
 
     def test_invariants_constant_in_time_and_space(self):
@@ -225,6 +224,10 @@ class TestEulerResidual:
     def test_requires_time_headroom(self):
         with pytest.raises(ValueError):
             euler_residual(self.wave, 1e-6, 0.0, 1e-5)
+        # a zero step would divide by zero; a negative one would pass t > h
+        for bad in (0.0, -1e-5):
+            with pytest.raises(ValueError, match="stencil_h"):
+                euler_residual(self.wave, 1.0, 0.0, bad)
 
 
 class TestDecayReport:
@@ -249,7 +252,7 @@ class TestDecayReport:
         x0 = np.linspace(-12, 12, 200001)
         for t in (0.5, 2.0):
             x = x0 + t * burgers_init(PARAMS, x0)
-            wx = burgers_eval(PARAMS, t, x)[1]
+            wx = burgers_eval_full(PARAMS, t, x)[1]
             tv = np.trapezoid(wx, x)
             assert tv == pytest.approx(SPAN, rel=1e-8)
 
@@ -259,6 +262,13 @@ class TestDecayReport:
         assert all(r.ratio < 5.0 for r in rows)
         # and the p=inf first-derivative constant is O(1)
         assert all(r.ratio <= 1.2 for r in rows if r.j == 1 and math.isinf(r.p))
+
+    def test_rejects_exponents_below_one(self):
+        # p = 0 divided by zero and p < 0 returned 0.0 with a RuntimeWarning
+        wave = SmoothWave.build(DATA, 0.3)
+        for bad in (0.0, -1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="p >= 1"):
+                derivative_decay_report(wave, [1.0], [2.0, bad])
 
     def test_second_derivative_constant_stable(self):
         consts = []

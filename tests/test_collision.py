@@ -26,8 +26,10 @@ from rarewave.collision import (
     linearized_script_L,
     lm_operator,
     phi_kernel,
+    _UNPACK,
     _grad_transpose,
     _phi_conv_direct,
+    _phi_grad_fft,
     _transforms,
 )
 
@@ -106,14 +108,18 @@ def test_cell_average_constant_against_monte_carlo():
 # bilinear operator
 
 
-def test_fft_path_matches_direct_summation():
+@pytest.mark.parametrize("p", [KernelParams(), KernelParams(gamma=-2.5)])
+def test_gradient_contraction_matches_direct_summation(p):
+    # The three contractions sum_j phi^{ij} * G_j that collision_Q and
+    # both L_M forms take, against the literal node-pair sums.
     g = grid(8)
-    f1 = smooth_positive(g, 1)
-    f2 = smooth_positive(g, 2)
-    q_fft = collision_Q(f1, f2, method="fft")
-    q_dir = collision_Q(f1, f2, method="direct")
-    scale = np.abs(q_dir.values).max()
-    assert np.abs(q_fft.values - q_dir.values).max() <= 1e-12 * scale
+    rng = np.random.default_rng(2)
+    fields = [rng.standard_normal(g.shape) for _ in range(3)]
+    parts = [_phi_conv_direct(g, p, x) for x in fields]
+    fft = _phi_grad_fft(g, p, fields)
+    for i in range(3):
+        direct = sum(parts[j][_UNPACK[i, j]] for j in range(3))
+        assert np.abs(fft[i] - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize("n, period", [(8, 15), (12, 24)])
@@ -131,13 +137,6 @@ def test_transform_pair_matches_direct_summation_at_tight_period(n, period, p):
     for k in range(6):
         conv = tr.inverse(tr.khat[k] * fhat)
         assert np.abs(conv - direct[k]).max() <= 1e-12 * np.abs(direct[k]).max()
-
-
-def test_unknown_method_rejected():
-    g = grid(8)
-    f = smooth_positive(g, 3)
-    with pytest.raises(ValueError):
-        collision_Q(f, f, method="spectral")
 
 
 def test_mismatched_grids_rejected():

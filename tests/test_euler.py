@@ -6,6 +6,7 @@ hard-coded here so regressions show up as value drift, not oracle drift.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from rarewave.euler import (
     GasState,
     RiemannData,
     curve_coefficients,
+    curve_lift,
     entropy,
     fan_state,
     lambda3,
@@ -96,6 +98,23 @@ def test_r3_state_reference_point():
     assert s.u1 == pytest.approx(U1_AT_11, rel=1e-15)
     assert s.theta == pytest.approx(TH_AT_11, rel=1e-15)
     assert s.u[1] == 0.0 and s.u[2] == 0.0
+
+
+def test_gas_state_rejects_non_finite_components():
+    for args in ((1.0, math.nan, 1.0), (math.inf, 0.0, 1.0), (1.0, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GasState.make(*args)
+    with pytest.raises(ValueError, match="finite"):
+        GasState(1.0, (0.0, 0.0, math.nan), 1.0)
+
+
+def test_curve_lift_arrays_match_pointwise_states():
+    rhos = np.linspace(1.0, 2.0, 11)
+    rho, u1, theta = curve_lift(LEFT, rhos ** (1.0 / 3.0))
+    for k, r in enumerate(rhos):
+        s = r3_state(LEFT, float(r))
+        want = (s.rho, s.u1, s.theta)
+        assert (rho[k], u1[k], theta[k]) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_r3_state_rejects_compression():

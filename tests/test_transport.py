@@ -160,11 +160,18 @@ def test_table_follows_exact_thermal_law(solutions):
         assert np.allclose(table.mu_of([0.8, 2.5]), table.mu[0] * law, rtol=1e-14, atol=0.0)
 
 
-def test_table_rejects_bad_inputs():
+def test_table_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
-    with pytest.raises(ValueError):
-        transport_table((0.5, 1.0))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad temperature list reached the solver")
+
+    # every check runs before the first row is solved
+    monkeypatch.setattr("rarewave.transport.burnett_solve", no_solve)
+    for bad in ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (1.0,)):
+        with pytest.raises(ValueError):
+            transport_table(bad)
 
 
 def fields_by_name(sol):

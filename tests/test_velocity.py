@@ -15,7 +15,6 @@ from rarewave.velocity import (
     macro_coefficients,
     maxwellian,
     maxwellian_l2mu_distance,
-    maxwellian_value,
     moments,
     project_P0,
     project_P1,
@@ -102,9 +101,12 @@ class TestGridFunction:
 
 class TestMaxwellian:
     def test_reference_value_at_origin(self):
-        # the global Maxwellian at v = 0 is (2 pi)^(-3/2)
-        mu0 = maxwellian_value(STATE_A1, (0.0, 0.0, 0.0))
-        assert mu0 == pytest.approx((2 * math.pi) ** -1.5, rel=1e-14)
+        # the global Maxwellian is (2 pi)^(-3/2) exp(-|v|^2 / 2): its value
+        # at the origin scaled by the Gaussian, checked at every node
+        g = VelocityGrid(half_width=8.0, n_per_axis=12)
+        vals = maxwellian(STATE_A1, g).values
+        closed = (2 * math.pi) ** -1.5 * np.exp(-0.5 * g.speed_sq)
+        assert np.allclose(vals, closed, rtol=1e-14, atol=0.0)
 
     def test_moments_round_trip_reference(self):
         g = VelocityGrid(half_width=8.0, n_per_axis=48)
