@@ -109,17 +109,68 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
 
-def run_side(src: Path, out: Path) -> dict:
+def run_side(script: str, src: Path, out: Path) -> dict:
     subprocess.run(
-        [sys.executable, __file__, "--measure", str(src), str(out)], cwd=ROOT, check=True
+        [sys.executable, script, "--measure", str(src), str(out)], cwd=ROOT, check=True
     )
     with np.load(out) as dat:
         return {k: dat[k] for k in dat.files}
 
 
+def run_rounds(script: str, before: str, rounds: int) -> dict:
+    """Results of ``script --measure SRC OUT`` per side, over alternating rounds.
+
+    ``before`` runs with ``src/`` of git revision ``before``, ``after`` with
+    this checkout's; each run is a fresh process, and ``before`` goes first
+    on even rounds.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        export_src(before, tmp / "before")
+        srcs = {"before": tmp / "before" / "src", "after": ROOT / "src"}
+        runs = {side: [] for side in srcs}
+        for k in range(rounds):
+            order = list(srcs) if k % 2 == 0 else list(srcs)[::-1]
+            for side in order:
+                runs[side].append(run_side(script, srcs[side], tmp / f"{side}.npz"))
+    return runs
+
+
 def quartiles(xs) -> dict:
     q1, med, q3 = np.percentile(xs, [25, 50, 75])
     return {"q1": float(q1), "median": float(med), "q3": float(q3)}
+
+
+def compare(times: dict) -> dict:
+    """Round times per side with median and quartiles, the share of rounds
+    ``after`` is faster, and whether the difference is resolved."""
+    stats = {side: quartiles(times[side]) for side in times}
+    pairs = list(zip(times["after"], times["before"]))
+    wins = sum(a < b for a, b in pairs) / len(pairs)
+    losses = sum(a > b for a, b in pairs) / len(pairs)
+    gap = abs(stats["after"]["median"] - stats["before"]["median"])
+    return {
+        **{side: {"rounds": times[side], **stats[side]} for side in times},
+        "after_wins": wins,
+        "resolved": max(wins, losses) >= 0.9
+        and gap > stats["before"]["q3"] - stats["before"]["q1"],
+    }
+
+
+def provenance(before: str) -> dict:
+    """Both revisions and the host the rounds ran on."""
+    return {
+        "before_rev": git("rev-parse", before),
+        "after_rev": git("rev-parse", "HEAD")
+        + (" with uncommitted src changes" if git("status", "--short", "src") else ""),
+        "host": {
+            "cpu_model": cpu_model(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
 
 
 def max_rel(a, b) -> float:
@@ -132,35 +183,19 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", default=str(ROOT / "BENCH_fft_period.json"))
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        export_src(args.before, tmp / "before")
-        srcs = {"before": tmp / "before" / "src", "after": ROOT / "src"}
-        runs = {side: [] for side in srcs}
-        for k in range(args.rounds):
-            order = list(srcs) if k % 2 == 0 else list(srcs)[::-1]
-            for side in order:
-                runs[side].append(run_side(srcs[side], tmp / f"{side}.npz"))
+    runs = run_rounds(__file__, args.before, args.rounds)
 
     rows = []
     for n in SIZES:
         row = {"n_per_axis": n}
-        for side in srcs:
+        for side in runs:
             pad = int(runs[side][0][f"pad_{n}"])
             row[f"pad_{side}"] = pad
             row[f"fft_points_{side}"] = pad**3
         for layer in ("build_s", "apply_s", "weak_apply_s"):
-            t = {side: [float(r[f"{layer}_{n}"]) for r in runs[side]] for side in srcs}
-            stats = {side: quartiles(t[side]) for side in srcs}
-            wins = sum(a < b for a, b in zip(t["after"], t["before"])) / args.rounds
-            losses = sum(a > b for a, b in zip(t["after"], t["before"])) / args.rounds
-            gap = abs(stats["after"]["median"] - stats["before"]["median"])
-            row[layer] = {
-                **{side: {"rounds": t[side], **stats[side]} for side in srcs},
-                "after_wins": wins,
-                "resolved": max(wins, losses) >= 0.9
-                and gap > stats["before"]["q3"] - stats["before"]["q1"],
-            }
+            row[layer] = compare(
+                {side: [float(r[f"{layer}_{n}"]) for r in runs[side]] for side in runs}
+            )
         before, after = runs["before"][0], runs["after"][0]
         row["apply_max_rel_diff"] = max_rel(after[f"apply_{n}"], before[f"apply_{n}"])
         row["weak_apply_max_rel_diff"] = max_rel(
@@ -170,20 +205,11 @@ def main() -> None:
 
     report = {
         "what": "_KernelTransforms build, LMOperator.apply and weak_apply: before/after",
-        "before_rev": git("rev-parse", args.before),
-        "after_rev": git("rev-parse", "HEAD")
-        + (" with uncommitted src changes" if git("status", "--short", "src") else ""),
+        **provenance(args.before),
         "state": {"rho": RHO, "u1": U1, "theta": THETA, "lattice": "thermal_grid(theta, n)"},
         "timing": f"best of {REPEATS} per round, {args.rounds} alternating rounds, one thread, "
         "seconds; median and quartiles over rounds",
         "accuracy": "max |after - before| / max |before| on the same seeded input",
-        "host": {
-            "cpu_model": cpu_model(),
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
@@ -191,7 +217,7 @@ def main() -> None:
     for row in rows:
         for layer in ("build_s", "apply_s", "weak_apply_s"):
             r = row[layer]
-            b, a = (" ".join(f"{r[side][k]:.3e}" for k in ("q1", "median", "q3")) for side in srcs)
+            b, a = (" ".join(f"{r[side][k]:.3e}" for k in ("q1", "median", "q3")) for side in runs)
             print(
                 f"{row['n_per_axis']:>3} {layer:<13} {b:>30} {a:>30} "
                 f"{r['after_wins']:4.0%} {r['resolved']}"

@@ -1,0 +1,139 @@
+"""Cost of the Burgers wave reports, against an earlier revision.
+
+    python bench/wave_reports.py --before REV [--rounds 10] [--out BENCH_wave_reports.json]
+
+Run it from the root of a checkout.  On the wave of the ``wave_reports``
+benchmark workload (left state (1, 0, 1), right density 1.5, width 0.5) and
+at t in {0.5, 5, 50} it times ``derivative_decay_report`` (p = 1, 2, inf),
+``riemann_gap``, 16 ``euler_residual`` calls and 16 ``SmoothWave.state``
+calls (best of 5 each, one thread) at 16 seeded points of the transition.
+The sides, rounds and statistics are those of ``bench/fft_period.py``: each
+side runs in a fresh process with ``src/`` of this checkout or of git
+revision REV, and a difference counts as resolved only when one side wins
+at least nine tenths of the rounds and the medians differ by more than the
+distance between the quartiles of ``before``.  Next to each time stands the
+accuracy: the largest relative change of the decay values and of the gap,
+the largest absolute change of any residual row (with the largest residual
+for scale), and the largest absolute change of any state component.  The
+result is written as JSON.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from fft_period import ROOT, best_of, compare, provenance, run_rounds  # noqa: E402
+
+TIMES = (0.5, 5.0, 50.0)
+POINTS = 16
+P_EXPONENTS = (1.0, 2.0, math.inf)
+LEFT, RHO_PLUS, DELTA = (1.0, 0.0, 1.0), 1.5, 0.5
+LAYERS = ("decay_s", "gap_s", "residual16_s", "state16_s")
+
+
+def measure(src: str, out: str) -> None:
+    """Time the four calls with the ``rarewave`` found under ``src``."""
+    sys.path.insert(0, src)
+    import rarewave
+    from rarewave import burgers
+    from rarewave.euler import GasState, RiemannData
+
+    if Path(rarewave.__file__).resolve().parent != Path(src).resolve() / "rarewave":
+        raise SystemExit(f"rarewave imported from {rarewave.__file__}, not from {src}")
+    wave = burgers.SmoothWave.build(
+        RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS), DELTA
+    )
+    res = {}
+    for t in TIMES:
+        x0 = np.random.default_rng(int(t * 10)).uniform(-3.0 * DELTA, 3.0 * DELTA, POINTS)
+        xs = x0 + t * burgers.burgers_init(wave.params, x0)
+
+        def decay():
+            return [r.value for r in burgers.derivative_decay_report(wave, [t], P_EXPONENTS)]
+
+        def gap():
+            return burgers.riemann_gap(wave, t)[0]
+
+        def residuals():
+            return [burgers.euler_residual(wave, t, x) for x in xs]
+
+        def states():
+            return [(s.rho, s.u1, s.theta) for s in (wave.state(t, x) for x in xs)]
+
+        for layer, fn in zip(LAYERS, (decay, gap, residuals, states)):
+            res[f"{layer}_{t}"] = best_of(fn)
+            res[f"value_{layer}_{t}"] = np.asarray(fn())
+    np.savez(out, **res)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", required=True, help="git revision to compare against")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--out", default=str(ROOT / "BENCH_wave_reports.json"))
+    args = ap.parse_args()
+    runs = run_rounds(__file__, args.before, args.rounds)
+
+    rows = []
+    for t in TIMES:
+        row = {"t": t}
+        for layer in LAYERS:
+            row[layer] = compare(
+                {side: [float(r[f"{layer}_{t}"]) for r in runs[side]] for side in runs}
+            )
+        before, after = runs["before"][0], runs["after"][0]
+        d_b, d_a = before[f"value_decay_s_{t}"], after[f"value_decay_s_{t}"]
+        g_b, g_a = float(before[f"value_gap_s_{t}"]), float(after[f"value_gap_s_{t}"])
+        r_b, r_a = before[f"value_residual16_s_{t}"], after[f"value_residual16_s_{t}"]
+        row["decay_max_rel_diff"] = float(np.max(np.abs(d_a - d_b) / np.abs(d_b)))
+        row["gap_rel_diff"] = abs(g_a - g_b) / g_b
+        row["residual_max_abs_diff"] = float(np.max(np.abs(r_a - r_b)))
+        row["residual_max_abs"] = float(np.max(np.abs(r_b)))
+        row["state_max_abs_diff"] = float(
+            np.max(np.abs(after[f"value_state16_s_{t}"] - before[f"value_state16_s_{t}"]))
+        )
+        rows.append(row)
+
+    report = {
+        "what": "derivative_decay_report, riemann_gap, 16 euler_residual and 16 "
+        "SmoothWave.state calls: before/after",
+        **provenance(args.before),
+        "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "p": "1, 2, inf"},
+        "timing": f"best of 5 per round, {args.rounds} alternating rounds, one thread, "
+        "seconds; median and quartiles over rounds",
+        "accuracy": "decay and gap: max |after - before| / |before|; residual and state: "
+        "max |after - before| over the 16 points and every row or component",
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(f"{'t':>5} {'layer':<13} {'before median':>14} {'after median':>13} wins resolved")
+    for row in rows:
+        for layer in LAYERS:
+            r = row[layer]
+            print(
+                f"{row['t']:>5} {layer:<13} {r['before']['median']:14.3e} "
+                f"{r['after']['median']:13.3e} {r['after_wins']:4.0%} {r['resolved']}"
+            )
+        print(
+            f"      decay rel {row['decay_max_rel_diff']:.1e}  gap rel {row['gap_rel_diff']:.1e}"
+            f"  residual abs {row['residual_max_abs_diff']:.1e}"
+            f" (of {row['residual_max_abs']:.1e})  state abs {row['state_max_abs_diff']:.1e}"
+        )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--measure"]:  # one side, in its own process
+        measure(*sys.argv[2:4])
+    else:
+        main()

@@ -10,6 +10,10 @@ left state, so that omega coincides with lambda3 of the lifted state.  All
 derivatives are computed analytically by implicit differentiation of the
 characteristic relation x = x0 + t omega0(x0); finite differences appear only
 in the residual cross-check.
+
+Paths given x (``burgers_eval_full``, ``SmoothWave.state``/``profile``,
+``euler_residual``, the fan grid of ``riemann_gap``) solve for the foot points
+x0 by Newton's method; the characteristic-grid reports choose x0 and solve none.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euler import GasState, RiemannData, curve_coefficients, curve_lift, lambda3, pressure
+from .euler import GAS_R, GasState, RiemannData, curve_coefficients, curve_lift, lambda3
 
 __all__ = [
     "WaveParams",
@@ -73,15 +77,18 @@ def _init_derivs(p: WaveParams, x0):
     return g, gp, gpp
 
 
-def _foot_points(p: WaveParams, t: float, x):
+def _foot_points(p: WaveParams, t, x):
     """Solve x = x0 + t omega0(x0) for x0 (vectorized safeguarded Newton).
 
-    The map is strictly increasing in x0 (omega0' > 0, t >= 0), so the root
-    is unique and stays inside the bracket [x - omega+ t, x - omega- t].
+    t broadcasts against x.  The map is strictly increasing in x0 (omega0' > 0,
+    t >= 0), so the root is unique and stays inside the bracket
+    [x - omega+ t, x - omega- t], which is {x} at t = 0.  A point that meets
+    the tolerance keeps its value, so each point iterates exactly as alone.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0.0:
-        return x.copy()
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise ValueError("t must be nonnegative")
     lo = x - p.omega_plus * t
     hi = x - p.omega_minus * t
     x0 = np.clip(x - t * burgers_init(p, x), lo, hi)  # fixed-point starting guess
@@ -89,7 +96,8 @@ def _foot_points(p: WaveParams, t: float, x):
     for k in range(FOOT_MAX_ITER + 1):
         g, gp, _ = _init_derivs(p, x0)
         f = x0 + t * g - x
-        if np.all(np.abs(f) <= tol):
+        done = np.abs(f) <= tol
+        if np.all(done):
             return x0
         if k == FOOT_MAX_ITER:
             break
@@ -101,29 +109,26 @@ def _foot_points(p: WaveParams, t: float, x):
         # moves less than half the bracket width; otherwise bisect.  This
         # rules out the two-point cycling Newton is prone to on tanh data.
         ok = (cand > lo) & (cand < hi) & (np.abs(step) <= 0.5 * (hi - lo))
-        x0 = np.where(ok, cand, 0.5 * (lo + hi))
+        x0 = np.where(done, x0, np.where(ok, cand, 0.5 * (lo + hi)))
     raise RuntimeError(
-        f"foot-point iteration failed for {int(np.count_nonzero(np.abs(f) > tol))} points "
+        f"foot-point iteration failed for {int(np.count_nonzero(~done))} points "
         f"at t={t} (bracket width {np.max(hi - lo):.3e})"
     )
 
 
-def burgers_eval_full(p: WaveParams, t: float, x):
-    """(omega, w_x, w_t, w_xx, w_xt, w_tt) by implicit differentiation."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x0 = _foot_points(p, t, x)
-    g, gp, gpp = _init_derivs(p, x0)
+def _eval_at_feet(p: WaveParams, t, x0):
+    """(omega, w_x, w_t, w_xx, w_xt, w_tt) at known foot points, by implicit differentiation."""
+    w, gp, gpp = _init_derivs(p, x0)
     jac = 1.0 + t * gp
-    w = g
     wx = gp / jac
     wxx = gpp / jac ** 3
-    wt = -w * wx
-    wxt = -(wx * wx + w * wxx)
-    wtt = 2.0 * w * wx * wx + w * w * wxx
-    out = (w, wx, wt, wxx, wxt, wtt)
-    if scalar:
+    return w, wx, -w * wx, wxx, -(wx * wx + w * wxx), 2.0 * w * wx * wx + w * w * wxx
+
+
+def burgers_eval_full(p: WaveParams, t: float, x):
+    """(omega, w_x, w_t, w_xx, w_xt, w_tt) by implicit differentiation."""
+    out = _eval_at_feet(p, t, _foot_points(p, t, x))
+    if np.ndim(t) == np.ndim(x) == 0:
         return tuple(float(a[0]) for a in out)
     return out
 
@@ -190,19 +195,23 @@ class SmoothWave:
 
         order=0: values only; order=1: adds *_x and *_t; order=2: adds
         *_xx, *_xt, *_tt.  Everything is exact chain-rule algebra on the
-        characteristic solution.
+        characteristic solution.  t broadcasts against x; scalars give floats.
         """
-        w, wx, wt, wxx, wxt, wtt = burgers_eval_full(self.params, t, x)
+        out = self._profile_at_feet(t, _foot_points(self.params, t, x), order)
+        if np.ndim(t) == np.ndim(x) == 0:
+            return {name: float(a[0]) for name, a in out.items()}
+        return out
+
+    def _profile_at_feet(self, t, x0, order: int) -> dict:
+        """``profile`` at known foot points x0."""
+        w, wx, wt, wxx, wxt, wtt = _eval_at_feet(self.params, t, x0)
         c = self._curve_values(w, order=order)
         out = {"omega": w, "rho": c["rho"], "u1": c["u1"], "theta": c["theta"]}
-        if order >= 1:
-            for name in ("rho", "u1", "theta"):
-                fw = c[name + "_w"]
-                out[name + "_x"] = fw * wx
-                out[name + "_t"] = fw * wt
-        if order >= 2:
-            for name in ("rho", "u1", "theta"):
-                fw = c[name + "_w"]
+        for name in ("rho", "u1", "theta") if order >= 1 else ():
+            fw = c[name + "_w"]
+            out[name + "_x"] = fw * wx
+            out[name + "_t"] = fw * wt
+            if order >= 2:
                 fww = c[name + "_ww"]
                 out[name + "_xx"] = fww * wx * wx + fw * wxx
                 out[name + "_xt"] = fww * wx * wt + fw * wxt
@@ -216,33 +225,24 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     Rows: mass, x-momentum, transverse momentum, internal energy.  Centered
     second-order differences with step ``stencil_h`` in both t and x; the
     analytic wave should satisfy the system, so the residual measures only
-    the stencil error (O(h^2)).  Requires 0 < stencil_h < t.
+    the stencil error (O(h^2)).  The five stencil points are evaluated in
+    one array call of ``profile``.  Requires 0 < stencil_h < t.
     """
     if not stencil_h > 0.0:
         raise ValueError(f"stencil_h must be positive, got {stencil_h}")
     if t <= stencil_h:
         raise ValueError("need t > stencil_h for the centered time stencil")
-
-    def cons(s):
-        return np.array([s.rho, s.rho * s.u1, s.rho * s.u[1], s.rho * s.theta])
-
-    def flux(s):
-        return np.array(
-            [
-                s.rho * s.u1,
-                s.rho * s.u1 * s.u1 + pressure(s),
-                s.rho * s.u1 * s.u[1],
-                s.rho * s.u1 * s.theta,
-            ]
-        )
-
     h = stencil_h
-    xp = wave.state(t, x + h)
-    xm = wave.state(t, x - h)
-    resid = (cons(wave.state(t + h, x)) - cons(wave.state(t - h, x))) / (2 * h) + (
-        flux(xp) - flux(xm)
-    ) / (2 * h)
-    resid[3] += pressure(wave.state(t, x)) * (xp.u1 - xm.u1) / (2 * h)
+    # (t, x+h), (t, x-h), (t+h, x), (t-h, x), (t, x)
+    dt, dx = h * np.array([[0.0, 0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
+    prof = wave.profile(t + dt, x + dx, order=0)
+    rho, u1, theta = prof["rho"], prof["u1"], prof["theta"]
+    pressure = GAS_R * rho * theta
+    zero = 0.0 * rho  # transverse momentum: u2 = 0
+    cons = np.array([rho, rho * u1, zero, rho * theta])
+    flux = np.array([rho * u1, rho * u1 * u1 + pressure, zero, rho * u1 * theta])
+    resid = (cons[:, 2] - cons[:, 3]) / (2 * h) + (flux[:, 0] - flux[:, 1]) / (2 * h)
+    resid[3] += pressure[4] * (u1[0] - u1[1]) / (2 * h)
     return resid
 
 
@@ -265,9 +265,7 @@ def _char_grid(wave: SmoothWave, t: float, n: int = 20001):
     half = 30.0 * p.delta
     x0 = np.linspace(-half, half, n)
     g, gp, _ = _init_derivs(p, x0)
-    x = x0 + t * g
-    jac = 1.0 + t * gp
-    return x0, x, jac
+    return x0, x0 + t * g, 1.0 + t * gp
 
 
 def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayRow]:
@@ -278,16 +276,19 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
     (omega+ - omega-)^q (delta+t)^(-1+q) for j = 1 and
     delta^(-1+q) (delta+t)^(-1) for j = 2; the ratio column is the implied
     constant.  Norms integrate over the foot-point parameterization, where
-    the integrand support is known exactly.
+    the integrand support is known exactly, and the profile is evaluated at
+    those foot points directly.
     """
     if not all(p >= 1.0 for p in p_exponents):
         raise ValueError(f"exponents must satisfy p >= 1, got {list(p_exponents)}")
+    if not all(t >= 0.0 for t in times):
+        raise ValueError(f"times must be nonnegative, got {list(times)}")
     p_ = wave.params
     span = p_.omega_plus - p_.omega_minus
     rows = []
     for t in times:
-        x0, x, jac = _char_grid(wave, t)
-        prof = wave.profile(t, x, order=2)
+        x0, _, jac = _char_grid(wave, t)
+        prof = wave._profile_at_feet(t, x0, order=2)
         mag1 = np.sqrt(prof["rho_x"] ** 2 + prof["u1_x"] ** 2 + prof["theta_x"] ** 2)
         mag2 = np.sqrt(prof["rho_xx"] ** 2 + prof["u1_xx"] ** 2 + prof["theta_xx"] ** 2)
         for p in p_exponents:
@@ -305,23 +306,22 @@ def riemann_gap(wave: SmoothWave, t: float) -> tuple[float, float]:
     """Sup distance to the Riemann fan and the decay shape it is tested against.
 
     Returns (gap, shape) with shape = delta t^-1 (ln(1+t) + |ln delta|).
-    The sup runs over a merged grid: foot-point samples (resolving the tanh
-    transition) plus uniform samples across the fan opening.
+    The sup runs over two grids: the characteristic grid, evaluated at its
+    known foot points (it resolves the tanh transition), and uniform samples
+    across the fan opening, whose foot points are solved for.
     """
     if not (t > 0.0):
         raise ValueError("gap defined for t > 0")
     p = wave.params
-    _, x_char, _ = _char_grid(wave, t)
+    x0, x_char, _ = _char_grid(wave, t)
     pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
     x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
-    x = np.union1d(x_char, x_fan)
-    prof = wave.profile(t, x, order=0)
+    x = np.concatenate((x_char, x_fan))
+    prof = wave._profile_at_feet(t, np.concatenate((x0, _foot_points(p, t, x_fan))), order=0)
     # The fan is the curve lift of the clipped similarity variable, so the
     # same closed form evaluates it (cross-checked against the pointwise
     # Riemann solver in the tests).
     fan = wave._curve_values(np.clip(x / t, p.omega_minus, p.omega_plus))
-    gap = max(
-        float(np.max(np.abs(prof[name] - fan[name]))) for name in ("rho", "u1", "theta")
-    )
+    gap = max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
     shape = p.delta / t * (math.log1p(t) + abs(math.log(p.delta)))
     return gap, shape

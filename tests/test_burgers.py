@@ -10,10 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from rarewave.euler import GasState, RiemannData, lambda3, riemann_rarefaction
+from rarewave import burgers
+from rarewave.euler import GAS_R, GasState, RiemannData, lambda3, riemann_rarefaction
 from rarewave.burgers import (
     SmoothWave,
     WaveParams,
+    _char_grid,
+    _foot_points,
     burgers_eval_full,
     burgers_init,
     derivative_decay_report,
@@ -113,6 +116,28 @@ def test_foot_point_residual_bulk():
         inner = np.abs(x - PARAMS.mid * t) < 5.0
         assert np.all(w[inner] > PARAMS.omega_minus)
         assert np.all(w[inner] < PARAMS.omega_plus)
+
+
+def test_batched_foot_points_match_single_point(monkeypatch):
+    # t = 0 and the far field converge at once or in a few steps, the
+    # transition at t = 50 after many; a converged point must keep its value
+    t = np.repeat([0.0, 0.5, 50.0], 4)
+    x = np.tile([-40.0, 0.05, 4.2, 60.0], 3)
+    batch = _foot_points(PARAMS, t, x)
+    calls = []
+    init_derivs = burgers._init_derivs
+
+    def counting(p, x0):  # called once per iteration
+        calls.append(x0)
+        return init_derivs(p, x0)
+
+    monkeypatch.setattr(burgers, "_init_derivs", counting)
+    iterations = set()
+    for ti, xi, b in zip(t, x, batch):
+        calls.clear()
+        assert b == _foot_points(PARAMS, ti, xi)[0]
+        iterations.add(len(calls))
+    assert len(iterations) >= 3
 
 
 def test_monotone_and_bounded():
@@ -221,6 +246,36 @@ class TestEulerResidual:
         r = euler_residual(self.wave, 1.0, self.wave.params.mid, 1e-4)
         assert np.max(np.abs(r)) <= 1e-6
 
+    def test_batched_stencil_matches_pointwise(self, monkeypatch):
+        # one array call of profile for the five stencil points; the curve
+        # lift may round arrays and scalars differently in the last bit
+        calls = []
+        profile = SmoothWave.profile
+
+        def spy(wave, t, x, order=1):
+            calls.append((np.broadcast_to(t, np.shape(x)), x))
+            return profile(wave, t, x, order)
+
+        monkeypatch.setattr(SmoothWave, "profile", spy)
+        t, x, h = 1.0, 0.6, 1e-5
+        r = euler_residual(self.wave, t, x, h)
+        ((ts, xs),) = calls
+        assert len(xs) == 5
+        prof = profile(self.wave, ts, xs, order=0)
+        states = [self.wave.state(ti, xi) for ti, xi in zip(ts, xs)]
+        for name in ("rho", "u1", "theta"):
+            ref = np.array([getattr(s, name) for s in states])
+            assert np.all(np.abs(prof[name] - ref) <= np.spacing(np.abs(ref)))
+        # pointwise reference from the states; 1-ulp inputs give at most a
+        # few ulp per flux entry, amplified by 1/(2h)
+        rho, u1, th = (np.array([getattr(s, k) for s in states]) for k in ("rho", "u1", "theta"))
+        cons = np.array([rho, rho * u1, 0.0 * rho, rho * th])
+        flux = np.array([rho * u1, rho * u1 * u1 + GAS_R * rho * th, 0.0 * rho, rho * u1 * th])
+        ref = (cons[:, 2] - cons[:, 3] + flux[:, 0] - flux[:, 1]) / (2 * h)
+        ref[3] += GAS_R * rho[4] * th[4] * (u1[0] - u1[1]) / (2 * h)
+        bound = 20 * np.finfo(float).eps * np.abs(flux).max() / h
+        assert np.max(np.abs(r - ref)) <= bound
+
     def test_requires_time_headroom(self):
         with pytest.raises(ValueError):
             euler_residual(self.wave, 1e-6, 0.0, 1e-5)
@@ -270,6 +325,33 @@ class TestDecayReport:
             with pytest.raises(ValueError, match="p >= 1"):
                 derivative_decay_report(wave, [1.0], [2.0, bad])
 
+    def test_rejects_negative_time(self):
+        wave = SmoothWave.build(DATA, 0.3)
+        for bad in (-1.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                derivative_decay_report(wave, [1.0, bad], [2.0])
+
+    @pytest.mark.parametrize("delta", [0.3, 0.1])
+    def test_known_feet_match_newton_path(self, delta):
+        # the report evaluates at the grid's own foot points; solving for
+        # them again from x (the Newton path) must give the same rows
+        wave = SmoothWave.build(DATA, delta)
+        ps = [1.0, 2.0, math.inf]
+        for t in (0.0, 0.1, 1.0, 10.0, 100.0):
+            x0, x, jac = _char_grid(wave, t)
+            prof = wave.profile(t, x, order=2)
+            mags = [
+                np.sqrt(sum(prof[f"{k}_{d}"] ** 2 for k in ("rho", "u1", "theta")))
+                for d in ("x", "xx")
+            ]
+            ref = [
+                np.max(m) if math.isinf(p) else np.trapezoid(m**p * jac, x0) ** (1.0 / p)
+                for p in ps
+                for m in mags
+            ]
+            got = [r.value for r in derivative_decay_report(wave, [t], ps)]
+            assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
     def test_second_derivative_constant_stable(self):
         consts = []
         for delta in (0.2, 0.1):
@@ -309,6 +391,20 @@ class TestRiemannGap:
             assert max(ratios) < 1.0
             consts.append(max(ratios))
         assert max(consts) / min(consts) <= 2.0
+
+    @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05])
+    def test_known_feet_match_newton_path(self, delta):
+        # reference: both grids merged and every foot point solved from x
+        wave = SmoothWave.build(DATA, delta)
+        p = wave.params
+        for t in (0.5, 1.0, 2.0, 5.0, 50.0):
+            _, x_char, _ = _char_grid(wave, t)
+            pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
+            x = np.union1d(x_char, t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001))
+            prof = wave.profile(t, x, order=0)
+            fan = wave._curve_values(np.clip(x / t, p.omega_minus, p.omega_plus))
+            ref = max(np.max(np.abs(prof[k] - fan[k])) for k in ("rho", "u1", "theta"))
+            assert riemann_gap(wave, t)[0] == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_rejects_nonpositive_time(self):
         wave = SmoothWave.build(DATA, 0.1)
