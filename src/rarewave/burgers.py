@@ -13,7 +13,8 @@ in the residual cross-check.
 
 Paths given x (``burgers_eval_full``, ``SmoothWave.state``/``profile``,
 ``euler_residual``, the fan grid of ``riemann_gap``) solve for the foot points
-x0 by Newton's method; the characteristic-grid reports choose x0 and solve none.
+x0 by monotone Newton from the tanh inflection; the characteristic-grid
+reports choose x0 and solve none.
 """
 
 from __future__ import annotations
@@ -78,41 +79,36 @@ def _init_derivs(p: WaveParams, x0):
 
 
 def _foot_points(p: WaveParams, t, x):
-    """Solve x = x0 + t omega0(x0) for x0 (vectorized safeguarded Newton).
+    """Solve x = x0 + t omega0(x0) for x0 (vectorized monotone Newton).
 
-    t broadcasts against x.  The map is strictly increasing in x0 (omega0' > 0,
-    t >= 0), so the root is unique and stays inside the bracket
-    [x - omega+ t, x - omega- t], which is {x} at t = 0.  A point that meets
-    the tolerance keeps its value, so each point iterates exactly as alone.
+    t broadcasts against x.  F(x0) = x0 + t omega0(x0) - x is increasing
+    (omega0' > 0, t >= 0), convex for x0 < 0 and concave for x0 > 0, and its
+    root lies in [x - omega+ t, x - omega- t].  Newton starts at the point of
+    that interval nearest the inflection x0 = 0.  The start is then on the
+    root's side of the inflection, and F there is >= 0 where F is convex and
+    <= 0 where it is concave, so each tangent step lands between the iterate
+    and the root: the iterates move monotonically to the root (Fourier's
+    condition).  At t = 0 the start is x itself.  A point that meets the
+    tolerance keeps its value, so each point iterates exactly as alone; the
+    tolerance has a floor at the round-off of F where t omega0 and x cancel.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise ValueError("t must be nonnegative")
-    lo = x - p.omega_plus * t
-    hi = x - p.omega_minus * t
-    x0 = np.clip(x - t * burgers_init(p, x), lo, hi)  # fixed-point starting guess
-    tol = 1e-13 * (1.0 + np.abs(x))
-    for k in range(FOOT_MAX_ITER + 1):
+    x0 = np.clip(0.0, x - p.omega_plus * t, x - p.omega_minus * t)
+    speed = max(abs(p.omega_minus), abs(p.omega_plus))
+    roundoff = 8.0 * np.finfo(float).eps * (np.abs(x) + t * speed)
+    tol = 1e-13 * (1.0 + np.abs(x)) + roundoff
+    for _ in range(FOOT_MAX_ITER):
         g, gp, _ = _init_derivs(p, x0)
         f = x0 + t * g - x
         done = np.abs(f) <= tol
         if np.all(done):
             return x0
-        if k == FOOT_MAX_ITER:
-            break
-        lo = np.where(f < 0.0, x0, lo)
-        hi = np.where(f > 0.0, x0, hi)
-        step = f / (1.0 + t * gp)
-        cand = x0 - step
-        # Take the Newton candidate only when it stays in the bracket and
-        # moves less than half the bracket width; otherwise bisect.  This
-        # rules out the two-point cycling Newton is prone to on tanh data.
-        ok = (cand > lo) & (cand < hi) & (np.abs(step) <= 0.5 * (hi - lo))
-        x0 = np.where(done, x0, np.where(ok, cand, 0.5 * (lo + hi)))
+        x0 = np.where(done, x0, x0 - f / (1.0 + t * gp))
     raise RuntimeError(
-        f"foot-point iteration failed for {int(np.count_nonzero(~done))} points "
-        f"at t={t} (bracket width {np.max(hi - lo):.3e})"
+        f"foot-point iteration failed for {int(np.count_nonzero(~done))} points at t={t}"
     )
 
 
@@ -186,9 +182,8 @@ class SmoothWave:
 
     def state(self, t: float, x: float) -> GasState:
         """Pointwise GasState of the wave (u2 = u3 = 0)."""
-        w = burgers_eval_full(self.params, t, float(x))[0]
-        c = self._curve_values(w)
-        return GasState.make(float(c["rho"]), float(c["u1"]), float(c["theta"]))
+        c = self.profile(t, float(x), order=0)
+        return GasState.make(c["rho"], c["u1"], c["theta"])
 
     def profile(self, t: float, x, order: int = 1) -> dict:
         """Arrays of (rho, u1, theta) and their (t, x)-derivatives.

@@ -140,6 +140,72 @@ def test_batched_foot_points_match_single_point(monkeypatch):
     assert len(iterations) >= 3
 
 
+# the wave of the wave_reports benchmark workload
+REPORT_DATA = RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5)
+REPORT_WAVE = SmoothWave.build(REPORT_DATA, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p,t,x",
+    [
+        (REPORT_WAVE.params, 1000.0, -0.61625),
+        (REPORT_WAVE.params, 1000.0, 0.63625),
+        (REPORT_WAVE.params, 1e4, 7.5025),
+        (WaveParams(2.0, -50.0, 80.0), 1000.0, 0.0),
+    ],
+)
+def test_foot_points_where_t_omega_cancels_x(p, t, x):
+    # x0 and t omega0 cancel to x ~ 0, so x0 + t omega0 - x carries a
+    # round-off of ~eps t omega0, above 1e-13 (1 + |x|): a tolerance without
+    # a round-off floor is never met
+    (x0,) = _foot_points(p, t, x)
+    scale = abs(x) + t * max(abs(p.omega_minus), abs(p.omega_plus))
+    assert abs(x0 + t * burgers_init(p, x0) - x) <= 8 * np.finfo(float).eps * scale
+    assert p.omega_minus <= (x - x0) / t <= p.omega_plus
+
+
+def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
+    # riemann_gap's fan grid at t = 50 reaches feet deep in the saturated
+    # tanh tail; Newton from the inflection needs few steps there, and each
+    # point's iterates approach its root from one side without passing it
+    grids = []
+
+    def spy(p, t, x):
+        grids.append((t, x))
+        return _foot_points(p, t, x)
+
+    monkeypatch.setattr(burgers, "_foot_points", spy)
+    riemann_gap(REPORT_WAVE, 50.0)
+    ((t, x_fan),) = grids
+    assert t == 50.0 and len(x_fan) == 8001
+
+    iterates = []
+    init_derivs = burgers._init_derivs
+
+    def counting(p, x0):  # called once per iteration
+        iterates.append(np.copy(x0))
+        return init_derivs(p, x0)
+
+    monkeypatch.setattr(burgers, "_init_derivs", counting)
+    root = _foot_points(REPORT_WAVE.params, t, x_fan)
+    assert len(iterates) <= 10
+    steps = np.array(iterates)
+    toward = np.sign(root - steps[0])
+    assert np.all(np.diff(steps, axis=0) * toward >= 0)
+    assert np.all((root - steps) * toward >= 0)
+
+
+def test_state_is_scalar_profile():
+    # one evaluation path: state lifts the scalar order-0 profile
+    rng = np.random.default_rng(11)
+    for delta in (0.1, 0.5, 2.0):
+        wave = SmoothWave.build(REPORT_DATA, delta)
+        for t, x in zip(rng.uniform(0.0, 60.0, 300), rng.uniform(-5.0, 120.0, 300)):
+            s = wave.state(t, x)
+            prof = wave.profile(t, x, order=0)
+            assert (s.rho, s.u1, s.theta) == (prof["rho"], prof["u1"], prof["theta"])
+
+
 def test_monotone_and_bounded():
     x = np.linspace(-4, 4, 4001)
     for t in (0.1, 1.0, 10.0):
