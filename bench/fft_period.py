@@ -1,4 +1,4 @@
-"""Per-layer cost of the padded FFT convolution, against an earlier revision.
+"""Per-layer cost of the kernel transforms, apply and weak_apply, against an earlier revision.
 
     python bench/fft_period.py --before REV [--rounds 10] [--out BENCH_fft_period.json]
 

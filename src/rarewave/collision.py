@@ -5,8 +5,11 @@ The bilinear operator is discretized in divergence form,
     Q(F1, F2) = d_i [ (phi^{ij} * F1) d_j F2 - (phi^{ij} * d_j F1) F2 ],
 
 with centered differences for every derivative and the kernel
-convolutions taken as pairwise lattice sums.  Because the velocity
-nodes form a uniform lattice, those sums are ordinary discrete
+convolutions taken as pairwise lattice sums.  Every difference
+coefficient comes from the 1-D matrices of ``_stencils`` (D, its
+fourth-order variant G4 and the second difference S), applied along one
+axis at a time by ``_along``.  Because the velocity nodes form a
+uniform lattice, those sums are ordinary discrete
 convolutions; they are evaluated through zero-padded real FFTs, which
 reproduces the direct node-pair summation exactly up to floating-point
 reordering.  Each axis is padded to a period P >= 2n - 1: of the
@@ -183,7 +186,7 @@ class _KernelTransforms:
         return irfftn(spec, s=self.pad_shape)[self.keep].copy()
 
 
-_transforms = lru_cache(maxsize=4)(_KernelTransforms)
+_transforms = lru_cache(maxsize=1)(_KernelTransforms)
 
 
 def _phi_conv_fft(g, p, fw):
@@ -206,38 +209,48 @@ def _phi_grad_fft(g, p, gradws):
     return np.stack([tr.inverse(_contract(tr.khat, ghats, i)) for i in range(3)])
 
 
+@lru_cache(maxsize=1)
+def _stencils(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference matrices of every stencil of L_M on n nodes of spacing h.
+
+    D is ``np.gradient``'s first difference: centered inside, one-sided
+    at the faces.  S is the (n - 2) x n second difference on the interior
+    nodes, which annihilates affine fields.  G4 is D with the fourth-order
+    five-point stencil on rows 2 ... n - 3.  D serves the outer divergence
+    and the weak form's gradient, whose adjoint is D.T; G4 serves the inner
+    relative gradients.  The matrices are cached: callers never write them.
+    """
+    eye = np.eye(n)
+    d = np.gradient(eye, h, axis=0)
+    g4 = d.copy()
+    g4[2:-2] = (eye[:-4] - 8.0 * eye[1:-3] + 8.0 * eye[3:-1] - eye[4:]) / (12.0 * h)
+    return d, np.diff(eye, 2, axis=0), g4
+
+
+def _along(mat: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
+    """A difference matrix applied along one axis of a 3-D field."""
+    return np.moveaxis(mat @ np.moveaxis(field, axis, -2), -2, axis)
+
+
 def _relative_gradient(field: np.ndarray, g: VelocityGrid, weight: GasState) -> list[np.ndarray]:
     """The three fields W d_j (field / W) for the Maxwellian W of ``weight``.
 
-    Written through neighbor ratios of W, so the underflowing Gaussian
-    tail never appears in a denominator.  Fourth-order five-point stencils
-    in the interior, centered second-order one node from each face and
-    one-sided at the faces; collision fields decay fast enough that the
-    low-order face closures never matter.
+    The stencil G4 of :func:`_stencils` with each coefficient (k, l)
+    scaled by the neighbor ratio W_k / W_l, so the underflowing Gaussian
+    tail never appears in a denominator.  Collision fields decay fast
+    enough that the low-order face closures never matter.  The offset
+    l - k of the ratio is clipped to the stencil's [-2, 2], so the
+    entries off the band stay finite and multiply zeros.
     """
-    h = g.spacing
-    u = weight.u
+    n, h = g.n_per_axis, g.spacing
+    g4 = _stencils(n, h)[2]
+    offset = np.clip(np.arange(n) - np.arange(n)[:, None], -2, 2)
     rtheta = GAS_R * weight.theta
     out = []
     for j in range(3):
-        c = (g.axis - u[j]).reshape(-1, 1, 1)
-        # W_k / W_{k+m} for the offsets m = 1, -1, 2, -2
-        rp, rm, rp2, rm2 = (
-            np.exp((m * c * h + 0.5 * m * m * h * h) / rtheta) for m in (1, -1, 2, -2)
-        )
-        f = np.moveaxis(field, j, 0)
-        gj = np.empty_like(f)
-        gj[2:-2] = (
-            -f[4:] * rp2[2:-2]
-            + 8.0 * f[3:-1] * rp[2:-2]
-            - 8.0 * f[1:-3] * rm[2:-2]
-            + f[:-4] * rm2[2:-2]
-        ) / (12.0 * h)
-        gj[1] = (f[2] * rp[1] - f[0] * rm[1]) / (2.0 * h)
-        gj[-2] = (f[-1] * rp[-2] - f[-3] * rm[-2]) / (2.0 * h)
-        gj[0] = (f[1] * rp[0] - f[0]) / h
-        gj[-1] = (f[-1] - f[-2] * rm[-1]) / h
-        out.append(np.moveaxis(gj, 0, j))
+        c = (g.axis - weight.u[j])[:, None]
+        ratio = np.exp((offset * c * h + 0.5 * offset * offset * h * h) / rtheta)
+        out.append(_along(g4 * ratio, field, j))
     return out
 
 
@@ -253,9 +266,10 @@ def _field_sums(g: VelocityGrid, p: KernelParams, values: np.ndarray, weight: Ga
     return grads, _phi_conv_fft(g, p, values * w), _phi_grad_fft(g, p, [x * w for x in grads])
 
 
-def _divergence(fluxes, h: float) -> np.ndarray:
+def _divergence(fluxes, g: VelocityGrid) -> np.ndarray:
     """Centered-difference divergence sum_i d_i flux_i of three flux fields."""
-    return sum(np.gradient(flux, h, axis=i) for i, flux in enumerate(fluxes))
+    d = _stencils(g.n_per_axis, g.spacing)[0]
+    return sum(_along(d, flux, i) for i, flux in enumerate(fluxes))
 
 
 def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> np.ndarray:
@@ -307,7 +321,7 @@ def collision_Q(
     _, a6, b3 = _field_sums(g, p, F1.values, weight)
     grads2 = _relative_gradient(F2.values, g, weight)
     fluxes = (_contract(a6, grads2, i) - b3[i] * F2.values for i in range(3))
-    return GridFunction(g, _divergence(fluxes, g.spacing))
+    return GridFunction(g, _divergence(fluxes, g))
 
 
 def linearized_LM(
@@ -344,25 +358,15 @@ def linearized_script_L(
     g: VelocityGrid | None = None,
     p: KernelParams = KernelParams(),
 ) -> GridFunction:
-    """The sqrt(mu)-conjugated linearization Gamma(f, sqrt(mu)) + Gamma(sqrt(mu), f)."""
+    """The sqrt(mu)-conjugated linearization Gamma(f, sqrt(mu)) + Gamma(sqrt(mu), f).
+
+    Evaluated as L_mu (sqrt(mu) f) / sqrt(mu), the same two Q sums.
+    """
     if g is None:
         g = f.grid
-    sq_gf = GridFunction(g, np.sqrt(maxwellian(REFERENCE_STATE, g).values))
-    a = gamma_bilinear(f, sq_gf, g, p)
-    b = gamma_bilinear(sq_gf, f, g, p)
-    return GridFunction(g, a.values + b.values)
-
-
-def _grad_transpose(y: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Plain transpose of the centered-difference gradient operator."""
-    y = np.moveaxis(y, axis, 0)
-    z = np.empty_like(y)
-    z[2:-2] = (y[1:-3] - y[3:-1]) / (2.0 * h)
-    z[0] = -y[0] / h - y[1] / (2.0 * h)
-    z[1] = y[0] / h - y[2] / (2.0 * h)
-    z[-2] = y[-3] / (2.0 * h) - y[-1] / h
-    z[-1] = y[-2] / (2.0 * h) + y[-1] / h
-    return np.moveaxis(z, 0, axis)
+    sq = np.sqrt(maxwellian(REFERENCE_STATE, g).values)
+    lm = linearized_LM(GridFunction(g, sq * f.values), REFERENCE_STATE, g, p)
+    return GridFunction(g, lm.values / sq)
 
 
 class NonConvergenceError(RuntimeError):
@@ -417,14 +421,15 @@ class LMOperator:
         # true local magnitude of w M sigma / h^2: the dynamic range
         # across the lattice is ~1e40, and replacing tail entries by
         # any uniform floor destroys the scaled conditioning.  Each axis
-        # penalty is _STAB_WEIGHT t, so the axis adds (1 + _STAB_WEIGHT)
-        # (t at both axis neighbours, faces repeated) + 4 _STAB_WEIGHT t.
+        # penalty is S^T (_STAB_WEIGHT t) S with t on the interior nodes,
+        # and its diagonal is taken as (1 + _STAB_WEIGHT) (t at both axis
+        # neighbours, faces repeated) + 4 _STAB_WEIGHT t.
         n = g.n_per_axis
         self.stab = []
         diag = np.zeros(g.shape)
         for axis, comp in enumerate(_DIAGONAL):
             t = self.wm * self.a6_m[comp] / (4.0 * h * h)
-            self.stab.append(_STAB_WEIGHT * t)
+            self.stab.append(_STAB_WEIGHT * np.take(t, np.arange(1, n - 1), axis))
             nb = sum(np.take(t, np.clip(np.arange(n) + k, 0, n - 1), axis) for k in (-1, 1))
             diag += (1.0 + _STAB_WEIGHT) * nb + 4.0 * _STAB_WEIGHT * t
         self.diag = np.maximum(diag, 1e-300)
@@ -447,27 +452,18 @@ class LMOperator:
             - (b3_h[i] * mv + self.b3_m[i] * values)
             for i in range(3)
         )
-        return _divergence(fluxes, g.spacing)
+        return _divergence(fluxes, g)
 
     def weak_apply(self, x: np.ndarray) -> np.ndarray:
         """Positive-semidefinite Dirichlet form on potentials (6 transforms)."""
         g = self.grid
-        h = g.spacing
-        gx = np.gradient(x, h)
+        d, sec, _ = _stencils(g.n_per_axis, g.spacing)
+        gx = [_along(d, x, i) for i in range(3)]
         nonlocal_ = _phi_grad_fft(g, self.params, [self.wm * gx_i for gx_i in gx])
         out = np.zeros(g.shape)
         for j in range(3):
             flux_j = self.wm * (_contract(self.a6_m, gx, j) - nonlocal_[j])
-            out += _grad_transpose(flux_j, h, axis=j)
-        for axis in range(3):
-            f = np.moveaxis(x, axis, 0)
-            c = np.moveaxis(self.stab[axis], axis, 0)
-            pen = c[1:-1] * (f[2:] - 2.0 * f[1:-1] + f[:-2])
-            z = np.zeros_like(f)
-            z[2:] += pen
-            z[1:-1] -= 2.0 * pen
-            z[:-2] += pen
-            out += np.moveaxis(z, 0, axis)
+            out += _along(d.T, flux_j, j) + _along(sec.T, self.stab[j] * _along(sec, x, j), j)
         return out
 
     def micro_defect(self, values: np.ndarray) -> float:
@@ -479,7 +475,7 @@ class LMOperator:
         return num / den if den > 0.0 else 0.0
 
 
-_lm_operator = lru_cache(maxsize=4)(LMOperator)
+_lm_operator = lru_cache(maxsize=1)(LMOperator)
 
 
 def lm_operator(s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()) -> LMOperator:
@@ -541,6 +537,8 @@ def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[n
 _RESTART = 20
 # Largest fluid fraction accepted in a right-hand side of invert_LM_micro.
 _MICRO_TOL = 1e-6
+# Inner conjugate-gradient iterations one invert_LM_micro solve may spend.
+_MAX_INNER_ITER = 600
 
 
 def invert_LM_micro(
@@ -549,7 +547,6 @@ def invert_LM_micro(
     g: VelocityGrid | None = None,
     p: KernelParams = KernelParams(),
     tol: float = 1e-6,
-    max_iter: int = 400,
 ) -> GridFunction:
     """Solve L_M g = h on the microscopic subspace.
 
@@ -559,9 +556,9 @@ def invert_LM_micro(
     norm is the quadrature norm and the solve stops once
     ||L_M g - h|| <= tol ||h||.  The initial guess is one ``_pcg``
     application to h at relative tolerance 1e-3; each Krylov step runs
-    one more at 1e-2 and one strong-form apply.  ``max_iter`` bounds the
-    inner conjugate-gradient iterations over the whole solve.  The
-    residual history holds relative residuals: 1 for the zero start, the
+    one more at 1e-2 and one strong-form apply.  ``_MAX_INNER_ITER``
+    bounds the inner conjugate-gradient iterations over the whole solve.
+    The residual history holds relative residuals: 1 for the zero start, the
     true residual of the initial guess and of every restart, and the
     GMRES least-squares residual after each Krylov step.  Raises
     :class:`NonConvergenceError` (with that history) when the inner
@@ -586,7 +583,7 @@ def invert_LM_micro(
         )
     mv = op.m.values
     sw = np.sqrt(g.weights)
-    x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=max_iter)
+    x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=_MAX_INNER_ITER)
     history = [1.0]
     cycle_start = None  # true residual before the last full restart cycle
 
@@ -608,8 +605,8 @@ def invert_LM_micro(
         vs = [r / beta]
         zs = []
         hess = np.zeros((_RESTART + 1, _RESTART))
-        while history[-1] > tol and len(zs) < _RESTART and iters_used < max_iter:
-            z, it = _pcg(op, vs[-1] / sw, rtol=1e-2, max_iter=max_iter - iters_used)
+        while history[-1] > tol and len(zs) < _RESTART and iters_used < _MAX_INNER_ITER:
+            z, it = _pcg(op, vs[-1] / sw, rtol=1e-2, max_iter=_MAX_INNER_ITER - iters_used)
             if it == 0:
                 break
             iters_used += it
@@ -632,5 +629,5 @@ def invert_LM_micro(
             x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
         if history[-1] <= tol:
             return project_P1(GridFunction(g, mv * x), op.basis)
-        if not zs or iters_used >= max_iter:
+        if not zs or iters_used >= _MAX_INNER_ITER:
             raise stalled()

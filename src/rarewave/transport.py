@@ -176,7 +176,7 @@ def burnett_solve(
                 fields[c] = np.transpose(fields[origin], axes)
                 break
         else:
-            fields[c] = invert_LM_micro(source, s, g, p, tol=tol, max_iter=600).values
+            fields[c] = invert_LM_micro(source, s, g, p, tol=tol).values
             solved.append(name)
         res = source.values - op.apply(fields[c])
         residuals[name] = math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))

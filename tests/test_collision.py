@@ -27,11 +27,13 @@ from rarewave.collision import (
     lm_operator,
     phi_kernel,
     _UNPACK,
-    _grad_transpose,
     _phi_conv_direct,
     _phi_grad_fft,
+    _relative_gradient,
+    _stencils,
     _transforms,
 )
+from rarewave import collision
 
 # Cell average of |u|^(gamma+2) over the unit cube at gamma = -3, from the
 # self-similar shell reduction; the Monte Carlo test below rechecks it.
@@ -410,12 +412,13 @@ def test_invert_scaling_equivariance():
     assert np.abs(three.values - 3.0 * one.values).max() <= 1e-12 * np.abs(one.values).max()
 
 
-def test_invert_reports_residual_history_on_stall():
+def test_invert_reports_residual_history_on_stall(monkeypatch):
     g = grid(16)
     op = lm_operator(STATE, g)
     h, _ = manufactured(g, op)
+    monkeypatch.setattr(collision, "_MAX_INNER_ITER", 3)
     with pytest.raises(NonConvergenceError) as exc:
-        invert_LM_micro(h, STATE, g, tol=1e-13, max_iter=3)
+        invert_LM_micro(h, STATE, g, tol=1e-13)
     err = exc.value
     assert len(err.residuals) >= 1
     assert all(r >= 0.0 for r in err.residuals)
@@ -426,12 +429,22 @@ def test_invert_reports_residual_history_on_stall():
 # low-level pieces
 
 
-def test_gradient_transpose_is_adjoint():
-    rng = np.random.default_rng(99)
-    x = rng.normal(size=(9, 9, 9))
-    y = rng.normal(size=(9, 9, 9))
-    h = 0.37
-    for axis in range(3):
-        a = float(np.sum(np.gradient(x, h, axis=axis) * y))
-        b = float(np.sum(x * _grad_transpose(y, h, axis)))
-        assert abs(a - b) <= 1e-12 * abs(a)
+def test_stencils_are_exact_on_weighted_polynomials():
+    # Under a drifting weight W, the relative gradient differentiates W p
+    # exactly for deg p <= 4 on rows 2 ... n - 3, deg p <= 2 one node from
+    # each face and deg p <= 1 at the faces; S annihilates affine fields.
+    g = grid(12)
+    n = g.n_per_axis
+    s = GasState.make(1.0, 0.4, 1.4, u2=-0.3, u3=0.2)
+    w = maxwellian(s, g).values
+    poly = np.polynomial.polynomial
+    rng = np.random.default_rng(5)
+    for deg, rows in ((4, slice(2, n - 2)), (2, slice(1, n - 1)), (1, slice(0, n))):
+        coef = rng.normal(size=deg + 1)
+        for j, vj in enumerate(coords(g)):
+            p = poly.polyval(vj, coef)
+            grad = _relative_gradient(w * p, g, s)[j]
+            err = np.abs(grad / w - poly.polyval(vj, poly.polyder(coef)))
+            assert np.moveaxis(err, j, 0)[rows].max() <= 1e-12 * np.abs(p).max() / g.spacing
+    affine = 0.7 - 1.3 * g.axis
+    assert np.abs(_stencils(n, g.spacing)[1] @ affine).max() <= 1e-14 * np.abs(affine).max()
