@@ -11,6 +11,7 @@ field that ``gbar_construct`` evaluates at points of the wave.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,6 +28,7 @@ from .velocity import (
 )
 from .collision import (
     KernelParams,
+    NonConvergenceError,
     collision_Q,
     invert_LM_micro,
     lm_operator,
@@ -34,8 +36,10 @@ from .collision import (
 
 DEFAULT_TABLE_THETAS = (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)
 
+_log = logging.getLogger(__name__)
+
 # Axis indices of the heat components A_j and the shear components B_ij,
-# in the order burnett_solve produces them.
+# in the order of burnett_solve's outputs (its solves may run in another).
 _COMPONENTS = ((0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 # Relative defect of the rotation-invariance pairing identities per squared
@@ -96,9 +100,11 @@ class BurnettSolution:
     bare source polynomials.  ``residuals`` maps component names to the
     relative residual of the linearized equation, for copied components
     as well as solved ones; ``solved`` lists the components that ran
-    through the solver.  Every other component is the transpose of an
-    earlier one under an axis transposition (a, b) with u_a == u_b,
-    which maps the lattice, the state and the sources onto themselves.
+    through the solver.  Every other component is either the transpose
+    of an earlier one under an axis transposition (a, b) with
+    u_a == u_b, which maps the lattice, the state and the sources onto
+    themselves, or a diagonal shear that follows from the trace:
+    B11 + B22 + B33 = 0, since the sources sum to zero and L_M is linear.
     ``grid_defect`` is the resolution floor sup|Q(M, M)| measured on
     this lattice at this state.
     """
@@ -147,13 +153,20 @@ def burnett_solve(
 ) -> BurnettSolution:
     """Solve the linearized equations for both source families.
 
-    The nine components run in the order A1, A2, A3, B11, B22, B33,
-    B12, B13, B23.  A component is copied as ``np.transpose`` of one
-    already produced when an axis transposition (a, b) with
-    ``s.u[a] == s.u[b]`` maps that one onto it; otherwise it is solved.
-    At rest that leaves three solves (A1, B11, B12), with u = (u1, 0, 0)
-    six.  Every component, copied or solved, gets its equation residual
-    verified against the literal operator and recorded.  Each solve
+    The heat components come first, then the diagonal shears, most
+    transposition partners first (a stable sort of B11, B22, B33), then
+    B12, B13, B23.  Each component takes the first rule that applies:
+    it is ``np.transpose`` of one already produced when an axis
+    transposition (a, b) with ``s.u[a] == s.u[b]`` maps that one onto
+    it; a diagonal shear whose two diagonal siblings exist is minus
+    their sum; otherwise it is solved.  At rest that leaves three solves
+    (A1, B11, B12), at u = (u1, 0, 0) five (A1, A2, B22, B12, B23, with
+    B33 the transpose of B22 and B11 = -(B22 + B33)), and with three
+    distinct velocity components eight.  Every component, however made,
+    gets its equation residual verified against the literal operator,
+    recorded and logged at DEBUG to ``rarewave.transport``; a verified
+    residual above ``tol`` raises :class:`NonConvergenceError` naming
+    the component, with the residuals recorded so far.  Each solve
     gets 600 inner iterations; solver failures propagate per component.
     """
     op = lm_operator(s, g, p)
@@ -162,24 +175,43 @@ def burnett_solve(
     qvals = collision_Q(m, m, g, p).values
     grid_defect = float(np.abs(qvals).max())
 
-    fields: dict = {}
-    residuals: dict = {}
-    solved: list = []
-    for c in _COMPONENTS:
-        name = _name(c)
-        source = project_P1(GridFunction(g, polys[c] * m.values), op.basis)
+    def transposes(c):
+        """(origin, axes) of each allowed axis transposition moving onto c."""
         for a, b in combinations(range(3), 2):
             swap = {a: b, b: a}
             origin = tuple(sorted(swap.get(k, k) for k in c))
-            if s.u[a] == s.u[b] and origin != c and origin in fields:
-                axes = [swap.get(k, k) for k in range(3)]
-                fields[c] = np.transpose(fields[origin], axes)
-                break
+            if s.u[a] == s.u[b] and origin != c:
+                yield origin, [swap.get(k, k) for k in range(3)]
+
+    diagonal = sorted(_COMPONENTS[3:6], key=lambda c: -len(list(transposes(c))))
+    fields: dict = {}
+    residuals: dict = {}
+    solved: list = []
+    for c in _COMPONENTS[:3] + tuple(diagonal) + _COMPONENTS[6:]:
+        name = _name(c)
+        source = project_P1(GridFunction(g, polys[c] * m.values), op.basis)
+        siblings = [d for d in _COMPONENTS[3:6] if d != c]
+        origin = next(((o, axes) for o, axes in transposes(c) if o in fields), None)
+        if origin is not None:
+            fields[c] = np.transpose(fields[origin[0]], origin[1])
+            how = f"transpose of {_name(origin[0])}"
+        elif c in diagonal and all(d in fields for d in siblings):
+            fields[c] = -(fields[siblings[0]] + fields[siblings[1]])
+            how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
             fields[c] = invert_LM_micro(source, s, g, p, tol=tol).values
             solved.append(name)
+            how = "solve"
         res = source.values - op.apply(fields[c])
         residuals[name] = math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))
+        _log.debug("%s: %s, verified residual %.3e", name, how, residuals[name])
+        if not residuals[name] <= tol:
+            recorded = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
+            raise NonConvergenceError(
+                f"{name} ({how}) has verified residual above tol {tol:.1e}; recorded {recorded}",
+                residuals.values(),
+            )
+    residuals = {_name(c): residuals[_name(c)] for c in _COMPONENTS}
 
     kappa = -GAS_R * GAS_R * s.theta * g.integrate(polys[(0,)] * fields[(0,)])
     mu = -GAS_R * s.theta * g.integrate(polys[0, 1] * fields[0, 1])

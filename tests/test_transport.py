@@ -1,6 +1,7 @@
 """Burnett preimages, transport coefficients and the transport table."""
 
 import dataclasses
+import logging
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from rarewave import transport
 from rarewave.burgers import SmoothWave
 from rarewave.collision import KernelParams, NonConvergenceError, invert_LM_micro
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
@@ -200,18 +202,91 @@ def test_transposition_rule_fixes_the_solved_components(solutions, wave_point):
     assert solutions[1.0, 1.0].solved == ("A1", "B11", "B12")
     sol = wave_point[3]
     assert sol.state.u[0] != 0.0 and sol.state.u[1] == sol.state.u[2] == 0.0
-    assert sol.solved == ("A1", "A2", "B11", "B22", "B12", "B23")
+    assert sol.solved == ("A1", "A2", "B22", "B12", "B23")
     assert max(sol.residuals.values()) <= 5.1e-3
+
+
+def trace_origin(sol, name):
+    """Minus the sum of the other two diagonal shears, or None off the diagonal."""
+    if name[0] != "B" or name[1] != name[2]:
+        return None
+    fields = fields_by_name(sol)
+    others = [f"B{k}{k}" for k in "123" if k != name[1]]
+    return -(fields[others[0]] + fields[others[1]])
 
 
 def test_copied_components_are_exact_transposes(solutions, wave_point):
     for sol in (solutions[1.0, 1.0], wave_point[3]):
         for name, field in fields_by_name(sol).items():
             if name not in sol.solved:
-                assert any(np.array_equal(field, o) for o in transposed_origins(sol, name)), name
+                trace = trace_origin(sol, name)
+                assert any(np.array_equal(field, o) for o in transposed_origins(sol, name)) or (
+                    trace is not None and np.array_equal(field, trace)
+                ), name
         for i in range(3):
             for j in range(3):
                 assert np.array_equal(sol.B[i][j].values, sol.B[j][i].values)
+
+
+def test_diagonal_shear_sources_sum_to_zero(wave_point):
+    s, g = wave_point[3].state, wave_point[3].grid
+    hb = burnett_hats(s, g)[1]
+    basis = macro_basis(s, g)
+    for diag in ([hb[k][k] for k in range(3)], [project_P1(hb[k][k], basis) for k in range(3)]):
+        total = diag[0].values + diag[1].values + diag[2].values
+        scale = max(float(np.abs(d.values).max()) for d in diag)
+        assert np.abs(total).max() <= 8.0 * np.finfo(float).eps * scale
+
+
+def test_every_wave_point_residual_is_within_tol(wave_point):
+    sol = wave_point[3]
+    assert sorted(sol.residuals) == sorted(COMPONENTS)
+    assert all(0.0 <= r <= TOL for r in sol.residuals.values())
+    assert "B11" not in sol.solved
+    b = fields_by_name(sol)
+    assert np.array_equal(b["B11"], -(b["B22"] + b["B33"]))
+
+
+def test_three_distinct_velocity_components_take_eight_solves():
+    theta = 1.0
+    s = GasState(1.0, (0.2, -0.1, 0.05), theta)
+    g = VelocityGrid(0.3 + 6.5 * math.sqrt(GAS_R * theta), N)
+    sol = burnett_solve(s, g, tol=TOL)
+    assert sol.solved == ("A1", "A2", "A3", "B11", "B22", "B12", "B13", "B23")
+    b = fields_by_name(sol)
+    assert np.array_equal(b["B33"], -(b["B11"] + b["B22"]))
+    assert sorted(sol.residuals) == sorted(COMPONENTS)
+    assert all(0.0 <= r <= TOL for r in sol.residuals.values())
+
+
+def test_a_verified_residual_above_tol_raises(monkeypatch):
+    solve = transport.invert_LM_micro
+
+    def overshoot(*args, **kwargs):
+        return GridFunction(args[2], 1.1 * solve(*args, **kwargs).values)
+
+    monkeypatch.setattr(transport, "invert_LM_micro", overshoot)
+    s = GasState.make(1.0, 0.0, 1.0)
+    with pytest.raises(NonConvergenceError, match=r"A1 \(solve\) has verified residual above") as exc:
+        burnett_solve(s, thermal_grid(1.0, N), tol=TOL)
+    assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > TOL
+
+
+def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplog):
+    wave, t, x, ref = wave_point
+    assert not logging.getLogger("rarewave.transport").handlers
+    with caplog.at_level(logging.DEBUG, logger="rarewave.transport"):
+        sol = burnett_solve(ref.state, ref.grid, tol=TOL)
+    records = [r.getMessage() for r in caplog.records if r.name == "rarewave.transport"]
+    assert len(records) == 9
+    logged = {m.split(":")[0]: m for m in records}
+    assert sorted(logged) == sorted(COMPONENTS)
+    assert "B33: transpose of B22," in logged["B33"]
+    assert "B11: trace of B22, B33," in logged["B11"]
+    for name in sol.solved:
+        assert logged[name].startswith(f"{name}: solve,")
+    for name, r in sol.residuals.items():
+        assert logged[name].endswith(f"verified residual {r:.3e}")
 
 
 def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
