@@ -98,8 +98,8 @@ class BurnettSolution:
     ``B[j][i]`` is the same GridFunction as ``B[i][j]``; the transport
     coefficients come from the quadratures of A1 and B12 against their
     bare source polynomials.  ``residuals`` maps component names to the
-    relative residual of the linearized equation, for copied components
-    as well as solved ones; ``solved`` lists the components that ran
+    relative residual of the linearized equation, for transposed and
+    derived components as well as solved ones; ``solved`` lists the components that ran
     through the solver.  Every other component is either the transpose
     of an earlier one under an axis transposition (a, b) with
     u_a == u_b, which maps the lattice, the state and the sources onto

@@ -273,7 +273,7 @@ def test_a_verified_residual_above_tol_raises(monkeypatch):
 
 
 def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplog):
-    wave, t, x, ref = wave_point
+    ref = wave_point[3]
     assert not logging.getLogger("rarewave.transport").handlers
     with caplog.at_level(logging.DEBUG, logger="rarewave.transport"):
         sol = burnett_solve(ref.state, ref.grid, tol=TOL)
