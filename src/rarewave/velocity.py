@@ -250,7 +250,11 @@ def sigma_norm(h: GridFunction, sigma, ell: float = 0.0, gamma: float = GAMMA_DE
 
 
 def _pair_integral(a: GasState, b: GasState) -> float:
-    """int M_a M_b / mu dv by completing the Gaussian square."""
+    """int M_a M_b / mu dv by completing the Gaussian square.
+
+    Every product and sum pairs an a-term with its b-term, so swapping
+    a and b gives the same float.
+    """
     al = 1.0 / (GAS_R * a.theta)
     be = 1.0 / (GAS_R * b.theta)
     c = al + be - 1.0
@@ -266,7 +270,7 @@ def _pair_integral(a: GasState, b: GasState) -> float:
     return (
         a.rho
         * b.rho
-        * (GAS_R * a.theta * GAS_R * b.theta * c) ** -1.5
+        * (c / (al * be)) ** -1.5
         * math.exp(0.5 * (float(m @ m) / c - K))
     )
 

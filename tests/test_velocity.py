@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rarewave.euler import GAS_R, GasState
 from rarewave.velocity import (
@@ -353,6 +353,7 @@ class TestMaxwellianDistance:
         assert maxwellian_l2mu_distance(s, s) == 0.0
 
     @given(s1=states, s2=states)
+    @example(s1=GasState.make(1.0, 0.0, 0.609375), s2=GasState.make(1.0, 0.0, 0.6015625))
     @settings(max_examples=25, deadline=None)
     def test_symmetric(self, s1, s2):
         d12 = maxwellian_l2mu_distance(s1, s2)
