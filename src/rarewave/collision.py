@@ -6,16 +6,16 @@ The bilinear operator is discretized in divergence form,
 
 with centered differences for every derivative and the kernel
 convolutions taken as pairwise lattice sums.  Every difference
-coefficient comes from the 1-D matrices of ``_stencils`` (D, its
-fourth-order variant G4 and the second difference S), applied along one
-axis at a time by ``_along``.  Because the velocity nodes form a
-uniform lattice, those sums are ordinary discrete
-convolutions; they are evaluated through zero-padded real FFTs, which
-reproduces the direct node-pair summation exactly up to floating-point
-reordering.  Each axis is padded to a period P >= 2n - 1: of the
-3n - 2 nodes of the linear convolution only the central n are kept,
-and P >= 2n - 1 keeps every wrapped term out of them (Hockney's
-zero-padding argument).  The literal node-pair summation
+coefficient comes from the 1-D matrices of ``velocity._stencils`` (D,
+its fourth-order variant G4 and the second difference S), applied along
+one axis at a time by ``velocity._along``; nothing here restates a
+stencil.  Because the velocity nodes form a uniform lattice, those sums
+are ordinary discrete convolutions; they are evaluated through
+zero-padded real FFTs, which reproduces the direct node-pair summation
+exactly up to floating-point reordering.  Each axis is padded to a
+period P >= 2n - 1: of the 3n - 2 nodes of the linear convolution only
+the central n are kept, and P >= 2n - 1 keeps every wrapped term out of
+them (Hockney's zero-padding argument).  The literal node-pair summation
 ``_phi_conv_direct`` is kept only as the reference the tests compare the
 transforms against at small lattice sizes.
 
@@ -65,6 +65,8 @@ from .velocity import (
     maxwellian,
     project_P0,
     project_P1,
+    _along,
+    _stencils,
 )
 
 # The components i <= j of a symmetric 3x3 field, packed as a 6-vector;
@@ -209,42 +211,19 @@ def _phi_grad_fft(g, p, gradws):
     return np.stack([tr.inverse(_contract(tr.khat, ghats, i)) for i in range(3)])
 
 
-@lru_cache(maxsize=1)
-def _stencils(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The difference matrices of every stencil of L_M on n nodes of spacing h.
-
-    D is ``np.gradient``'s first difference: centered inside, one-sided
-    at the faces.  S is the (n - 2) x n second difference on the interior
-    nodes, which annihilates affine fields.  G4 is D with the fourth-order
-    five-point stencil on rows 2 ... n - 3.  D serves the outer divergence
-    and the weak form's gradient, whose adjoint is D.T; G4 serves the inner
-    relative gradients.  The matrices are cached: callers never write them.
-    """
-    eye = np.eye(n)
-    d = np.gradient(eye, h, axis=0)
-    g4 = d.copy()
-    g4[2:-2] = (eye[:-4] - 8.0 * eye[1:-3] + 8.0 * eye[3:-1] - eye[4:]) / (12.0 * h)
-    return d, np.diff(eye, 2, axis=0), g4
-
-
-def _along(mat: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
-    """A difference matrix applied along one axis of a 3-D field."""
-    return np.moveaxis(mat @ np.moveaxis(field, axis, -2), -2, axis)
-
-
 def _relative_gradient(field: np.ndarray, g: VelocityGrid, weight: GasState) -> list[np.ndarray]:
     """The three fields W d_j (field / W) for the Maxwellian W of ``weight``.
 
     The stencil G4 of :func:`_stencils` with each coefficient (k, l)
     scaled by the neighbor ratio W_k / W_l, so the underflowing Gaussian
     tail never appears in a denominator.  Collision fields decay fast
-    enough that the low-order face closures never matter.  The offset
-    l - k of the ratio is clipped to the stencil's [-2, 2], so the
-    entries off the band stay finite and multiply zeros.
+    enough that the low-order face closures never matter.  Off the
+    nonzero band of G4 the offset l - k is taken as 0, so the ratio
+    there stays finite and multiplies zeros.
     """
     n, h = g.n_per_axis, g.spacing
     g4 = _stencils(n, h)[2]
-    offset = np.clip(np.arange(n) - np.arange(n)[:, None], -2, 2)
+    offset = np.where(g4 != 0.0, np.arange(n) - np.arange(n)[:, None], 0)
     rtheta = GAS_R * weight.theta
     out = []
     for j in range(3):
@@ -399,7 +378,7 @@ class LMOperator:
         self.params = p
         self.m = maxwellian(s, g)
         mv = self.m.values
-        h = g.spacing
+        n, h = g.n_per_axis, g.spacing
         # Differences weighted by the operator's own Maxwellian: the
         # weight drift cancels through the kernel projection, so any
         # Maxwellian weight is consistent, but only the state's own
@@ -412,27 +391,27 @@ class LMOperator:
         # Centered differences annihilate odd-even (checkerboard) modes
         # away from the faces, which would leave the Dirichlet form with
         # a large quasi-null space at the Maxwellian-tail scale; the
-        # standard cure is a second-difference penalty.  It is O(h^2)
-        # relative on smooth potentials (so consistency is untouched),
-        # exactly zero on the affine null directions, and lifts the
-        # checkerboards toward the bulk spectral scale.
+        # standard cure is a second-difference penalty, each row of S
+        # weighted at the node it is centred on.  It is O(h^2) relative
+        # on smooth potentials (so consistency is untouched), exactly zero
+        # on the affine null directions, and lifts the checkerboards
+        # toward the bulk spectral scale.
         #
-        # Jacobi scale of the weak form.  Every entry must carry the
-        # true local magnitude of w M sigma / h^2: the dynamic range
-        # across the lattice is ~1e40, and replacing tail entries by
-        # any uniform floor destroys the scaled conditioning.  Each axis
-        # penalty is S^T (_STAB_WEIGHT t) S with t on the interior nodes,
-        # and its diagonal is taken as (1 + _STAB_WEIGHT) (t at both axis
-        # neighbours, faces repeated) + 4 _STAB_WEIGHT t.
-        n = g.n_per_axis
+        # Jacobi scale of the weak form: the exact diagonal of its
+        # axis-local part, sum_i D^T (w M sigma_ii) D + S^T stab_i S,
+        # over w M.  Every entry must carry the true local magnitude:
+        # w M sigma / h^2 spans ~1e40 across the lattice, and replacing
+        # tail entries by any uniform floor destroys the scaled
+        # conditioning.
+        d, sec, _ = _stencils(n, h)
+        centres = np.arange(len(sec)) + (n - len(sec)) // 2
         self.stab = []
         diag = np.zeros(g.shape)
         for axis, comp in enumerate(_DIAGONAL):
-            t = self.wm * self.a6_m[comp] / (4.0 * h * h)
-            self.stab.append(_STAB_WEIGHT * np.take(t, np.arange(1, n - 1), axis))
-            nb = sum(np.take(t, np.clip(np.arange(n) + k, 0, n - 1), axis) for k in (-1, 1))
-            diag += (1.0 + _STAB_WEIGHT) * nb + 4.0 * _STAB_WEIGHT * t
-        self.diag = np.maximum(diag, 1e-300)
+            c = self.wm * self.a6_m[comp]
+            self.stab.append(_STAB_WEIGHT * np.take(c / (4.0 * h * h), centres, axis))
+            diag += _along((d * d).T, c, axis) + _along((sec * sec).T, self.stab[axis], axis)
+        self.jacobi = diag / self.wm
         # Conjugated geometry for the inner solve: u = sqrt(wM) x turns
         # the weak form into a uniformly scaled self-adjoint operator
         # whose five null directions sqrt(wM) dual_i are bounded decaying
@@ -475,12 +454,8 @@ class LMOperator:
         return num / den if den > 0.0 else 0.0
 
 
-_lm_operator = lru_cache(maxsize=1)(LMOperator)
-
-
-def lm_operator(s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()) -> LMOperator:
-    """Memoized LMOperator; the Maxwellian-side convolutions dominate setup."""
-    return _lm_operator(s, g, p)
+# Memoized LMOperator; the Maxwellian-side convolutions dominate setup.
+lm_operator = lru_cache(maxsize=1)(LMOperator)
 
 
 def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
@@ -504,14 +479,13 @@ def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[n
     def conj_apply(u):
         return op.weak_apply(u / sq) / sq
 
-    jac = op.diag / op.wm
     b = deflate(-(g.weights * res) / sq)
     bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
         return np.zeros(shape), 0
     u = np.zeros(shape)
     r = b.copy()
-    z = deflate(r / jac)
+    z = deflate(r / op.jacobi)
     d = z.copy()
     rz = float(np.sum(r * z))
     it = 0
@@ -526,7 +500,7 @@ def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[n
         it += 1
         if math.sqrt(float(np.sum(r * r))) <= rtol * bnorm:
             break
-        z = deflate(r / jac)
+        z = deflate(r / op.jacobi)
         rz_new = float(np.sum(r * z))
         d = z + (rz_new / rz) * d
         rz = rz_new

@@ -5,11 +5,12 @@ endpoint-inclusive trapezoid weights.  Uniformity is deliberate: the
 collision operator built on top convolves fields with a fixed kernel, so
 the nodes must be translation invariant (Gauss-Hermite nodes are not).
 
-On the lattice live Maxwellians, their moments, the five-dimensional
-macro basis chi_0..chi_4 and its projections P0/P1, the soft-potential
-velocity weight, and the sigma-weighted dissipation norm.  The gas
-constant is fixed at R = 2/3 so that internal energy per unit mass
-equals the temperature; downstream constants bake that in.
+On the lattice live the 1-D difference matrices that every velocity
+derivative of the package reads (``_stencils``), Maxwellians, their
+moments, the macro basis chi_0..chi_4 and its projections P0/P1, the
+soft-potential velocity weight, and the sigma-weighted dissipation norm.
+The gas constant is fixed at R = 2/3 so that internal energy per unit
+mass equals the temperature; downstream constants bake that in.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,6 +87,29 @@ class VelocityGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of a nodal field over the velocity box."""
         return float(np.sum(values * self.weights))
+
+
+@lru_cache(maxsize=1)
+def _stencils(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference matrices of every velocity stencil on n nodes of spacing h.
+
+    D is ``np.gradient``'s first difference: centered inside, one-sided
+    at the faces.  S is the (n - 2) x n second difference on the interior
+    nodes, which annihilates affine fields.  G4 is D with the fourth-order
+    five-point stencil on rows 2 ... n - 3.  D serves the outer divergence
+    of L_M, the weak form's gradient (adjoint D.T) and :func:`sigma_norm`;
+    G4 the inner relative gradients.  Cached: callers never write them.
+    """
+    eye = np.eye(n)
+    d = np.gradient(eye, h, axis=0)
+    g4 = d.copy()
+    g4[2:-2] = (eye[:-4] - 8.0 * eye[1:-3] + 8.0 * eye[3:-1] - eye[4:]) / (12.0 * h)
+    return d, np.diff(eye, 2, axis=0), g4
+
+
+def _along(mat: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
+    """A difference matrix applied along one axis of a 3-D field."""
+    return np.moveaxis(mat @ np.moveaxis(field, axis, -2), -2, axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +254,14 @@ def sigma_norm(h: GridFunction, sigma, ell: float = 0.0, gamma: float = GAMMA_DE
 
     ``sigma`` is the diffusion matrix sigma^{ij}(v) as an array of shape
     (3, 3) + grid.shape, the form :func:`rarewave.collision.collision_frequency`
-    returns.  Velocity gradients use centered second-order differences
-    (one-sided at the box edge, where the integrand is negligible anyway).
+    returns.  Gradients are the D of :func:`_stencils`: centered inside,
+    first-order one-sided at the faces, where the integrand is negligible.
     """
     g = h.grid
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (3, 3) + g.shape:
         raise ValueError(f"sigma coefficients have shape {sig.shape}, expected {(3, 3) + g.shape}")
-    grads = np.gradient(h.values, g.spacing, edge_order=2)
+    grads = [_along(_stencils(g.n_per_axis, g.spacing)[0], h.values, i) for i in range(3)]
     vhalf = tuple(0.5 * comp for comp in g.components)
     hsq = h.values * h.values
     acc = np.zeros(g.shape)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rarewave.euler import GasState
 from rarewave.velocity import (
+    _along,
     GridFunction,
     VelocityGrid,
     maxwellian,
@@ -359,6 +360,25 @@ def test_weak_form_symmetric_positive_with_exact_affine_nulls():
     scale = np.abs(ax).max()
     assert np.abs(op.weak_apply(np.ones(g.shape))).max() <= 1e-14 * scale
     assert np.abs(op.weak_apply(vx.copy())).max() <= 1e-14 * scale
+
+
+def test_jacobi_scale_is_the_diagonal_of_the_axis_local_weak_form():
+    # A = sum_i D^T (w M sigma_ii) D + S^T stab_i S, the weak form without
+    # its kernel sums and off-diagonal sigma_ij, applied to unit vectors at
+    # a corner, a face node, an edge node and an interior node
+    g = grid(12)
+    s = GasState.make(1.0, 0.4, 1.4, u2=-0.3, u3=0.2)
+    op = lm_operator(s, g)
+    d, sec, _ = _stencils(g.n_per_axis, g.spacing)
+    for node in ((0, 0, 0), (5, 0, 6), (11, 4, 0), (5, 6, 4)):
+        e = np.zeros(g.shape)
+        e[node] = 1.0
+        a = sum(
+            _along(d.T, op.wm * op.a6_m[_UNPACK[i, i]] * _along(d, e, i), i)
+            + _along(sec.T, op.stab[i] * _along(sec, e, i), i)
+            for i in range(3)
+        )
+        assert op.jacobi[node] * op.wm[node] == pytest.approx(a[node], rel=1e-13)
 
 
 def test_invert_recovers_manufactured_solution():

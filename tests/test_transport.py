@@ -68,6 +68,14 @@ def test_burnett_solve_records_all_nine_residuals_within_tol(solutions):
         assert sol.mu_theta > 0.0 and sol.kappa_theta > 0.0
 
 
+def test_default_tolerance_is_met_on_the_default_lattice():
+    # the default tol must lie above the residual floor of the n = 20
+    # thermal lattice, where the A1 solve stalls near 1e-3
+    sol = burnett_solve(GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N))
+    assert sorted(sol.residuals) == sorted(COMPONENTS)
+    assert all(0.0 <= r <= 1e-2 for r in sol.residuals.values())
+
+
 def test_coefficients_are_exactly_theta_covariant(solutions):
     # The thermal lattice scales with sqrt(theta), so the discrete problem
     # is self-similar and the table is an exact power law at gamma = -3.
