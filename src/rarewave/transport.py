@@ -100,9 +100,9 @@ class BurnettSolution:
     ``B[j][i]`` is the same GridFunction as ``B[i][j]``; the transport
     coefficients come from the quadratures of A1 and B12 against their
     bare source polynomials.  ``residuals`` maps component names to the
-    relative residual of the linearized equation, for transposed and
-    derived components as well as solved ones; ``solved`` lists the components that ran
-    through the solver.  Every other component is either the transpose
+    relative residual of the linearized equation, source minus the L_M
+    product made as the field was; ``solved`` lists the components that
+    ran through the solver.  Every other component is either the transpose
     of an earlier one under an axis transposition (a, b) with
     u_a == u_b, which maps the lattice, the state and the sources onto
     themselves, or a diagonal shear that follows from the trace:
@@ -164,12 +164,15 @@ def burnett_solve(
     their sum; otherwise it is solved.  At rest that leaves three solves
     (A1, B11, B12), at u = (u1, 0, 0) five (A1, A2, B22, B12, B23, with
     B33 the transpose of B22 and B11 = -(B22 + B33)), and with three
-    distinct velocity components eight.  Every component, however made,
-    gets its equation residual verified against the literal operator,
-    recorded and logged at DEBUG to ``rarewave.transport``; a verified
-    residual above ``tol`` raises :class:`NonConvergenceError` naming
-    the component, with the residuals recorded so far.  Each solve
-    gets 600 inner iterations; solver failures propagate per component.
+    distinct velocity components eight.  Each component's L_M product
+    is made by the rule that made its field: ``op.apply`` of a solved
+    field, the origin's product transposed, or minus the sum of the
+    siblings' products; L_M is linear and commutes with every allowed
+    transposition.  The residual, source minus product, is recorded and
+    logged at DEBUG to ``rarewave.transport``; one above ``tol`` raises
+    :class:`NonConvergenceError` naming the component, with the
+    residuals recorded so far.  A failed solve re-raises the solver's
+    error with the component, ``grid_defect`` and ``n_per_axis``.
     """
     op = lm_operator(s, g, p)
     _, polys = _sources(s, g)
@@ -186,7 +189,7 @@ def burnett_solve(
                 yield origin, [swap.get(k, k) for k in range(3)]
 
     diagonal = sorted(_COMPONENTS[3:6], key=lambda c: -len(list(transposes(c))))
-    fields: dict = {}
+    fields, products = both = {}, {}  # products[c] is L_M fields[c], made by the same rule
     residuals: dict = {}
     solved: list = []
     for c in _COMPONENTS[:3] + tuple(diagonal) + _COMPONENTS[6:]:
@@ -195,16 +198,21 @@ def burnett_solve(
         siblings = [d for d in _COMPONENTS[3:6] if d != c]
         origin = next(((o, axes) for o, axes in transposes(c) if o in fields), None)
         if origin is not None:
-            fields[c] = np.transpose(fields[origin[0]], origin[1])
+            fields[c], products[c] = (np.transpose(d[origin[0]], origin[1]) for d in both)
             how = f"transpose of {_name(origin[0])}"
         elif c in diagonal and all(d in fields for d in siblings):
-            fields[c] = -(fields[siblings[0]] + fields[siblings[1]])
+            fields[c], products[c] = (-(d[siblings[0]] + d[siblings[1]]) for d in both)
             how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
-            fields[c] = invert_LM_micro(source, s, g, p, tol=tol).values
+            try:
+                fields[c] = invert_LM_micro(source, s, g, p, tol=tol).values
+            except NonConvergenceError as exc:
+                why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
+                raise NonConvergenceError(f"{name} (solve): {why}", exc.residuals) from exc
+            products[c] = op.apply(fields[c])
             solved.append(name)
             how = "solve"
-        res = source.values - op.apply(fields[c])
+        res = source.values - products[c]
         residuals[name] = math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))
         _log.debug("%s: %s, verified residual %.3e", name, how, residuals[name])
         if not residuals[name] <= tol:

@@ -1,6 +1,7 @@
 """Collision operator: kernel, convolutions, linearization, and the solver."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -342,6 +343,27 @@ def test_operator_wrapper_matches_linearized_form():
     direct = linearized_LM(h, STATE, g).values
     assert np.abs(op.apply(h.values) - direct).max() <= 1e-14 * np.abs(direct).max()
     assert lm_operator(STATE, g) is op
+
+
+@pytest.mark.parametrize("u1, n", [(0.0, 20), (0.4, 16)])
+def test_apply_commutes_with_every_allowed_axis_transposition(u1, n):
+    # An axis swap (a, b) with u_a == u_b maps the cubic lattice and the
+    # state onto themselves, so apply commutes with it to round-off;
+    # burnett_solve transposes an origin's L_M product on that ground.
+    # A swap that moves the drift is no symmetry and must miss.
+    g = grid(n)
+    s = GasState.make(1.0, u1, 1.0)
+    op = lm_operator(s, g)
+    f = np.random.default_rng(n).standard_normal(g.shape) * op.m.values
+    lf = op.apply(f)
+    scale = np.abs(lf).max()
+    for a, b in combinations(range(3), 2):
+        axes = [{a: b, b: a}.get(k, k) for k in range(3)]
+        miss = np.abs(op.apply(np.transpose(f, axes)) - np.transpose(lf, axes)).max() / scale
+        if s.u[a] == s.u[b]:
+            assert miss <= 1e-14, (a, b)
+        else:
+            assert miss >= 1e-2, (a, b)
 
 
 def test_weak_form_symmetric_positive_with_exact_affine_nulls():

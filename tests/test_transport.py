@@ -12,7 +12,7 @@ import pytest
 
 from rarewave import transport
 from rarewave.burgers import SmoothWave
-from rarewave.collision import KernelParams, NonConvergenceError, invert_LM_micro
+from rarewave.collision import KernelParams, NonConvergenceError, invert_LM_micro, lm_operator
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
 from rarewave.transport import (
     TransportTable,
@@ -53,6 +53,15 @@ def wave_point():
     s = wave.state(t, x)
     g = VelocityGrid(abs(s.u1) + 6.5 * math.sqrt(GAS_R * s.theta), N)
     return wave, t, x, burnett_solve(s, g, tol=TOL)
+
+
+@pytest.fixture(scope="module")
+def distinct_point():
+    """A solve at a state with three distinct velocity components."""
+    theta = 1.0
+    s = GasState(1.0, (0.2, -0.1, 0.05), theta)
+    g = VelocityGrid(0.3 + 6.5 * math.sqrt(GAS_R * theta), N)
+    return burnett_solve(s, g, tol=TOL)
 
 
 def scaled(sol):
@@ -255,11 +264,8 @@ def test_every_wave_point_residual_is_within_tol(wave_point):
     assert np.array_equal(b["B11"], -(b["B22"] + b["B33"]))
 
 
-def test_three_distinct_velocity_components_take_eight_solves():
-    theta = 1.0
-    s = GasState(1.0, (0.2, -0.1, 0.05), theta)
-    g = VelocityGrid(0.3 + 6.5 * math.sqrt(GAS_R * theta), N)
-    sol = burnett_solve(s, g, tol=TOL)
+def test_three_distinct_velocity_components_take_eight_solves(distinct_point):
+    sol = distinct_point
     assert sol.solved == ("A1", "A2", "A3", "B11", "B22", "B12", "B13", "B23")
     b = fields_by_name(sol)
     assert np.array_equal(b["B33"], -(b["B11"] + b["B22"]))
@@ -278,6 +284,63 @@ def test_a_verified_residual_above_tol_raises(monkeypatch):
     with pytest.raises(NonConvergenceError, match=r"A1 \(solve\) has verified residual above") as exc:
         burnett_solve(s, thermal_grid(1.0, N), tol=TOL)
     assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > TOL
+
+
+def test_every_recorded_residual_matches_a_fresh_apply(solutions, wave_point, distinct_point):
+    # transposed and trace-derived components record the source minus a
+    # product made from their origins' products; a fresh apply of the
+    # field itself must give the same residual
+    for sol in (solutions[1.0, 1.0], wave_point[3], distinct_point):
+        s, g = sol.state, sol.grid
+        op = lm_operator(s, g, sol.params)
+        ha, hb = burnett_hats(s, g)
+        for name, field in fields_by_name(sol).items():
+            k = [int(c) - 1 for c in name[1:]]
+            hat = ha[k[0]] if name[0] == "A" else hb[k[0]][k[1]]
+            source = project_P1(hat, op.basis).values
+            res = source - op.apply(field)
+            fresh = math.sqrt(g.integrate(res * res) / g.integrate(source * source))
+            assert sol.residuals[name] == pytest.approx(fresh, rel=1e-10), name
+
+
+@pytest.mark.parametrize(
+    "at, skewed, match",
+    [
+        ("rest", (1, 1), r"B22 \(transpose of B11\) has verified residual above"),
+        ("wave", (0, 0), r"B11 \(trace of B22, B33\) has verified residual above"),
+    ],
+    ids=["rest-B22", "wave-B11"],
+)
+def test_a_derived_component_off_its_source_raises(at, skewed, match, wave_point, monkeypatch):
+    # a derived component is never applied itself, so its residual check
+    # must still see a source its origins' products do not match
+    sources = transport._sources
+
+    def skew(s, g):
+        sq, polys = sources(s, g)
+        return sq, {**polys, skewed: 1.1 * polys[skewed]}
+
+    if at == "rest":
+        s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N)
+    else:
+        s, g = wave_point[3].state, wave_point[3].grid
+    monkeypatch.setattr(transport, "_sources", skew)
+    with pytest.raises(NonConvergenceError, match=match) as exc:
+        burnett_solve(s, g, tol=TOL)
+    assert exc.value.residuals[-1] > TOL
+
+
+def test_a_failed_solve_names_its_component_and_the_resolution_floor():
+    s = GasState.make(1.0, 0.0, 1.0)
+    g = thermal_grid(1.0, 16)
+    source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
+    with pytest.raises(NonConvergenceError) as direct:
+        invert_LM_micro(source, s, g, tol=TOL)
+    with pytest.raises(NonConvergenceError, match=r"^A1 \(solve\): constrained solve") as exc:
+        burnett_solve(s, g, tol=TOL)
+    assert re.search(r"; grid_defect \d\.\d{3}e-\d+, n_per_axis 16$", str(exc.value))
+    assert exc.value.residuals == direct.value.residuals
+    assert exc.value.__cause__ is not None
 
 
 def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplog):
