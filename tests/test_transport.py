@@ -340,7 +340,7 @@ def test_a_failed_solve_names_its_component_and_the_resolution_floor():
         burnett_solve(s, g, tol=TOL)
     assert re.search(r"; grid_defect \d\.\d{3}e-\d+, n_per_axis 16$", str(exc.value))
     assert exc.value.residuals == direct.value.residuals
-    assert exc.value.__cause__ is not None
+    assert isinstance(exc.value.__cause__, NonConvergenceError)
 
 
 def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplog):
