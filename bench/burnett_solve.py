@@ -13,16 +13,20 @@ Run it from the root of a checkout.  For n_per_axis in {16, 24, 32} it times
   lattice: half width |u1| + 6.5 sqrt(R theta) of the right state.
 
 The lattice's kernel transforms are built before the clock starts, as the
-workload's set-up builds them; only the first of the five calls builds the
-state's cached ``LMOperator``.  The sides, rounds and statistics are those of
+workload's set-up builds them.  Each of the five calls builds its own
+``LMOperator``: a best-of-7 build took about 6, 12, 24 and 65 ms at n = 16,
+20, 24 and 32 (one thread of a 2-core Intel Xeon).  A ``--before`` revision
+from before ``invert_LM_micro`` took its operator as an argument kept the
+last one in a cache, so there calls 2-5 reuse it and read about one build
+per call faster.  The sides, rounds and statistics are those of
 ``bench/fft_period.py``: each side runs in a fresh process with ``src/`` of
 this checkout or of git revision REV, and a difference counts as resolved
-only when one side wins at least nine tenths of the rounds and the medians
-differ by more than the distance between the quartiles of ``before``.  Next
-to each time stand, per side, the number of solves, the number of
-``LMOperator.apply`` calls one ``burnett_solve`` call makes (counted by a
-wrapper this script installs, so ``src/`` is the same as without it), the
-largest recorded residual, mu and kappa, and across the sides the largest
+only when at least ten rounds ran, one side wins at least nine tenths of
+them and the medians differ by more than the distance between the quartiles
+of ``before``.  Next to each time stand, per side, the number of solves,
+the number of ``LMOperator.apply`` calls one ``burnett_solve`` call makes
+(counted by a wrapper this script installs, so ``src/`` is the same as
+without it), the largest recorded residual, mu and kappa, and across the sides the largest
 relative difference of the nine recorded residuals and
 max |B11_after - B11_before| / max |B11_before|.  A call that raises is
 recorded with its message and apply count instead; a lattice on which both

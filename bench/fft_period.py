@@ -11,8 +11,9 @@ process, the sides alternate for ``--rounds`` rounds (``before`` runs first
 on even rounds, ``after`` on odd ones).  Each layer reports every round's
 time per side, their median and quartiles, and the share of rounds in
 which ``after`` is faster than ``before``.  A difference counts as resolved
-only when one side wins at least nine tenths of the rounds and the medians
-differ by more than the distance between the quartiles of ``before``.  The accuracy figure is
+only when at least ten rounds ran, one side wins at least nine tenths of
+them and the medians differ by more than the distance between the quartiles
+of ``before``.  The accuracy figure is
 the maximum relative difference of the ``apply`` and ``weak_apply``
 outputs between the two sides on the same seeded input, relative to the
 largest entry of the output.  The result is written as JSON.
@@ -43,6 +44,9 @@ from scipy import fft  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32)
 REPEATS = 5
+# Fewest rounds that can resolve a difference: with one round the quartile
+# spread of ``before`` is 0, so any gap that round shows would pass.
+MIN_ROUNDS = 10
 # a drifting state on the transport lattice, so no axis symmetry is special
 RHO, U1, THETA = 1.0, 0.25, 1.0
 
@@ -143,7 +147,8 @@ def quartiles(xs) -> dict:
 
 def compare(times: dict) -> dict:
     """Round times per side with median and quartiles, the share of rounds
-    ``after`` is faster, and whether the difference is resolved."""
+    ``after`` is faster, and whether the difference is resolved (never with
+    fewer than ``MIN_ROUNDS`` rounds)."""
     stats = {side: quartiles(times[side]) for side in times}
     pairs = list(zip(times["after"], times["before"]))
     wins = sum(a < b for a, b in pairs) / len(pairs)
@@ -152,7 +157,8 @@ def compare(times: dict) -> dict:
     return {
         **{side: {"rounds": times[side], **stats[side]} for side in times},
         "after_wins": wins,
-        "resolved": max(wins, losses) >= 0.9
+        "resolved": len(pairs) >= MIN_ROUNDS
+        and max(wins, losses) >= 0.9
         and gap > stats["before"]["q3"] - stats["before"]["q1"],
     }
 

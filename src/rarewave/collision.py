@@ -121,34 +121,21 @@ def phi_kernel(v, p: KernelParams = KernelParams()) -> np.ndarray:
     return _phi_packed(np.asarray(v, dtype=float), p)[_UNPACK]
 
 
-@lru_cache(maxsize=8)
 def _cell_average_constant(gamma: float) -> float:
     """C = integral of |u|^(gamma+2) over the unit cube centered at 0.
 
-    The cube is self-similar under halving, so C (1 - 2^-(s+3)) with
-    s = gamma + 2 equals the integral over the cubic shell between the
-    unit cube and its half-size copy, where the integrand is smooth.
-    That shell splits into 56 subcubes of side 1/4 handled by tensor
-    Gauss-Legendre quadrature.
+    With s = gamma + 2, octant symmetry and the scaling u -> u / 2 give
+    C = 8 2^-(s+3) times the integral over [0, 1]^3.  That cube is three
+    pyramids, on each of which one coordinate x is the largest; (y, z) =
+    x (a, b) factors out the integral of x^(s+2), 1 / (s+3), leaving
+    C = 24 2^-(s+3) / (s+3) times the integral of (1 + a^2 + b^2)^(s/2)
+    over [0, 1]^2, a smooth integrand: 12-point tensor Gauss-Legendre.
     """
     s = gamma + 2.0
     nodes, wts = np.polynomial.legendre.leggauss(12)
-    nodes = 0.125 * (nodes + 1.0)  # map to (0, 1/4)
-    wts = 0.125 * wts
-    shell = 0.0
-    for a in range(-2, 2):
-        for b in range(-2, 2):
-            for c in range(-2, 2):
-                if a in (-1, 0) and b in (-1, 0) and c in (-1, 0):
-                    continue  # the half-size central cube
-                x = 0.25 * a + nodes
-                y = 0.25 * b + nodes
-                z = 0.25 * c + nodes
-                rr = (
-                    x[:, None, None] ** 2 + y[None, :, None] ** 2 + z[None, None, :] ** 2
-                ) ** (0.5 * s)
-                shell += float(np.einsum("i,j,k,ijk->", wts, wts, wts, rr))
-    return shell / (1.0 - 2.0 ** (-(s + 3.0)))
+    a, w = 0.5 * (nodes + 1.0), 0.5 * wts
+    face = w @ (1.0 + a[:, None] ** 2 + a[None, :] ** 2) ** (0.5 * s) @ w
+    return 24.0 * 2.0 ** (-(s + 3.0)) / (s + 3.0) * float(face)
 
 
 def _center_weight(h: float, p: KernelParams) -> float:
@@ -454,10 +441,6 @@ class LMOperator:
         return num / den if den > 0.0 else 0.0
 
 
-# Memoized LMOperator; the Maxwellian-side convolutions dominate setup.
-lm_operator = lru_cache(maxsize=1)(LMOperator)
-
-
 def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Deflated Jacobi-CG for the weak correction equation.
 
@@ -515,15 +498,10 @@ _MICRO_TOL = 1e-6
 _MAX_INNER_ITER = 600
 
 
-def invert_LM_micro(
-    h: GridFunction,
-    s: GasState,
-    g: VelocityGrid | None = None,
-    p: KernelParams = KernelParams(),
-    tol: float = 1e-6,
-) -> GridFunction:
-    """Solve L_M g = h on the microscopic subspace.
+def invert_LM_micro(op: LMOperator, h: GridFunction, tol: float) -> GridFunction:
+    """Solve L_M g = h on the microscopic subspace, for the L_M and lattice of ``op``.
 
+    ``tol`` is required: what a lattice reaches depends on its resolution.
     Restarted flexible GMRES (Saad 1993) on the literal strong-form
     operator, with ``_pcg`` as a variable right preconditioner.  The
     Krylov vectors carry residuals scaled by sqrt(w), so their Euclidean
@@ -541,14 +519,12 @@ def invert_LM_micro(
     right-hand sides gain orders of magnitude per cycle; a stall means
     the source has content the lattice operator cannot reach.
     """
-    if g is None:
-        g = h.grid
+    g = op.grid
     if h.grid != g:
         raise ValueError("grid function was built on a different lattice")
     normh = math.sqrt(g.integrate(h.values * h.values))
     if normh == 0.0:
         return GridFunction(g, np.zeros(g.shape))
-    op = lm_operator(s, g, p)
     defect = op.micro_defect(h.values)
     if defect > _MICRO_TOL:
         raise ValueError(

@@ -28,10 +28,10 @@ from .velocity import (
 )
 from .collision import (
     KernelParams,
+    LMOperator,
     NonConvergenceError,
     collision_Q,
     invert_LM_micro,
-    lm_operator,
 )
 
 DEFAULT_TABLE_THETAS = (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)
@@ -174,7 +174,7 @@ def burnett_solve(
     residuals recorded so far.  A failed solve re-raises the solver's
     error with the component, ``grid_defect`` and ``n_per_axis``.
     """
-    op = lm_operator(s, g, p)
+    op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
     m = op.m
     qvals = collision_Q(m, m, g, p).values
@@ -205,7 +205,7 @@ def burnett_solve(
             how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
             try:
-                fields[c] = invert_LM_micro(source, s, g, p, tol=tol).values
+                fields[c] = invert_LM_micro(op, source, tol).values
             except NonConvergenceError as exc:
                 why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
                 raise NonConvergenceError(f"{name} (solve): {why}", exc.residuals) from exc

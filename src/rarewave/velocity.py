@@ -149,15 +149,14 @@ def maxwellian(s: GasState, g: VelocityGrid) -> GridFunction:
     return GridFunction(g, vals)
 
 
-def moments(F: GridFunction, g: VelocityGrid) -> GasState:
-    """Density, bulk velocity and temperature of a distribution field.
+def moments(F: GridFunction) -> GasState:
+    """Density, bulk velocity and temperature of a field, by the quadrature of ``F.grid``.
 
     Uses rho e = int |v-u|^2/2 F dv with e = theta (the R = 2/3
     convention), so the returned state satisfies the ideal-gas closure
     exactly at the quadrature level.
     """
-    if F.grid != g:
-        raise ValueError("grid function was built on a different lattice")
+    g = F.grid
     vx, vy, vz = g.components
     rho = g.integrate(F.values)
     if not rho > 0.0:

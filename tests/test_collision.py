@@ -19,6 +19,7 @@ from rarewave.velocity import (
 )
 from rarewave.collision import (
     KernelParams,
+    LMOperator,
     NonConvergenceError,
     collision_Q,
     collision_frequency,
@@ -26,7 +27,6 @@ from rarewave.collision import (
     invert_LM_micro,
     linearized_LM,
     linearized_script_L,
-    lm_operator,
     phi_kernel,
     _UNPACK,
     _phi_conv_direct,
@@ -106,6 +106,16 @@ def test_cell_average_constant_against_monte_carlo():
     pts = rng.uniform(-0.5, 0.5, size=(4_000_000, 3))
     est = float(np.mean(1.0 / np.linalg.norm(pts, axis=1)))
     assert abs(est - CELL_AVG_INV_DIST) <= 0.01 * CELL_AVG_INV_DIST
+
+
+def test_cell_average_constant_closed_form():
+    # At gamma = -3 the face integral of the pyramid reduction is elementary:
+    # C = 6 ln((1 + sqrt 3) / sqrt 2) - pi / 2.  The other two values come
+    # from an independent shell quadrature (56 Gauss-Legendre subcubes).
+    exact = 6.0 * math.log((1.0 + math.sqrt(3.0)) / math.sqrt(2.0)) - 0.5 * math.pi
+    assert abs(collision._cell_average_constant(-3.0) / exact - 1.0) <= 4.5e-16
+    for gamma, shell in ((-2.5, 1.5085612293494581), (-2.2, 1.1735653372694548)):
+        assert abs(collision._cell_average_constant(gamma) - shell) <= 2e-15
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +348,10 @@ def manufactured(g, op):
 
 def test_operator_wrapper_matches_linearized_form():
     g = grid(16)
-    op = lm_operator(STATE, g)
+    op = LMOperator(STATE, g)
     h = micro_field(g, op.basis, 0)
     direct = linearized_LM(h, STATE, g).values
     assert np.abs(op.apply(h.values) - direct).max() <= 1e-14 * np.abs(direct).max()
-    assert lm_operator(STATE, g) is op
 
 
 @pytest.mark.parametrize("u1, n", [(0.0, 20), (0.4, 16)])
@@ -353,7 +362,7 @@ def test_apply_commutes_with_every_allowed_axis_transposition(u1, n):
     # A swap that moves the drift is no symmetry and must miss.
     g = grid(n)
     s = GasState.make(1.0, u1, 1.0)
-    op = lm_operator(s, g)
+    op = LMOperator(s, g)
     f = np.random.default_rng(n).standard_normal(g.shape) * op.m.values
     lf = op.apply(f)
     scale = np.abs(lf).max()
@@ -368,7 +377,7 @@ def test_apply_commutes_with_every_allowed_axis_transposition(u1, n):
 
 def test_weak_form_symmetric_positive_with_exact_affine_nulls():
     g = grid(16)
-    op = lm_operator(STATE, g)
+    op = LMOperator(STATE, g)
     vx, vy, vz = coords(g)
     x = np.sin(vx) * np.cos(0.7 * vy) + 0.3 * vz
     y = np.cos(0.5 * vx * vy) + 0.2 * vy * vz
@@ -390,7 +399,7 @@ def test_jacobi_scale_is_the_diagonal_of_the_axis_local_weak_form():
     # a corner, a face node, an edge node and an interior node
     g = grid(12)
     s = GasState.make(1.0, 0.4, 1.4, u2=-0.3, u3=0.2)
-    op = lm_operator(s, g)
+    op = LMOperator(s, g)
     d, sec, _ = _stencils(g.n_per_axis, g.spacing)
     for node in ((0, 0, 0), (5, 0, 6), (11, 4, 0), (5, 6, 4)):
         e = np.zeros(g.shape)
@@ -406,9 +415,9 @@ def test_jacobi_scale_is_the_diagonal_of_the_axis_local_weak_form():
 def test_invert_recovers_manufactured_solution():
     for n, tol, err_tol in ((16, 1e-4, 5e-3), (24, 1e-6, 3e-5)):
         g = grid(n)
-        op = lm_operator(STATE, g)
+        op = LMOperator(STATE, g)
         h, g_true = manufactured(g, op)
-        sol = invert_LM_micro(h, STATE, g, tol=tol)
+        sol = invert_LM_micro(op, h, tol)
         assert op.micro_defect(sol.values) <= 1e-12
         resid = h.values - op.apply(sol.values)
         rel = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
@@ -425,16 +434,16 @@ def test_invert_reaches_tight_tolerance_across_restarts():
     # 1e-8 takes more than one Krylov cycle, so the true residual checked
     # here also guards the least-squares estimate carried across restarts
     g = grid(16)
-    op = lm_operator(STATE, g)
+    op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    sol = invert_LM_micro(h, STATE, g, tol=1e-8)
+    sol = invert_LM_micro(op, h, 1e-8)
     resid = h.values - op.apply(sol.values)
     assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-8
 
 
 def test_invert_zero_rhs_gives_zero():
     g = grid(16)
-    out = invert_LM_micro(GridFunction(g, np.zeros(g.shape)), STATE, g)
+    out = invert_LM_micro(LMOperator(STATE, g), GridFunction(g, np.zeros(g.shape)), 1e-6)
     assert np.all(out.values == 0.0)
 
 
@@ -442,25 +451,25 @@ def test_invert_rejects_fluid_content():
     g = grid(16)
     m = maxwellian(STATE, g)
     with pytest.raises(ValueError, match="not microscopic"):
-        invert_LM_micro(m, STATE, g)
+        invert_LM_micro(LMOperator(STATE, g), m, 1e-6)
 
 
 def test_invert_scaling_equivariance():
     g = grid(16)
-    op = lm_operator(STATE, g)
+    op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    one = invert_LM_micro(h, STATE, g, tol=1e-4)
-    three = invert_LM_micro(GridFunction(g, 3.0 * h.values), STATE, g, tol=1e-4)
+    one = invert_LM_micro(op, h, 1e-4)
+    three = invert_LM_micro(op, GridFunction(g, 3.0 * h.values), 1e-4)
     assert np.abs(three.values - 3.0 * one.values).max() <= 1e-12 * np.abs(one.values).max()
 
 
 def test_invert_reports_residual_history_on_stall(monkeypatch):
     g = grid(16)
-    op = lm_operator(STATE, g)
+    op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
     monkeypatch.setattr(collision, "_MAX_INNER_ITER", 3)
     with pytest.raises(NonConvergenceError) as exc:
-        invert_LM_micro(h, STATE, g, tol=1e-13)
+        invert_LM_micro(op, h, 1e-13)
     err = exc.value
     assert len(err.residuals) >= 1
     assert all(r >= 0.0 for r in err.residuals)

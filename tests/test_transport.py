@@ -12,7 +12,7 @@ import pytest
 
 from rarewave import transport
 from rarewave.burgers import SmoothWave
-from rarewave.collision import KernelParams, NonConvergenceError, invert_LM_micro, lm_operator
+from rarewave.collision import KernelParams, LMOperator, NonConvergenceError, invert_LM_micro
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
 from rarewave.transport import (
     TransportTable,
@@ -150,7 +150,7 @@ def test_stalled_restart_cycle_raises_before_the_budget_is_spent():
     g = thermal_grid(1.0, 16)
     source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
     with pytest.raises(NonConvergenceError, match="restart cycle") as exc:
-        invert_LM_micro(source, s, g, tol=1e-2)
+        invert_LM_micro(LMOperator(s, g), source, 1e-2)
     used = int(re.search(r"after (\d+) inner iterations", str(exc.value)).group(1))
     assert used < 600
     assert exc.value.residuals[-1] > 1e-2
@@ -277,7 +277,8 @@ def test_a_verified_residual_above_tol_raises(monkeypatch):
     solve = transport.invert_LM_micro
 
     def overshoot(*args, **kwargs):
-        return GridFunction(args[2], 1.1 * solve(*args, **kwargs).values)
+        out = solve(*args, **kwargs)
+        return GridFunction(out.grid, 1.1 * out.values)
 
     monkeypatch.setattr(transport, "invert_LM_micro", overshoot)
     s = GasState.make(1.0, 0.0, 1.0)
@@ -292,7 +293,7 @@ def test_every_recorded_residual_matches_a_fresh_apply(solutions, wave_point, di
     # field itself must give the same residual
     for sol in (solutions[1.0, 1.0], wave_point[3], distinct_point):
         s, g = sol.state, sol.grid
-        op = lm_operator(s, g, sol.params)
+        op = LMOperator(s, g, sol.params)
         ha, hb = burnett_hats(s, g)
         for name, field in fields_by_name(sol).items():
             k = [int(c) - 1 for c in name[1:]]
@@ -335,7 +336,7 @@ def test_a_failed_solve_names_its_component_and_the_resolution_floor():
     g = thermal_grid(1.0, 16)
     source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
     with pytest.raises(NonConvergenceError) as direct:
-        invert_LM_micro(source, s, g, tol=TOL)
+        invert_LM_micro(LMOperator(s, g), source, TOL)
     with pytest.raises(NonConvergenceError, match=r"^A1 \(solve\): constrained solve") as exc:
         burnett_solve(s, g, tol=TOL)
     assert re.search(r"; grid_defect \d\.\d{3}e-\d+, n_per_axis 16$", str(exc.value))

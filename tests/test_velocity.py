@@ -110,7 +110,7 @@ class TestMaxwellian:
 
     def test_moments_round_trip_reference(self):
         g = VelocityGrid(half_width=8.0, n_per_axis=48)
-        back = moments(maxwellian(STATE_A1, g), g)
+        back = moments(maxwellian(STATE_A1, g))
         assert abs(back.rho - 1.0) < 1e-8
         assert abs(back.u1) < 1e-8
         assert abs(back.theta - 1.5) < 1e-8
@@ -118,7 +118,7 @@ class TestMaxwellian:
     def test_moments_round_trip_shifted_state(self):
         g = VelocityGrid(half_width=8.0, n_per_axis=48)
         s = GasState.make(1.3, 0.2, 1.1, u2=-0.1, u3=0.05)
-        back = moments(maxwellian(s, g), g)
+        back = moments(maxwellian(s, g))
         for got, want in zip(
             (back.rho, *back.u, back.theta), (s.rho, *s.u, s.theta)
         ):
@@ -129,7 +129,7 @@ class TestMaxwellian:
         errs = []
         for n in (16, 32, 64):
             g = VelocityGrid(half_width=8.0, n_per_axis=n)
-            back = moments(maxwellian(s, g), g)
+            back = moments(maxwellian(s, g))
             errs.append(
                 max(
                     abs(back.rho - s.rho),
@@ -162,21 +162,16 @@ class TestMoments:
     def test_zero_field_degenerate(self):
         g = small_grid(n=8)
         with pytest.raises(ValueError, match="degenerate"):
-            moments(GridFunction(g, np.zeros(g.shape)), g)
+            moments(GridFunction(g, np.zeros(g.shape)))
 
     def test_scaling_density_only(self):
         g = small_grid(n=32)
         f = maxwellian(STATE_A2, g)
         doubled = GridFunction(g, 2.0 * f.values)
-        a, b = moments(f, g), moments(doubled, g)
+        a, b = moments(f), moments(doubled)
         assert b.rho == pytest.approx(2 * a.rho, rel=1e-13)
         assert b.u1 == pytest.approx(a.u1, abs=1e-13)
         assert b.theta == pytest.approx(a.theta, rel=1e-13)
-
-    def test_foreign_lattice_rejected(self):
-        f = maxwellian(STATE_A1, small_grid(n=16))
-        with pytest.raises(ValueError, match="lattice"):
-            moments(f, small_grid(n=8))
 
 
 class TestMacroBasis:
