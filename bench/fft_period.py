@@ -113,16 +113,16 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
 
-def run_side(script: str, src: Path, out: Path) -> dict:
+def run_side(script: str, src: Path, out: Path, *extra: str) -> dict:
     subprocess.run(
-        [sys.executable, script, "--measure", str(src), str(out)], cwd=ROOT, check=True
+        [sys.executable, script, "--measure", str(src), str(out), *extra], cwd=ROOT, check=True
     )
     with np.load(out) as dat:
         return {k: dat[k] for k in dat.files}
 
 
-def run_rounds(script: str, before: str, rounds: int) -> dict:
-    """Results of ``script --measure SRC OUT`` per side, over alternating rounds.
+def run_rounds(script: str, before: str, rounds: int, *extra: str) -> dict:
+    """Results of ``script --measure SRC OUT *extra`` per side, over alternating rounds.
 
     ``before`` runs with ``src/`` of git revision ``before``, ``after`` with
     this checkout's; each run is a fresh process, and ``before`` goes first
@@ -136,7 +136,7 @@ def run_rounds(script: str, before: str, rounds: int) -> dict:
         for k in range(rounds):
             order = list(srcs) if k % 2 == 0 else list(srcs)[::-1]
             for side in order:
-                runs[side].append(run_side(script, srcs[side], tmp / f"{side}.npz"))
+                runs[side].append(run_side(script, srcs[side], tmp / f"{side}.npz", *extra))
     return runs
 
 

@@ -15,9 +15,9 @@ zero-padded real FFTs, which reproduces the direct node-pair summation
 exactly up to floating-point reordering.  Each axis is padded to a
 period P >= 2n - 1: of the 3n - 2 nodes of the linear convolution only
 the central n are kept, and P >= 2n - 1 keeps every wrapped term out of
-them (Hockney's zero-padding argument).  The literal node-pair summation
-``_phi_conv_direct`` is kept only as the reference the tests compare the
-transforms against at small lattice sizes.
+them (Hockney's zero-padding argument).  The tests compare the
+transforms against the literal node-pair summation at small lattice
+sizes.
 
 The inner derivatives are taken on relative densities: d_j F is
 evaluated as mu d_j (F / mu) with mu the global reference Maxwellian.
@@ -236,23 +236,6 @@ def _divergence(fluxes, g: VelocityGrid) -> np.ndarray:
     """Centered-difference divergence sum_i d_i flux_i of three flux fields."""
     d = _stencils(g.n_per_axis, g.spacing)[0]
     return sum(_along(d, flux, i) for i, flux in enumerate(fluxes))
-
-
-def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> np.ndarray:
-    """Six packed components of phi * field by literal node-pair summation."""
-    n = g.n_per_axis
-    if n > 12:
-        raise ValueError("direct summation is sized for cross-checks (n_per_axis <= 12)")
-    nodes = [c.ravel() for c in g.components]
-    cw = _center_weight(g.spacing, p)
-    out = np.empty((6,) + g.shape)
-    for a in range(n):  # target nodes one plane v1 = const at a time
-        rows = slice(a * n * n, (a + 1) * n * n)
-        kernel = _phi_packed([c[rows, None] - c for c in nodes], p)
-        for idx in _DIAGONAL:
-            np.fill_diagonal(kernel[idx, :, rows], cw)
-        out[:, a] = (kernel @ field_w.ravel()).reshape(6, n, n)
-    return out
 
 
 def collision_frequency(g: VelocityGrid, p: KernelParams = KernelParams()) -> np.ndarray:
@@ -498,7 +481,9 @@ _MICRO_TOL = 1e-6
 _MAX_INNER_ITER = 600
 
 
-def invert_LM_micro(op: LMOperator, h: GridFunction, tol: float) -> GridFunction:
+def invert_LM_micro(
+    op: LMOperator, h: GridFunction, tol: float, x0: np.ndarray | None = None
+) -> GridFunction:
     """Solve L_M g = h on the microscopic subspace, for the L_M and lattice of ``op``.
 
     ``tol`` is required: what a lattice reaches depends on its resolution.
@@ -506,12 +491,16 @@ def invert_LM_micro(op: LMOperator, h: GridFunction, tol: float) -> GridFunction
     operator, with ``_pcg`` as a variable right preconditioner.  The
     Krylov vectors carry residuals scaled by sqrt(w), so their Euclidean
     norm is the quadrature norm and the solve stops once
-    ||L_M g - h|| <= tol ||h||.  The initial guess is one ``_pcg``
-    application to h at relative tolerance 1e-3; each Krylov step runs
-    one more at 1e-2 and one strong-form apply.  ``_MAX_INNER_ITER``
-    bounds the inner conjugate-gradient iterations over the whole solve.
-    The residual history holds relative residuals: 1 for the zero start, the
-    true residual of the initial guess and of every restart, and the
+    ||L_M g - h|| <= tol ||h||.  The initial guess is ``x0``, nodal
+    h-space values of the lattice's shape, when given, and otherwise one
+    ``_pcg`` application to h at relative tolerance 1e-3; each Krylov step
+    runs one more ``_pcg`` at 1e-2 and one strong-form apply.  Either way
+    the true residual of the start is checked first, so a start already
+    within ``tol`` costs one apply and a poor one costs iterations, never
+    accuracy.  ``_MAX_INNER_ITER`` bounds the inner conjugate-gradient
+    iterations over the whole solve.  The residual history holds relative
+    residuals: 1 for the zero start; then the true residual of the start
+    (``history[1]``: of ``x0`` when given) and of every restart; and the
     GMRES least-squares residual after each Krylov step.  Raises
     :class:`NonConvergenceError` (with that history) when the inner
     budget is spent, the preconditioner returns no direction, or a full
@@ -522,6 +511,8 @@ def invert_LM_micro(op: LMOperator, h: GridFunction, tol: float) -> GridFunction
     g = op.grid
     if h.grid != g:
         raise ValueError("grid function was built on a different lattice")
+    if x0 is not None and np.shape(x0) != g.shape:
+        raise ValueError(f"start of shape {np.shape(x0)} does not fit the lattice {g.shape}")
     normh = math.sqrt(g.integrate(h.values * h.values))
     if normh == 0.0:
         return GridFunction(g, np.zeros(g.shape))
@@ -533,7 +524,10 @@ def invert_LM_micro(op: LMOperator, h: GridFunction, tol: float) -> GridFunction
         )
     mv = op.m.values
     sw = np.sqrt(g.weights)
-    x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=_MAX_INNER_ITER)
+    if x0 is None:
+        x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=_MAX_INNER_ITER)
+    else:
+        x, iters_used = x0 / mv, 0
     history = [1.0]
     cycle_start = None  # true residual before the last full restart cycle
 

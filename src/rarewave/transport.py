@@ -143,6 +143,8 @@ def thermal_exponent(gamma: float) -> float:
     maps the nodes, the kernel |v|^(gamma+2), the cell-averaged coincident
     weight h^(gamma+2) and the relative stencils onto the theta = 1 problem:
     L_M scales by theta^(gamma/2), the quadratures by theta^(1 - gamma/2).
+    The sources poly(xi) M scale by theta^(-3/2), so the nodal preimages
+    scale by theta^(a - 5/2), which is 1 at gamma = -3.
     """
     return 1.0 - 0.5 * gamma
 
@@ -152,6 +154,8 @@ def burnett_solve(
     g: VelocityGrid,
     p: KernelParams = KernelParams(),
     tol: float = DEFAULT_TOL,
+    *,
+    start: dict | None = None,
 ) -> BurnettSolution:
     """Solve the linearized equations for both source families.
 
@@ -173,6 +177,9 @@ def burnett_solve(
     :class:`NonConvergenceError` naming the component, with the
     residuals recorded so far.  A failed solve re-raises the solver's
     error with the component, ``grid_defect`` and ``n_per_axis``.
+    ``start`` maps component names such as ``"A1"`` to nodal fields on
+    ``g``; each solved component it names starts its solve from that field
+    (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``.
     """
     op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
@@ -205,7 +212,8 @@ def burnett_solve(
             how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
             try:
-                fields[c] = invert_LM_micro(op, source, tol).values
+                x0 = (start or {}).get(name)
+                fields[c] = invert_LM_micro(op, source, tol, x0).values
             except NonConvergenceError as exc:
                 why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
                 raise NonConvergenceError(f"{name} (solve): {why}", exc.residuals) from exc
@@ -367,7 +375,10 @@ def transport_table(
     temperature gets its own thermally sized lattice, so the residual
     stays uniform down the column and the rows follow the exact law of
     ``thermal_exponent``.  Each row is still solved, as the law's check,
-    with the default kernel ``KernelParams()``.
+    with the default kernel ``KernelParams()``.  Rows after the first start
+    their solves from the previous row's preimages times the law's nodal
+    factor (theta / theta_prev)^(thermal_exponent - 5/2), and each start is
+    verified, and iterated on if need be, to ``tol`` on its own lattice.
     Temperatures must be strictly increasing and within (3/4, 3), the
     regime the downstream wave states occupy; both are checked before
     anything is solved.
@@ -377,9 +388,14 @@ def transport_table(
     if any(t <= 0.75 or t >= 3.0 for t in thetas):
         raise ValueError("table temperatures must lie inside (0.75, 3)")
     mus, kappas, resids = [], [], []
+    sol = None
     for t in thetas:
         g = thermal_grid(t, n_per_axis, span)
-        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol)
+        start = None
+        if sol is not None:
+            scale = (t / sol.state.theta) ** (thermal_exponent(GAMMA_DEFAULT) - 2.5)
+            start = {_name(c): scale * _solution_field(sol, c).values for c in _COMPONENTS}
+        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol, start=start)
         mus.append(sol.mu_theta)
         kappas.append(sol.kappa_theta)
         resids.append(max(sol.residuals.values()))

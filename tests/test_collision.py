@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
-from rarewave.euler import GasState
+from rarewave.euler import GAS_R, GasState
 from rarewave.velocity import (
     _along,
     GridFunction,
@@ -28,9 +29,11 @@ from rarewave.collision import (
     linearized_LM,
     linearized_script_L,
     phi_kernel,
+    _DIAGONAL,
     _UNPACK,
-    _phi_conv_direct,
+    _center_weight,
     _phi_grad_fft,
+    _phi_packed,
     _relative_gradient,
     _stencils,
     _transforms,
@@ -120,6 +123,22 @@ def test_cell_average_constant_closed_form():
 
 # ---------------------------------------------------------------------------
 # bilinear operator
+
+
+def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> np.ndarray:
+    """Six packed components of phi * field by literal node-pair summation."""
+    n = g.n_per_axis
+    assert n <= 12, "direct summation is sized for cross-checks"
+    nodes = [c.ravel() for c in g.components]
+    cw = _center_weight(g.spacing, p)
+    out = np.empty((6,) + g.shape)
+    for a in range(n):  # target nodes one plane v1 = const at a time
+        rows = slice(a * n * n, (a + 1) * n * n)
+        kernel = _phi_packed([c[rows, None] - c for c in nodes], p)
+        for idx in _DIAGONAL:
+            np.fill_diagonal(kernel[idx, :, rows], cw)
+        out[:, a] = (kernel @ field_w.ravel()).reshape(6, n, n)
+    return out
 
 
 @pytest.mark.parametrize("p", [KernelParams(), KernelParams(gamma=-2.5)])
@@ -243,6 +262,37 @@ def test_sigma_trace_matches_scalar_direct_sum():
     kern[~nz] = 2.0 * CELL_AVG_INV_DIST * h ** (p.gamma + 2.0)
     ref = (kern @ fw).reshape(g.shape)
     assert np.abs(trace - ref).max() <= 1e-12 * ref.max()
+
+
+def rosenbluth_hessian(g):
+    """Hessian of g(r) = (r + 1/r) erf(r / sqrt 2) + sqrt(2 / pi) exp(-r^2 / 2).
+
+    g = |.| * mu for the unit-variance Maxwellian of unit density, so at
+    gamma = -3, where phi^{ij}(d) is the Hessian of |d|, it is the continuum
+    sigma^{ij} (Rosenbluth, MacDonald & Judd 1957).  Returns (sigma, |v|).
+    """
+    v = np.stack(g.components)
+    r = np.sqrt(np.sum(v * v, axis=0))
+    erf_r = erf(r / math.sqrt(2.0))
+    gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
+    radial_over_r = ((1.0 - 1.0 / r**2) * erf_r + gauss / r) / r  # g'(r) / r
+    second = 2.0 * erf_r / r**3 - 2.0 * gauss / r**2  # g''(r)
+    rhat = v / r
+    outer = rhat[:, None] * rhat[None, :]
+    return second * outer + radial_over_r * (np.eye(3)[:, :, None, None, None] - outer), r
+
+
+def test_sigma_matches_the_rosenbluth_closed_form_at_second_order():
+    assert GAS_R * REFERENCE_STATE.theta == 1.0 and REFERENCE_STATE.rho == 1.0
+    errs, spacing = [], []
+    for n, bound in ((24, 2e-2), (48, 6e-3)):
+        g = VelocityGrid(8.0, n)
+        exact, r = rosenbluth_hessian(g)
+        err = np.abs(collision_frequency(g) - exact)[:, :, r < 3.0].max() / np.abs(exact).max()
+        assert err <= bound, (n, err)
+        errs.append(err)
+        spacing.append(g.spacing)
+    assert math.log(errs[0] / errs[1]) / math.log(spacing[0] / spacing[1]) >= 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +489,43 @@ def test_invert_reaches_tight_tolerance_across_restarts():
     sol = invert_LM_micro(op, h, 1e-8)
     resid = h.values - op.apply(sol.values)
     assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-8
+
+
+def test_invert_from_a_given_start_still_reaches_tol():
+    # a start replaces the initial preconditioner pass only; a zero start and
+    # a random microscopic one each iterate down to tol from their residual
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    noise = np.random.default_rng(7).standard_normal(g.shape) * op.m.values
+    for x0 in (np.zeros(g.shape), project_P1(GridFunction(g, noise), op.basis).values):
+        sol = invert_LM_micro(op, h, 1e-4, x0)
+        assert op.micro_defect(sol.values) <= 1e-12
+        resid = h.values - op.apply(sol.values)
+        assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-4
+
+
+def test_invert_from_a_converged_start_runs_no_preconditioner(monkeypatch):
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    done = invert_LM_micro(op, h, 1e-4)
+
+    def no_pcg(*args, **kwargs):
+        raise AssertionError("a start within tol reached the preconditioner")
+
+    monkeypatch.setattr(collision, "_pcg", no_pcg)
+    again = invert_LM_micro(op, h, 1e-4, done.values)
+    assert np.abs(again.values - done.values).max() <= 1e-14 * np.abs(done.values).max()
+
+
+def test_invert_rejects_a_start_of_the_wrong_shape():
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    for bad in (np.zeros((15, 16, 16)), np.zeros(g.shape[:2]), np.zeros(16**3)):
+        with pytest.raises(ValueError, match="does not fit the lattice"):
+            invert_LM_micro(op, h, 1e-4, bad)
 
 
 def test_invert_zero_rhs_gives_zero():

@@ -94,6 +94,23 @@ def test_coefficients_are_exactly_theta_covariant(solutions):
     assert math.isclose(ka1, ka2, rel_tol=1e-12)
 
 
+def assert_preimage_law(one, two):
+    """A1, B11 and B12 of ``two`` are the law's factor times those of ``one``.
+
+    On thermal lattices L_M scales by theta^(gamma/2) and the sources by
+    theta^(-3/2), so the nodal preimages scale by theta^(a - 5/2) with a
+    the thermal exponent.
+    """
+    ratio = two.state.theta / one.state.theta
+    factor = ratio ** (thermal_exponent(one.params.gamma) - 2.5)
+    for f1, f2 in ((one.A[0], two.A[0]), (one.B[0][0], two.B[0][0]), (one.B[0][1], two.B[0][1])):
+        assert np.abs(f2.values - factor * f1.values).max() <= 1e-13 * np.abs(f2.values).max()
+
+
+def test_nodal_preimages_follow_the_thermal_law(solutions):
+    assert_preimage_law(solutions[1.0, 1.0], solutions[1.0, 1.7])
+
+
 def test_thermal_exponent_holds_at_another_gamma():
     p = KernelParams(-2.5)
     one, two = (
@@ -104,6 +121,7 @@ def test_thermal_exponent_holds_at_another_gamma():
     assert thermal_exponent(-2.5) == 2.25
     assert math.isclose(two.mu_theta, factor * one.mu_theta, rel_tol=1e-12)
     assert math.isclose(two.kappa_theta, factor * one.kappa_theta, rel_tol=1e-12)
+    assert_preimage_law(one, two)
 
 
 def test_coefficients_are_independent_of_density(solutions):
@@ -191,6 +209,43 @@ def test_table_rejects_bad_inputs(monkeypatch):
     for bad in ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (1.0,)):
         with pytest.raises(ValueError):
             transport_table(bad)
+
+
+@pytest.mark.parametrize("thetas", [(1.0, 1.7), (1.0, 1.7, 2.3)], ids=["2-row", "3-row"])
+def test_warm_started_rows_equal_cold_solves(thetas, solutions, monkeypatch):
+    # rows after the first start from the previous row's preimages, mapped by
+    # the thermal law; the start is already within tol, so no preconditioner
+    # runs, and every row still equals an independent cold solve
+    counts, rows = [0], []
+    weak_apply = LMOperator.weak_apply
+    solve = transport.burnett_solve
+
+    def counted(self, x):
+        counts[-1] += 1
+        return weak_apply(self, x)
+
+    def recorded(*args, **kwargs):
+        counts.append(0)
+        rows.append(solve(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(LMOperator, "weak_apply", counted)
+    monkeypatch.setattr(transport, "burnett_solve", recorded)
+    table = transport_table(thetas, n_per_axis=N, tol=TOL)
+    monkeypatch.undo()
+    assert len(rows) == len(thetas) and counts[1] > 0 and counts[2:] == [0] * (len(thetas) - 1)
+    for k, th in enumerate(thetas):
+        cold = solutions.get((1.0, th)) or burnett_solve(
+            GasState.make(1.0, 0.0, th), thermal_grid(th, N), tol=TOL
+        )
+        assert math.isclose(table.mu[k], cold.mu_theta, rel_tol=1e-12)
+        assert math.isclose(table.kappa[k], cold.kappa_theta, rel_tol=1e-12)
+        assert math.isclose(table.residual[k], max(cold.residuals.values()), rel_tol=1e-12)
+        for name, r in rows[k].residuals.items():
+            assert math.isclose(r, cold.residuals[name], rel_tol=1e-12), (th, name)
+        warm_fields, cold_fields = fields_by_name(rows[k]), fields_by_name(cold)
+        for name, f in cold_fields.items():
+            assert np.abs(warm_fields[name] - f).max() <= 1e-12 * np.abs(f).max(), (th, name)
 
 
 def fields_by_name(sol):
