@@ -211,8 +211,8 @@ def burnett_solve(
             fields[c], products[c] = (-(d[siblings[0]] + d[siblings[1]]) for d in both)
             how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
+            x0 = (start or {}).get(name)
             try:
-                x0 = (start or {}).get(name)
                 fields[c] = invert_LM_micro(op, source, tol, x0).values
             except NonConvergenceError as exc:
                 why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
