@@ -48,6 +48,7 @@ form of L_M.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,8 @@ from .velocity import (
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _UNPACK = np.array([[_PAIRS.index((min(i, j), max(i, j))) for j in range(3)] for i in range(3)])
 _DIAGONAL = tuple(int(k) for k in np.diag(_UNPACK))
+
+_log = logging.getLogger(__name__)
 
 
 def _contract(six, three, i: int):
@@ -483,7 +486,7 @@ _MAX_INNER_ITER = 600
 
 def invert_LM_micro(
     op: LMOperator, h: GridFunction, tol: float, x0: np.ndarray | None = None
-) -> GridFunction:
+) -> tuple[GridFunction, np.ndarray]:
     """Solve L_M g = h on the microscopic subspace, for the L_M and lattice of ``op``.
 
     ``tol`` is required: what a lattice reaches depends on its resolution.
@@ -494,17 +497,27 @@ def invert_LM_micro(
     ||L_M g - h|| <= tol ||h||.  The initial guess is ``x0``, nodal
     h-space values of the lattice's shape, when given, and otherwise one
     ``_pcg`` application to h at relative tolerance 1e-3; each Krylov step
-    runs one more ``_pcg`` at 1e-2 and one strong-form apply.  Either way
-    the true residual of the start is checked first, so a start already
-    within ``tol`` costs one apply and a poor one costs iterations, never
-    accuracy.  ``_MAX_INNER_ITER`` bounds the inner conjugate-gradient
-    iterations over the whole solve.  The residual history holds relative
-    residuals: 1 for the zero start; then the true residual of the start
-    (``history[1]``: of ``x0`` when given) and of every restart; and the
-    GMRES least-squares residual after each Krylov step.  Raises
+    runs one more ``_pcg`` at 1e-2 and one strong-form apply.
+
+    Returns ``(g, product)``: g is the iterate projected onto the
+    microscopic subspace, and ``product`` is L_M of the unprojected
+    iterate, made from the literal applies the solve ran.  One apply
+    checks the start; each Krylov direction's own apply is kept before
+    orthogonalisation, and the product is updated with the same
+    least-squares coefficients as the iterate.  So a start already within
+    ``tol`` costs one apply and a poor one costs iterations, never
+    accuracy, and the caller can verify g without applying L_M again.
+    ``_MAX_INNER_ITER`` bounds the inner conjugate-gradient iterations
+    over the whole solve.  The residual history holds relative residuals:
+    1 for the zero start; then the residual of the start (``history[1]``:
+    of ``x0`` when given) and after every restart cycle, read off the
+    product; and the GMRES least-squares residual after each Krylov step.
+    The solve returns only once a residual read off the product is within
+    ``tol``, and logs one DEBUG line to ``rarewave.collision`` with its
+    inner iterations, apply calls and final relative residual.  Raises
     :class:`NonConvergenceError` (with that history) when the inner
     budget is spent, the preconditioner returns no direction, or a full
-    restart cycle cuts the true residual by less than 2x.  Consistent
+    restart cycle cuts the residual by less than 2x.  Consistent
     right-hand sides gain orders of magnitude per cycle; a stall means
     the source has content the lattice operator cannot reach.
     """
@@ -515,7 +528,8 @@ def invert_LM_micro(
         raise ValueError(f"start of shape {np.shape(x0)} does not fit the lattice {g.shape}")
     normh = math.sqrt(g.integrate(h.values * h.values))
     if normh == 0.0:
-        return GridFunction(g, np.zeros(g.shape))
+        _log.debug("solve: zero right-hand side, 0 inner iterations, 0 apply calls")
+        return GridFunction(g, np.zeros(g.shape)), np.zeros(g.shape)
     defect = op.micro_defect(h.values)
     if defect > _MICRO_TOL:
         raise ValueError(
@@ -528,8 +542,10 @@ def invert_LM_micro(
         x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=_MAX_INNER_ITER)
     else:
         x, iters_used = x0 / mv, 0
+    ax = op.apply(mv * x)  # L_M of the iterate mv * x, kept in step with x
+    applies = 1
     history = [1.0]
-    cycle_start = None  # true residual before the last full restart cycle
+    cycle_start = None  # residual before the last full restart cycle
 
     def stalled(why: str = "") -> NonConvergenceError:
         return NonConvergenceError(
@@ -539,15 +555,23 @@ def invert_LM_micro(
         )
 
     while True:
-        r = sw * (h.values - op.apply(mv * x))
+        r = sw * (h.values - ax)
         beta = math.sqrt(float(np.sum(r * r)))
         history.append(beta / normh)
         if history[-1] <= tol:
-            return project_P1(GridFunction(g, mv * x), op.basis)
+            _log.debug(
+                "solve: %d inner iterations, %d apply calls, relative residual %.3e",
+                iters_used,
+                applies,
+                history[-1],
+            )
+            return project_P1(GridFunction(g, mv * x), op.basis), ax
+        if iters_used >= _MAX_INNER_ITER:
+            raise stalled()
         if cycle_start is not None and beta > 0.5 * cycle_start:
             raise stalled(f": a full restart cycle cut it by only {cycle_start / beta:.2f}x")
         vs = [r / beta]
-        zs = []
+        zs, azs = [], []
         hess = np.zeros((_RESTART + 1, _RESTART))
         while history[-1] > tol and len(zs) < _RESTART and iters_used < _MAX_INNER_ITER:
             z, it = _pcg(op, vs[-1] / sw, rtol=1e-2, max_iter=_MAX_INNER_ITER - iters_used)
@@ -556,7 +580,9 @@ def invert_LM_micro(
             iters_used += it
             k = len(zs)
             zs.append(z)
-            w = sw * op.apply(mv * z)
+            azs.append(op.apply(mv * z))
+            applies += 1
+            w = sw * azs[-1]
             for i, v in enumerate(vs):
                 hess[i, k] = float(np.sum(v * w))
                 w -= hess[i, k] * v
@@ -568,10 +594,8 @@ def invert_LM_micro(
             if hess[k + 1, k] == 0.0:
                 break
             vs.append(w / hess[k + 1, k])
-        cycle_start = beta if len(zs) == _RESTART else None
-        if zs:
-            x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
-        if history[-1] <= tol:
-            return project_P1(GridFunction(g, mv * x), op.basis)
-        if not zs or iters_used >= _MAX_INNER_ITER:
+        if not zs:
             raise stalled()
+        cycle_start = beta if len(zs) == _RESTART else None
+        x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
+        ax = ax + np.tensordot(y, np.stack(azs), axes=(0, 0))

@@ -101,7 +101,8 @@ class BurnettSolution:
     coefficients come from the quadratures of A1 and B12 against their
     bare source polynomials.  ``residuals`` maps component names to the
     relative residual of the linearized equation, source minus the L_M
-    product made as the field was; ``solved`` lists the components that
+    product made as the field was (for a solved component, the product
+    its solve returned); ``solved`` lists the components that
     ran through the solver.  Every other component is either the transpose
     of an earlier one under an axis transposition (a, b) with
     u_a == u_b, which maps the lattice, the state and the sources onto
@@ -169,10 +170,11 @@ def burnett_solve(
     (A1, B11, B12), at u = (u1, 0, 0) five (A1, A2, B22, B12, B23, with
     B33 the transpose of B22 and B11 = -(B22 + B33)), and with three
     distinct velocity components eight.  Each component's L_M product
-    is made by the rule that made its field: ``op.apply`` of a solved
-    field, the origin's product transposed, or minus the sum of the
-    siblings' products; L_M is linear and commutes with every allowed
-    transposition.  The residual, source minus product, is recorded and
+    is made by the rule that made its field: for a solved field the
+    product its solve returned, otherwise the origin's product transposed
+    or minus the sum of the siblings' products; L_M is linear and
+    commutes with every allowed transposition, so no field is applied
+    outside its solve.  The residual, source minus product, is recorded and
     logged at DEBUG to ``rarewave.transport``; one above ``tol`` raises
     :class:`NonConvergenceError` naming the component, with the
     residuals recorded so far.  A failed solve re-raises the solver's
@@ -213,11 +215,11 @@ def burnett_solve(
         else:
             x0 = (start or {}).get(name)
             try:
-                fields[c] = invert_LM_micro(op, source, tol, x0).values
+                field, products[c] = invert_LM_micro(op, source, tol, x0)
             except NonConvergenceError as exc:
                 why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
                 raise NonConvergenceError(f"{name} (solve): {why}", exc.residuals) from exc
-            products[c] = op.apply(fields[c])
+            fields[c] = field.values
             solved.append(name)
             how = "solve"
         res = source.values - products[c]
@@ -334,7 +336,10 @@ def _check_temperatures(thetas: tuple) -> None:
 
 @dataclass(frozen=True)
 class TransportTable:
-    """Viscosity and heat conductivity against temperature, one solve per row.
+    """Viscosity and heat conductivity against temperature, one ``burnett_solve`` per row.
+
+    Each row at rest runs three solves (A1, B11, B12); the rest of its
+    nine preimages follow by transposition and the trace.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
     at any temperature: the first row times (theta / theta_0)^thermal_exponent.

@@ -1,6 +1,8 @@
 """Collision operator: kernel, convolutions, linearization, and the solver."""
 
+import logging
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -467,7 +469,7 @@ def test_invert_recovers_manufactured_solution():
         g = grid(n)
         op = LMOperator(STATE, g)
         h, g_true = manufactured(g, op)
-        sol = invert_LM_micro(op, h, tol)
+        sol, _ = invert_LM_micro(op, h, tol)
         assert op.micro_defect(sol.values) <= 1e-12
         resid = h.values - op.apply(sol.values)
         rel = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
@@ -486,7 +488,7 @@ def test_invert_reaches_tight_tolerance_across_restarts():
     g = grid(16)
     op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    sol = invert_LM_micro(op, h, 1e-8)
+    sol, _ = invert_LM_micro(op, h, 1e-8)
     resid = h.values - op.apply(sol.values)
     assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-8
 
@@ -499,7 +501,7 @@ def test_invert_from_a_given_start_still_reaches_tol():
     h, _ = manufactured(g, op)
     noise = np.random.default_rng(7).standard_normal(g.shape) * op.m.values
     for x0 in (np.zeros(g.shape), project_P1(GridFunction(g, noise), op.basis).values):
-        sol = invert_LM_micro(op, h, 1e-4, x0)
+        sol, _ = invert_LM_micro(op, h, 1e-4, x0)
         assert op.micro_defect(sol.values) <= 1e-12
         resid = h.values - op.apply(sol.values)
         assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-4
@@ -509,13 +511,13 @@ def test_invert_from_a_converged_start_runs_no_preconditioner(monkeypatch):
     g = grid(16)
     op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    done = invert_LM_micro(op, h, 1e-4)
+    done, _ = invert_LM_micro(op, h, 1e-4)
 
     def no_pcg(*args, **kwargs):
         raise AssertionError("a start within tol reached the preconditioner")
 
     monkeypatch.setattr(collision, "_pcg", no_pcg)
-    again = invert_LM_micro(op, h, 1e-4, done.values)
+    again, _ = invert_LM_micro(op, h, 1e-4, done.values)
     assert np.abs(again.values - done.values).max() <= 1e-14 * np.abs(done.values).max()
 
 
@@ -530,8 +532,65 @@ def test_invert_rejects_a_start_of_the_wrong_shape():
 
 def test_invert_zero_rhs_gives_zero():
     g = grid(16)
-    out = invert_LM_micro(LMOperator(STATE, g), GridFunction(g, np.zeros(g.shape)), 1e-6)
-    assert np.all(out.values == 0.0)
+    zero = GridFunction(g, np.zeros(g.shape))
+    out, product = invert_LM_micro(LMOperator(STATE, g), zero, 1e-6)
+    assert np.all(out.values == 0.0) and np.all(product == 0.0)
+
+
+def test_returned_product_is_a_fresh_apply_of_the_solution():
+    # the product is accumulated from the solve's own applies, on the
+    # unprojected iterate; it must equal L_M of the returned field on every
+    # path: cold, from a converged start, across restarts, and at h = 0
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    calls = [0]
+    plain = op.apply
+
+    def counted(values):
+        calls[0] += 1
+        return plain(values)
+
+    op.apply = counted
+    cold = invert_LM_micro(op, h, 1e-4)
+    warm = invert_LM_micro(op, h, 1e-4, cold[0].values)
+    calls[0] = 0
+    tight = invert_LM_micro(op, h, 1e-8)
+    assert calls[0] > collision._RESTART + 1  # more than one Krylov cycle
+    zero = invert_LM_micro(op, GridFunction(g, np.zeros(g.shape)), 1e-6)
+    for field, product in (cold, warm, tight, zero):
+        fresh = plain(field.values)
+        assert np.abs(product - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def test_each_solve_logs_its_iterations_applies_and_residual(caplog):
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    sol, product = invert_LM_micro(op, h, 1e-4)
+    assert not [r for r in caplog.records if r.name == "rarewave.collision"]
+    calls = [0]
+    plain = op.apply
+
+    def counted(values):
+        calls[0] += 1
+        return plain(values)
+
+    op.apply = counted
+    with caplog.at_level(logging.DEBUG, logger="rarewave.collision"):
+        invert_LM_micro(op, h, 1e-4)
+        invert_LM_micro(op, h, 1e-4, sol.values)
+    records = [r.getMessage() for r in caplog.records if r.name == "rarewave.collision"]
+    assert len(records) == 2
+    pattern = r"solve: (\d+) inner iterations, (\d+) apply calls, relative residual (\S+)$"
+    (cold_iters, cold_applies, _), (warm_iters, warm_applies, warm_res) = (
+        re.match(pattern, m).groups() for m in records
+    )
+    assert int(cold_iters) > 0 and int(cold_applies) + int(warm_applies) == calls[0]
+    assert (warm_iters, warm_applies) == ("0", "1")
+    resid = h.values - product
+    fresh = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
+    assert float(warm_res) == pytest.approx(fresh, rel=1e-3) and fresh <= 1e-4
 
 
 def test_invert_rejects_fluid_content():
@@ -545,8 +604,8 @@ def test_invert_scaling_equivariance():
     g = grid(16)
     op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    one = invert_LM_micro(op, h, 1e-4)
-    three = invert_LM_micro(op, GridFunction(g, 3.0 * h.values), 1e-4)
+    one, _ = invert_LM_micro(op, h, 1e-4)
+    three, _ = invert_LM_micro(op, GridFunction(g, 3.0 * h.values), 1e-4)
     assert np.abs(three.values - 3.0 * one.values).max() <= 1e-12 * np.abs(one.values).max()
 
 

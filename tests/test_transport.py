@@ -332,14 +332,45 @@ def test_a_verified_residual_above_tol_raises(monkeypatch):
     solve = transport.invert_LM_micro
 
     def overshoot(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        return GridFunction(out.grid, 1.1 * out.values)
+        out, product = solve(*args, **kwargs)
+        return GridFunction(out.grid, 1.1 * out.values), 1.1 * product
 
     monkeypatch.setattr(transport, "invert_LM_micro", overshoot)
     s = GasState.make(1.0, 0.0, 1.0)
     with pytest.raises(NonConvergenceError, match=r"A1 \(solve\) has verified residual above") as exc:
         burnett_solve(s, thermal_grid(1.0, N), tol=TOL)
     assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > TOL
+
+
+def test_every_apply_runs_inside_a_solve(monkeypatch):
+    # a solved component's product comes back from its solve, so burnett_solve
+    # applies L_M nowhere else; a warm table row, whose starts are within tol,
+    # costs one apply per solved component
+    depth, outside, per_row = [0], [0], []
+    apply, solve, row = LMOperator.apply, transport.invert_LM_micro, transport.burnett_solve
+
+    def counted_apply(self, values):
+        per_row[-1] += 1
+        outside[0] += depth[0] == 0
+        return apply(self, values)
+
+    def counted_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_row(*args, **kwargs):
+        per_row.append(0)
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(LMOperator, "apply", counted_apply)
+    monkeypatch.setattr(transport, "invert_LM_micro", counted_solve)
+    monkeypatch.setattr(transport, "burnett_solve", counted_row)
+    table = transport_table((1.0, 1.3), n_per_axis=N, tol=TOL)
+    assert len(table.mu) == 2 and outside[0] == 0
+    assert per_row[0] > 3 and per_row[1] == 3
 
 
 def test_every_recorded_residual_matches_a_fresh_apply(solutions, wave_point, distinct_point):
