@@ -537,6 +537,18 @@ def test_invert_zero_rhs_gives_zero():
     assert np.all(out.values == 0.0) and np.all(product == 0.0)
 
 
+def count_applies(op):
+    """Count the ``apply`` calls of this operator; returns the counter and the plain apply."""
+    calls, plain = [0], op.apply
+
+    def counted(values):
+        calls[0] += 1
+        return plain(values)
+
+    op.apply = counted
+    return calls, plain
+
+
 def test_returned_product_is_a_fresh_apply_of_the_solution():
     # the product is accumulated from the solve's own applies, on the
     # unprojected iterate; it must equal L_M of the returned field on every
@@ -544,14 +556,7 @@ def test_returned_product_is_a_fresh_apply_of_the_solution():
     g = grid(16)
     op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
-    calls = [0]
-    plain = op.apply
-
-    def counted(values):
-        calls[0] += 1
-        return plain(values)
-
-    op.apply = counted
+    calls, plain = count_applies(op)
     cold = invert_LM_micro(op, h, 1e-4)
     warm = invert_LM_micro(op, h, 1e-4, cold[0].values)
     calls[0] = 0
@@ -569,14 +574,7 @@ def test_each_solve_logs_its_iterations_applies_and_residual(caplog):
     h, _ = manufactured(g, op)
     sol, product = invert_LM_micro(op, h, 1e-4)
     assert not [r for r in caplog.records if r.name == "rarewave.collision"]
-    calls = [0]
-    plain = op.apply
-
-    def counted(values):
-        calls[0] += 1
-        return plain(values)
-
-    op.apply = counted
+    calls, _ = count_applies(op)
     with caplog.at_level(logging.DEBUG, logger="rarewave.collision"):
         invert_LM_micro(op, h, 1e-4)
         invert_LM_micro(op, h, 1e-4, sol.values)
