@@ -2,11 +2,12 @@
 
     python bench/burnett_solve.py --before REV [--rounds 10] [--out BENCH_derived_products.json]
 
-Run it from the root of a checkout.  For n_per_axis in {16, 24, 32} it times
-``burnett_solve`` (tol 1e-2, best of 5, one thread) at two states:
+Run it from the root of a checkout.  For n_per_axis in {16, 20, 24, 32} it
+times ``burnett_solve`` (tol 1e-2, ``DEFAULT_TOL``; best of 5, one thread) at
+two states:
 
 - ``rest``: (rho, u, theta) = (1, 0, 1) on ``thermal_grid(1.0, n)``, the
-  lattice family of ``transport_table``;
+  lattice family of ``transport_table``, whose default is n = 20;
 - ``mid_fan``: on the wave of the ``wave_slice`` benchmark workload (left
   state (1, 0, 1), right density 1.5, width 0.5), the state at t = 2,
   x = t (lambda3(left) + lambda3(right)) / 2, on that workload's shared
@@ -49,8 +50,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 from scipy import fft  # noqa: E402
 
-from fft_period import REPEATS, ROOT, SIZES, best_of, compare, provenance, run_rounds  # noqa: E402
+from fft_period import REPEATS, ROOT, best_of, compare, provenance, run_rounds  # noqa: E402
 
+SIZES = (16, 20, 24, 32)
 LEFT, RHO_PLUS, DELTA, T, TOL, SPAN = (1.0, 0.0, 1.0), 1.5, 0.5, 2.0, 1e-2, 6.5
 STATES = ("rest", "mid_fan")
 

@@ -313,34 +313,45 @@ class TestEulerResidual:
         assert np.max(np.abs(r)) <= 1e-6
 
     def test_batched_stencil_matches_pointwise(self, monkeypatch):
-        # one array call of profile for the five stencil points; the curve
-        # lift may round arrays and scalars differently in the last bit
+        # one array call for the five stencil points, at feet one Newton step
+        # past _foot_points; the curve lift may round arrays and scalars
+        # differently in the last bit
         calls = []
-        profile = SmoothWave.profile
+        at_feet = SmoothWave._profile_at_feet
 
-        def spy(wave, t, x, order=1):
-            calls.append((np.broadcast_to(t, np.shape(x)), x))
-            return profile(wave, t, x, order)
+        def spy(wave, t, x0, order):
+            calls.append((np.broadcast_to(t, np.shape(x0)), x0))
+            return at_feet(wave, t, x0, order)
 
-        monkeypatch.setattr(SmoothWave, "profile", spy)
+        monkeypatch.setattr(SmoothWave, "_profile_at_feet", spy)
         t, x, h = 1.0, 0.6, 1e-5
         r = euler_residual(self.wave, t, x, h)
-        ((ts, xs),) = calls
-        assert len(xs) == 5
-        prof = profile(self.wave, ts, xs, order=0)
-        states = [self.wave.state(ti, xi) for ti, xi in zip(ts, xs)]
-        for name in ("rho", "u1", "theta"):
-            ref = np.array([getattr(s, name) for s in states])
+        monkeypatch.undo()
+        ((ts, x0),) = calls
+        assert len(x0) == 5
+        xs = x + h * np.array([1.0, -1.0, 0.0, 0.0, 0.0])
+        assert np.all(np.abs(x0 + ts * burgers_init(self.wave.params, x0) - xs) <= 1e-15)
+        prof = at_feet(self.wave, ts, x0, 0)
+        points = [at_feet(self.wave, ti, np.array([fi]), 0) for ti, fi in zip(ts, x0)]
+        rho, u1, th = (np.array([pt[k][0] for pt in points]) for k in ("rho", "u1", "theta"))
+        for name, ref in (("rho", rho), ("u1", u1), ("theta", th)):
             assert np.all(np.abs(prof[name] - ref) <= np.spacing(np.abs(ref)))
-        # pointwise reference from the states; 1-ulp inputs give at most a
-        # few ulp per flux entry, amplified by 1/(2h)
-        rho, u1, th = (np.array([getattr(s, k) for s in states]) for k in ("rho", "u1", "theta"))
+        # pointwise reference; 1-ulp inputs give at most a few ulp per flux
+        # entry, amplified by 1/(2h)
         cons = np.array([rho, rho * u1, 0.0 * rho, rho * th])
         flux = np.array([rho * u1, rho * u1 * u1 + GAS_R * rho * th, 0.0 * rho, rho * u1 * th])
         ref = (cons[:, 2] - cons[:, 3] + flux[:, 0] - flux[:, 1]) / (2 * h)
         ref[3] += GAS_R * rho[4] * th[4] * (u1[0] - u1[1]) / (2 * h)
         bound = 20 * np.finfo(float).eps * np.abs(flux).max() / h
         assert np.max(np.abs(r - ref)) <= bound
+
+    def test_stencil_feet_past_the_foot_point_stop(self):
+        # on this wave four stencil feet stop at the 1e-13 (1 + |x|) term of
+        # the foot-point tolerance, and without the extra Newton step the
+        # residual read 5.5e-9 here (2.2e-11 with it)
+        wave = SmoothWave.build(RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5), 0.5)
+        r = euler_residual(wave, 49.04790732208202, 51.95099840878549)
+        assert np.max(np.abs(r)) <= 1e-10
 
     def test_requires_time_headroom(self):
         with pytest.raises(ValueError):
