@@ -186,14 +186,20 @@ def scaled_components(sol, names, factor):
     [
         (("A2",), 1.05, {"isotropic form"}),
         (("B12", "B13", "B23"), 1.1, {"rotation identity"}),
-        (("B12",), 1.5, {"isotropic form", "rotation identity"}),
         (("A1", "A2", "A3"), -1.0, {"isotropic form"}),
     ],
-    ids=["A2x1.05", "off-diagonal-x1.1", "B12x1.5", "negated-A"],
+    ids=["A2x1.05", "off-diagonal-x1.1", "negated-A"],
 )
 def test_property_check_fails_on_a_scaled_preimage(solutions, names, factor, failed):
     bad = scaled_components(solutions[1.0, 1.0], names, factor)
     assert {c.name for c in burnett_property_check(bad) if not c.passed} == failed
+
+
+def test_property_check_fails_on_a_scaled_shear_preimage(solutions):
+    # one off-diagonal shear off by half breaks both the form and the identity
+    bad = scaled_components(solutions[1.0, 1.0], ("B12",), 1.5)
+    failed = {c.name for c in burnett_property_check(bad) if not c.passed}
+    assert failed == {"isotropic form", "rotation identity"}
 
 
 def test_reports_serialise_to_json(wave_point):
