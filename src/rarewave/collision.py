@@ -41,7 +41,7 @@ the paper.
 On top of Q sit the collision frequency sigma^{ij} = phi^{ij} * mu,
 the linearization L_M h = Q(h, M) + Q(M, h), its sqrt(mu)-conjugated
 sibling, and a constrained iterative inverse of L_M on the microscopic
-subspace: flexible GMRES on the literal operator, preconditioned by
+subspace: flexible GCR on the literal operator, preconditioned by
 deflated conjugate gradients on the exactly symmetric weak (Dirichlet)
 form of L_M.
 """
@@ -341,8 +341,8 @@ class LMOperator:
     ``collision_Q`` calls, with the Maxwellian-side convolutions cached).
     ``weak_apply`` is the exactly symmetric positive-semidefinite
     Dirichlet form acting on potentials x = h / M; the deflated
-    conjugate-gradient solve on it preconditions the Krylov iteration
-    that ``invert_LM_micro`` runs on ``apply``.
+    conjugate-gradient solve on it preconditions the flexible GCR
+    iteration that ``invert_LM_micro`` runs on ``apply``.
     """
 
     def __init__(self, s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()):
@@ -476,7 +476,7 @@ def _pcg(op: LMOperator, res: np.ndarray, rtol: float, max_iter: int) -> tuple[n
     return u / sq, it
 
 
-# Krylov vectors kept per flexible GMRES cycle before a restart.
+# Directions kept per flexible GCR cycle before a restart.
 _RESTART = 20
 # Largest fluid fraction accepted in a right-hand side of invert_LM_micro.
 _MICRO_TOL = 1e-6
@@ -490,36 +490,35 @@ def invert_LM_micro(
     """Solve L_M g = h on the microscopic subspace, for the L_M and lattice of ``op``.
 
     ``tol`` is required: what a lattice reaches depends on its resolution.
-    Restarted flexible GMRES (Saad 1993) on the literal strong-form
-    operator, with ``_pcg`` as a variable right preconditioner.  The
-    Krylov vectors carry residuals scaled by sqrt(w), so their Euclidean
-    norm is the quadrature norm and the solve stops once
-    ||L_M g - h|| <= tol ||h||.  The initial guess is ``x0``, nodal
-    h-space values of the lattice's shape, when given, and otherwise one
-    ``_pcg`` application to h at relative tolerance 1e-3; each Krylov step
-    runs one more ``_pcg`` at 1e-2 and one strong-form apply.
+    Restarted flexible GCR (Eisenstat, Elman & Schultz 1983) on the literal
+    strong-form operator, with ``_pcg`` as a variable preconditioner.  The
+    start is ``x0``, nodal h-space values of the lattice's shape, when
+    given, and otherwise one ``_pcg`` application to h at relative
+    tolerance 1e-3.  Each step runs one more ``_pcg`` at 1e-2 on the
+    residual and one strong-form apply to the new direction, orthogonalises
+    the product against the cycle's earlier products in the quadrature
+    inner product (modified Gram-Schmidt, the directions following with the
+    same coefficients), normalises the pair and moves the iterate to the
+    residual minimum along it.  The solve stops once
+    ||L_M g - h|| <= tol ||h|| in the quadrature norm.
 
     Returns ``(g, product)``: g is the iterate projected onto the
     microscopic subspace, and ``product`` is L_M of the unprojected
-    iterate, made from the literal applies the solve ran.  One apply
-    checks the start; each Krylov direction's own apply is kept before
-    orthogonalisation, and the product is updated with the same
-    least-squares coefficients as the iterate.  So a start already within
-    ``tol`` costs one apply and a poor one costs iterations, never
-    accuracy, and the caller can verify g without applying L_M again.
-    ``_MAX_INNER_ITER`` bounds the inner conjugate-gradient iterations
-    over the whole solve.  The residual history holds relative residuals:
-    1 for the zero start; then the residual of the start (``history[1]``:
-    of ``x0`` when given) and after every restart cycle, read off the
-    product; and the GMRES least-squares residual after each Krylov step.
-    The solve returns only once a residual read off the product is within
-    ``tol``, and logs one DEBUG line to ``rarewave.collision`` with its
-    inner iterations, apply calls and final relative residual.  Raises
-    :class:`NonConvergenceError` (with that history) when the inner
-    budget is spent, the preconditioner returns no direction, or a full
-    restart cycle cuts the residual by less than 2x.  Consistent
-    right-hand sides gain orders of magnitude per cycle; a stall means
-    the source has content the lattice operator cannot reach.
+    iterate: the start's apply plus the steps along GCR's list of
+    products, so the caller can verify g without applying L_M again.  A
+    start already within ``tol`` costs one apply and a poor one costs
+    iterations, never accuracy.  ``_MAX_INNER_ITER`` bounds the inner
+    conjugate-gradient iterations over the whole solve.  The residual
+    history holds relative residuals: 1 for the zero start, then the true
+    residual, read off the product, at the start (``history[1]``: of
+    ``x0`` when given) and after every step.  The solve logs one DEBUG line
+    to ``rarewave.collision`` with its inner iterations, apply calls and
+    final relative residual.  Raises :class:`NonConvergenceError` (with
+    that history) when the inner budget is spent, the preconditioner
+    returns no direction or one whose product vanishes, or a full restart
+    cycle of ``_RESTART`` steps cuts the residual by less than 2x.
+    Consistent right-hand sides gain orders of magnitude per cycle; a
+    stall means the source has content the lattice operator cannot reach.
     """
     g = op.grid
     if h.grid != g:
@@ -537,15 +536,15 @@ def invert_LM_micro(
             f"exceeds {_MICRO_TOL:.1e}"
         )
     mv = op.m.values
-    sw = np.sqrt(g.weights)
     if x0 is None:
         x, iters_used = _pcg(op, h.values, rtol=1e-3, max_iter=_MAX_INNER_ITER)
     else:
         x, iters_used = x0 / mv, 0
     ax = op.apply(mv * x)  # L_M of the iterate mv * x, kept in step with x
     applies = 1
-    history = [1.0]
-    cycle_start = None  # residual before the last full restart cycle
+    r = h.values - ax
+    history = [1.0, math.sqrt(g.integrate(r * r)) / normh]
+    zs, azs = [], []  # this cycle's directions and their orthonormal products
 
     def stalled(why: str = "") -> NonConvergenceError:
         return NonConvergenceError(
@@ -554,48 +553,38 @@ def invert_LM_micro(
             history,
         )
 
-    while True:
-        r = sw * (h.values - ax)
-        beta = math.sqrt(float(np.sum(r * r)))
-        history.append(beta / normh)
-        if history[-1] <= tol:
-            _log.debug(
-                "solve: %d inner iterations, %d apply calls, relative residual %.3e",
-                iters_used,
-                applies,
-                history[-1],
-            )
-            return project_P1(GridFunction(g, mv * x), op.basis), ax
+    while history[-1] > tol:
         if iters_used >= _MAX_INNER_ITER:
             raise stalled()
-        if cycle_start is not None and beta > 0.5 * cycle_start:
-            raise stalled(f": a full restart cycle cut it by only {cycle_start / beta:.2f}x")
-        vs = [r / beta]
-        zs, azs = [], []
-        hess = np.zeros((_RESTART + 1, _RESTART))
-        while history[-1] > tol and len(zs) < _RESTART and iters_used < _MAX_INNER_ITER:
-            z, it = _pcg(op, vs[-1] / sw, rtol=1e-2, max_iter=_MAX_INNER_ITER - iters_used)
-            if it == 0:
-                break
-            iters_used += it
-            k = len(zs)
-            zs.append(z)
-            azs.append(op.apply(mv * z))
-            applies += 1
-            w = sw * azs[-1]
-            for i, v in enumerate(vs):
-                hess[i, k] = float(np.sum(v * w))
-                w -= hess[i, k] * v
-            hess[k + 1, k] = math.sqrt(float(np.sum(w * w)))
-            rhs = np.zeros(k + 2)
-            rhs[0] = beta
-            y = np.linalg.lstsq(hess[: k + 2, : k + 1], rhs, rcond=None)[0]
-            history.append(float(np.linalg.norm(rhs - hess[: k + 2, : k + 1] @ y)) / normh)
-            if hess[k + 1, k] == 0.0:
-                break
-            vs.append(w / hess[k + 1, k])
-        if not zs:
+        if len(zs) == _RESTART:
+            cut = history[-1 - _RESTART] / history[-1]
+            if cut < 2.0:
+                raise stalled(f": a full restart cycle cut it by only {cut:.2f}x")
+            zs, azs = [], []
+        z, it = _pcg(op, r, rtol=1e-2, max_iter=_MAX_INNER_ITER - iters_used)
+        if it == 0:
             raise stalled()
-        cycle_start = beta if len(zs) == _RESTART else None
-        x = x + np.tensordot(y, np.stack(zs), axes=(0, 0))
-        ax = ax + np.tensordot(y, np.stack(azs), axes=(0, 0))
+        iters_used += it
+        az = op.apply(mv * z)
+        applies += 1
+        for zi, azi in zip(zs, azs):
+            c = g.integrate(azi * az)
+            z -= c * zi
+            az -= c * azi
+        norm = math.sqrt(g.integrate(az * az))
+        if norm == 0.0:
+            raise stalled()
+        zs.append(z / norm)
+        azs.append(az / norm)
+        alpha = g.integrate(azs[-1] * r)
+        x += alpha * zs[-1]
+        ax += alpha * azs[-1]
+        r = h.values - ax
+        history.append(math.sqrt(g.integrate(r * r)) / normh)
+    _log.debug(
+        "solve: %d inner iterations, %d apply calls, relative residual %.3e",
+        iters_used,
+        applies,
+        history[-1],
+    )
+    return project_P1(GridFunction(g, mv * x), op.basis), ax

@@ -483,8 +483,8 @@ def test_invert_recovers_manufactured_solution():
 
 def test_invert_reaches_tight_tolerance_across_restarts():
     # a consistent right-hand side must reach any tolerance above round-off;
-    # 1e-8 takes more than one Krylov cycle, so the true residual checked
-    # here also guards the least-squares estimate carried across restarts
+    # 1e-8 takes more than one restart cycle, so the true residual checked
+    # here also guards the directions and products carried across restarts
     g = grid(16)
     op = LMOperator(STATE, g)
     h, _ = manufactured(g, op)
@@ -618,6 +618,31 @@ def test_invert_reports_residual_history_on_stall(monkeypatch):
     assert len(err.residuals) >= 1
     assert all(r >= 0.0 for r in err.residuals)
     assert "residual" in str(err)
+
+
+def test_invert_raises_when_the_preconditioner_gives_no_direction(monkeypatch):
+    # only the start's _pcg is real; a step that finds no direction must
+    # raise with the start's true residual, after the start's one apply
+    g = grid(16)
+    op = LMOperator(STATE, g)
+    h, _ = manufactured(g, op)
+    real_pcg, starts = collision._pcg, []
+
+    def start_only(*args, **kwargs):
+        if starts:
+            return np.zeros(g.shape), 0
+        starts.append(real_pcg(*args, **kwargs))
+        return starts[-1]
+
+    monkeypatch.setattr(collision, "_pcg", start_only)
+    calls, plain = count_applies(op)
+    with pytest.raises(NonConvergenceError, match="stalled") as exc:
+        invert_LM_micro(op, h, 1e-4)
+    assert calls[0] == 1
+    resid = h.values - plain(op.m.values * starts[0][0])
+    start = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
+    assert exc.value.residuals == [1.0, pytest.approx(start, rel=1e-12)]
+    assert start > 1e-4
 
 
 # ---------------------------------------------------------------------------

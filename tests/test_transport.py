@@ -237,6 +237,10 @@ def test_stalled_restart_cycle_raises_before_the_budget_is_spent():
     used = int(re.search(r"after (\d+) inner iterations", str(exc.value)).group(1))
     assert used < 600
     assert exc.value.residuals[-1] > 1e-2
+    # every step minimises the true residual over a space holding the last
+    # iterate, so the history after the zero start never rises
+    history = exc.value.residuals[1:]
+    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
 def test_table_follows_exact_thermal_law(solutions):
