@@ -131,33 +131,25 @@ def burgers_eval_full(p: WaveParams, t: float, x):
 
 @dataclass(frozen=True)
 class SmoothWave:
-    """Smooth approximate 3-rarefaction wave lifted from the Burgers profile."""
+    """Smooth approximate 3-rarefaction wave lifted from the Burgers profile.
 
-    params: WaveParams
+    The Riemann data and the width delta fix the wave: its Burgers edge
+    speeds are lambda3 of the end states, and ``params`` is derived from them.
+    """
+
     data: RiemannData
+    delta: float
+    params: WaveParams = field(init=False)
     _coeffs: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_coeffs", curve_coefficients(self.data.left))
-        want_minus = lambda3(self.data.left)
-        want_plus = lambda3(self.data.right)
-        if not (
-            math.isclose(self.params.omega_minus, want_minus, rel_tol=1e-12)
-            and math.isclose(self.params.omega_plus, want_plus, rel_tol=1e-12)
-        ):
-            raise ValueError("wave edge speeds do not match the end states")
+        left, right = self.data.left, self.data.right
+        object.__setattr__(self, "params", WaveParams(self.delta, lambda3(left), lambda3(right)))
+        object.__setattr__(self, "_coeffs", curve_coefficients(left))
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
-        return cls(WaveParams(delta, lambda3(data.left), lambda3(data.right)), data)
-
-    @property
-    def left(self) -> GasState:
-        return self.data.left
-
-    @property
-    def right(self) -> GasState:
-        return self.data.right
+        return cls(data, delta)
 
     def _curve_values(self, omega, order=0):
         """rho, u1, theta at omega clipped to the edge speeds, with omega-derivatives."""
@@ -165,7 +157,7 @@ class SmoothWave:
         p = self.params
         omega = np.clip(np.asarray(omega, dtype=float), p.omega_minus, p.omega_plus)
         z = (omega - a) / b
-        out = dict(zip(("rho", "u1", "theta"), curve_lift(self.left, z)))
+        out = dict(zip(("rho", "u1", "theta"), curve_lift(self.data.left, z)))
         if order >= 1:
             out.update(
                 rho_w=3.0 * z * z / b,
@@ -259,11 +251,11 @@ class DecayRow:
         return self.value / self.bound_shape
 
 
-def _char_grid(wave: SmoothWave, t: float, n: int = 20001):
+def _char_grid(wave: SmoothWave, t: float):
     """Foot-point grid covering the derivative support, with x and jacobian."""
     p = wave.params
     half = 30.0 * p.delta
-    x0 = np.linspace(-half, half, n)
+    x0 = np.linspace(-half, half, 20001)
     g, gp, _ = _init_derivs(p, x0)
     return x0, x0 + t * g, 1.0 + t * gp
 

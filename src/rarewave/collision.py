@@ -541,7 +541,6 @@ def invert_LM_micro(
     else:
         x, iters_used = x0 / mv, 0
     ax = op.apply(mv * x)  # L_M of the iterate mv * x, kept in step with x
-    applies = 1
     r = h.values - ax
     history = [1.0, math.sqrt(g.integrate(r * r)) / normh]
     zs, azs = [], []  # this cycle's directions and their orthonormal products
@@ -554,8 +553,6 @@ def invert_LM_micro(
         )
 
     while history[-1] > tol:
-        if iters_used >= _MAX_INNER_ITER:
-            raise stalled()
         if len(zs) == _RESTART:
             cut = history[-1 - _RESTART] / history[-1]
             if cut < 2.0:
@@ -566,7 +563,6 @@ def invert_LM_micro(
             raise stalled()
         iters_used += it
         az = op.apply(mv * z)
-        applies += 1
         for zi, azi in zip(zs, azs):
             c = g.integrate(azi * az)
             z -= c * zi
@@ -584,7 +580,7 @@ def invert_LM_micro(
     _log.debug(
         "solve: %d inner iterations, %d apply calls, relative residual %.3e",
         iters_used,
-        applies,
+        len(history) - 1,
         history[-1],
     )
     return project_P1(GridFunction(g, mv * x), op.basis), ax

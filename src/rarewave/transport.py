@@ -184,8 +184,12 @@ def burnett_solve(
     error with the component, ``grid_defect`` and ``n_per_axis``.
     ``start`` maps component names such as ``"A1"`` to nodal fields on
     ``g``; each solved component it names starts its solve from that field
-    (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``.
+    (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``;
+    a name that is not a component raises ``ValueError``.
     """
+    unknown = sorted(set(start or ()) - {_name(c) for c in _COMPONENTS})
+    if unknown:
+        raise ValueError(f"start names no component: {unknown}")
     op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
     m = op.m
@@ -329,7 +333,8 @@ class TransportTable:
     nine preimages follow by transposition and the trace.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
-    at any temperature: the first row times (theta / theta_0)^thermal_exponent.
+    at any positive temperature, scalar or array: the first row times
+    (theta / theta_0)^thermal_exponent.  A temperature <= 0 raises ``ValueError``.
     """
 
     theta: tuple
@@ -344,6 +349,8 @@ class TransportTable:
         _check_temperatures(self.theta)
 
     def _law(self, first: float, theta):
+        if not np.all(np.asarray(theta) > 0.0):
+            raise ValueError(f"temperature must be positive, got {theta}")
         out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
         return float(out) if np.isscalar(theta) else out
 

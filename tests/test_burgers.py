@@ -235,10 +235,16 @@ class TestSmoothWave:
     wave = SmoothWave.build(DATA, 0.3)
 
     def test_edge_speeds_consistency(self):
-        assert self.wave.params.omega_minus == pytest.approx(lambda3(LEFT), rel=1e-14)
-        assert self.wave.params.omega_plus == pytest.approx(lambda3(DATA.right), rel=1e-14)
-        with pytest.raises(ValueError):
-            SmoothWave(WaveParams(0.3, 0.0, 1.0), DATA)
+        # (data, delta) fix the wave: its edge speeds are lambda3 of the end states
+        assert SmoothWave(DATA, 0.3).params == WaveParams(0.3, lambda3(LEFT), lambda3(DATA.right))
+        assert self.wave == SmoothWave(DATA, 0.3)
+        with pytest.raises(ValueError, match="delta"):
+            SmoothWave(DATA, -0.1)
+
+    def test_profile_rejects_negative_time(self):
+        for t, x in ((-1.0, 0.2), (np.array([0.5, -1e-12]), np.array([0.1, 0.2]))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                self.wave.profile(t, x)
 
     def test_far_field_states(self):
         for x, ref in ((-60.0, LEFT), (60.0, DATA.right)):

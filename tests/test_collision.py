@@ -17,6 +17,7 @@ from rarewave.velocity import (
     VelocityGrid,
     maxwellian,
     macro_basis,
+    macro_coefficients,
     project_P1,
     REFERENCE_STATE,
 )
@@ -179,6 +180,11 @@ def test_mismatched_grids_rejected():
     f2 = smooth_positive(grid(10), 1)
     with pytest.raises(ValueError):
         collision_Q(f1, f2)
+    # a right-hand side or fluid-part request on another lattice
+    with pytest.raises(ValueError, match="different lattice"):
+        invert_LM_micro(LMOperator(STATE, grid(8)), f2, 1e-2)
+    with pytest.raises(ValueError, match="different lattice"):
+        macro_coefficients(f2, macro_basis(STATE, grid(8)))
 
 
 def test_bilinearity_in_both_slots():

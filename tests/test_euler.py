@@ -108,6 +108,20 @@ def test_gas_state_rejects_non_finite_components():
         GasState(1.0, (0.0, 0.0, math.nan), 1.0)
 
 
+def test_gas_state_rejects_nonpositive_and_short_components():
+    for rho, theta, what in (
+        (0.0, 1.0, "density"),
+        (-1.0, 1.0, "density"),
+        (1.0, 0.0, "temperature"),
+        (1.0, -1.0, "temperature"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            GasState.make(rho, 0.0, theta)
+    for u in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="three components"):
+            GasState(1.0, u, 1.0)
+
+
 def test_curve_lift_arrays_match_pointwise_states():
     rhos = np.linspace(1.0, 2.0, 11)
     rho, u1, theta = curve_lift(LEFT, rhos ** (1.0 / 3.0))
@@ -158,6 +172,14 @@ def test_fan_state_closed_form_matches_bisection():
     assert s.rho == pytest.approx(FAN_MID_RHO, rel=1e-15)
     assert s.u1 == pytest.approx(FAN_MID_U1, rel=1e-15)
     assert s.theta == pytest.approx(FAN_MID_TH, rel=1e-15)
+
+
+def test_fan_state_rejects_speeds_below_the_vacuum_edge():
+    # lambda3 = a + b rho^(1/3) on the curve, so a is the speed at rho = 0
+    a = curve_coefficients(LEFT)[0]
+    for speed in (a, a - 1.0):
+        with pytest.raises(ValueError, match="vacuum edge"):
+            fan_state(LEFT, speed)
 
 
 def test_riemann_data_wave_strength():

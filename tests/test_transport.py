@@ -280,6 +280,30 @@ def test_table_rejects_bad_inputs(monkeypatch):
             transport_table(bad)
 
 
+def test_table_law_rejects_nonpositive_temperatures():
+    # theta = 0 gave 0.0 and theta < 0 gave nan with a RuntimeWarning
+    table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N, -3.0)
+    for law in (table.mu_of, table.kappa_of):
+        for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5]):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                law(bad)
+
+
+def test_burnett_solve_rejects_start_names_that_are_not_components(monkeypatch):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(transport, "LMOperator", no_operator)
+    s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N)
+    field = np.zeros(g.shape)
+    for bad, unknown in ((["a1"], "['a1']"), (["A1", "B21", "A4"], "['A4', 'B21']")):
+        with pytest.raises(ValueError, match=re.escape(unknown)):
+            burnett_solve(s, g, start=dict.fromkeys(bad, field))
+    # every component name is a valid start, derived ones included
+    with pytest.raises(AssertionError, match="operator was built"):
+        burnett_solve(s, g, start=dict.fromkeys(COMPONENTS, field))
+
+
 @pytest.mark.parametrize("thetas", [(1.0, 1.7), (1.0, 1.7, 2.3)], ids=["2-row", "3-row"])
 def test_warm_started_rows_equal_cold_solves(thetas, solutions, monkeypatch):
     # rows after the first start from the previous row's preimages, mapped by
@@ -532,6 +556,13 @@ def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
         assert np.abs(gbar(0.1, a) - ref).max() <= bound
     for eps in (0.25, 0.5):
         assert np.abs(gbar(eps, 0.5) - (eps / 0.1) * ref).max() <= (eps / 0.1) * bound
+
+
+def test_gbar_rejects_a_state_the_solution_was_not_built_for(wave_point):
+    wave, t, x, sol = wave_point
+    other = GasState.make(sol.state.rho, sol.state.u1, 1.01 * sol.state.theta)
+    with pytest.raises(ValueError, match="not built for"):
+        gbar_construct(wave, t, x, other, 0.1, 0.5, sol)
 
 
 def test_decay_check_constants_positive_and_nonincreasing_in_eps(wave_point):

@@ -163,6 +163,13 @@ class TestMoments:
         g = small_grid(n=8)
         with pytest.raises(ValueError, match="degenerate"):
             moments(GridFunction(g, np.zeros(g.shape)))
+        # positive mass at one node has no spread about its own mean; unit
+        # spacing keeps every moment of the node (0.5, 0.5, 0.5) exact
+        g = small_grid(n=16, L=7.5)
+        point = np.zeros(g.shape)
+        point[8, 8, 8] = 1.0
+        with pytest.raises(ValueError, match="nonpositive temperature"):
+            moments(GridFunction(g, point))
 
     def test_scaling_density_only(self):
         g = small_grid(n=32)
