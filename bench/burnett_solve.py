@@ -1,6 +1,6 @@
 """Cost of ``burnett_solve`` at rest and at a drifting wave state, against an earlier revision.
 
-    python bench/burnett_solve.py --before REV [--rounds 10] [--out BENCH_derived_products.json]
+    python bench/burnett_solve.py --before REV [--rounds 10] --out FILE
 
 Run it from the root of a checkout.  For n_per_axis in {16, 20, 24, 32} it
 times ``burnett_solve`` (tol 1e-2, ``DEFAULT_TOL``; best of 5, one thread) at
@@ -21,55 +21,37 @@ workload's set-up builds them.  Each of the five calls builds its own
 20, 24 and 32 (one thread of a 2-core Intel Xeon).  A ``--before`` revision
 from before ``invert_LM_micro`` took its operator as an argument kept the
 last one in a cache, so there calls 2-5 reuse it and read about one build
-per call faster.  The sides, rounds and statistics are those of
-``bench/fft_period.py``: each side runs in a fresh process with ``src/`` of
-this checkout or of git revision REV, and a difference counts as resolved
-only when at least ten rounds ran, one side wins at least nine tenths of
-them and the medians differ by more than the distance between the quartiles
-of ``before``.  Next to each time stand, per side, the number of solves,
-the number of ``LMOperator.apply`` calls one ``burnett_solve`` call makes
-(counted by a wrapper this script installs, so ``src/`` is the same as
-without it), the largest recorded residual, mu and kappa, and across the sides the largest
+per call faster.  Both sides run the protocol in ``bench/harness.py``.
+Next to each time stand, per side, the number of solves, the number of
+``LMOperator.apply`` calls one ``burnett_solve`` call makes (counted by a
+wrapper this script installs, so ``src/`` is the same as without it), the
+largest recorded residual, mu and kappa, and across the sides the largest
 relative difference of the nine recorded residuals and
 max |B11_after - B11_before| / max |B11_before|.  A call that raises is
 recorded with its message and apply count instead; a lattice on which both
-sides raise is listed as a resolution floor.  The result is written as JSON.
+sides raise is listed as a resolution floor.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-from scipy import fft  # noqa: E402
-
-from fft_period import REPEATS, ROOT, best_of, compare, provenance, run_rounds  # noqa: E402
+from harness import REPEATS, best_of, compare, dispatch, max_rel, parser, run_rounds, write
 
 SIZES = (16, 20, 24, 32)
 LEFT, RHO_PLUS, DELTA, T, TOL, SPAN = (1.0, 0.0, 1.0), 1.5, 0.5, 2.0, 1e-2, 6.5
 STATES = ("rest", "mid_fan")
 
 
-def measure(src: str, out: str) -> None:
-    """Time ``burnett_solve`` at both states with the ``rarewave`` under ``src``."""
-    sys.path.insert(0, src)
-    import rarewave
+def measure() -> dict:
+    """Time ``burnett_solve`` at both states with the ``rarewave`` the harness loaded."""
     from rarewave import collision, velocity
     from rarewave.burgers import SmoothWave
     from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
     from rarewave.transport import burnett_solve, thermal_grid
 
-    if Path(rarewave.__file__).resolve().parent != Path(src).resolve() / "rarewave":
-        raise SystemExit(f"rarewave imported from {rarewave.__file__}, not from {src}")
     data = RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS)
     wave = SmoothWave.build(data, DELTA)
     half_width = abs(data.right.u1) + SPAN * math.sqrt(GAS_R * data.right.theta)
@@ -89,35 +71,34 @@ def measure(src: str, out: str) -> None:
 
     collision.LMOperator.apply = counted_apply
     res = {}
-    with fft.set_workers(1):
-        for n in SIZES:
-            for state in STATES:
-                s, lattice = lattices[state]
-                g = lattice(n)
-                m = velocity.maxwellian(s, g)
-                collision.collision_Q(m, m, g)  # builds the lattice's kernel transforms
-                key = f"{state}_{n}"
-                outcome = []
+    for n in SIZES:
+        for state in STATES:
+            s, lattice = lattices[state]
+            g = lattice(n)
+            m = velocity.maxwellian(s, g)
+            collision.collision_Q(m, m, g)  # builds the lattice's kernel transforms
+            key = f"{state}_{n}"
+            outcome = []
 
-                def solve():
-                    calls[0] = 0
-                    try:
-                        outcome.append(burnett_solve(s, g, tol=TOL))
-                    except collision.NonConvergenceError as exc:
-                        outcome.append(exc)
+            def solve():
+                calls[0] = 0
+                try:
+                    outcome.append(burnett_solve(s, g, tol=TOL))
+                except collision.NonConvergenceError as exc:
+                    outcome.append(exc)
 
-                res[f"time_{key}"] = best_of(solve)
-                res[f"apply_calls_{key}"] = calls[0]
-                sol = outcome[-1]
-                if isinstance(sol, Exception):
-                    res[f"raised_{key}"] = str(sol)
-                    continue
-                res[f"solves_{key}"] = len(sol.solved)
-                res[f"residuals_{key}"] = [sol.residuals[c] for c in sorted(sol.residuals)]
-                res[f"mu_{key}"] = sol.mu_theta
-                res[f"kappa_{key}"] = sol.kappa_theta
-                res[f"B11_{key}"] = sol.B[0][0].values
-    np.savez(out, **res)
+            res[f"time_{key}"] = best_of(solve)
+            res[f"apply_calls_{key}"] = calls[0]
+            sol = outcome[-1]
+            if isinstance(sol, Exception):
+                res[f"raised_{key}"] = str(sol)
+                continue
+            res[f"solves_{key}"] = len(sol.solved)
+            res[f"residuals_{key}"] = [sol.residuals[c] for c in sorted(sol.residuals)]
+            res[f"mu_{key}"] = sol.mu_theta
+            res[f"kappa_{key}"] = sol.kappa_theta
+            res[f"B11_{key}"] = sol.B[0][0].values
+    return res
 
 
 def side_row(run: dict, key: str) -> dict:
@@ -134,11 +115,7 @@ def side_row(run: dict, key: str) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_derived_products.json"))
-    args = ap.parse_args()
+    args = parser(__doc__).parse_args()
     runs = run_rounds(__file__, args.before, args.rounds)
 
     rows = []
@@ -154,16 +131,12 @@ def main() -> None:
             if f"B11_{key}" in before and f"B11_{key}" in after:
                 rb, ra = before[f"residuals_{key}"], after[f"residuals_{key}"]
                 row["residuals_max_rel_diff"] = float(np.abs(ra / rb - 1.0).max())
-                b11 = before[f"B11_{key}"]
-                row["B11_max_rel_diff"] = float(
-                    np.abs(after[f"B11_{key}"] - b11).max() / np.abs(b11).max()
-                )
+                row["B11_max_rel_diff"] = max_rel(after[f"B11_{key}"], before[f"B11_{key}"])
             rows.append(row)
 
     report = {
         "what": "burnett_solve at rest on thermal_grid(1, n) and at the wave_slice mid-fan state "
         "on its shared lattice: before/after",
-        **provenance(args.before),
         "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
         "timing": f"best of {REPEATS} calls per round after the kernel-transform build, {args.rounds} "
         "alternating rounds per lattice, one thread, seconds; median and quartiles over rounds",
@@ -177,7 +150,7 @@ def main() -> None:
         ],
         "rows": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write(args, report)
     head = f"{'state':>8} {'n':>3} {'before median':>14} {'after median':>13} wins resolved"
     print(f"{head}  accuracy")
     for row in rows:
@@ -192,7 +165,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--measure"]:  # one side, in its own process
-        measure(*sys.argv[2:4])
-    else:
-        main()
+    dispatch(measure, main)

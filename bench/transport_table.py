@@ -1,6 +1,6 @@
 """Seconds per ``transport_table`` row, cold rows against warm-started ones, against an earlier revision.
 
-    python bench/transport_table.py --before REV [--rounds 10] [--rounds-32 3] [--out BENCH_warm_rows.json]
+    python bench/transport_table.py --before REV [--rounds 10] [--rounds-32 3] --out FILE
 
 Run it from the root of a checkout.  For n_per_axis in {16, 20, 24, 32} it
 times one ``transport_table`` call (tol 1e-2, span 6.5, one thread) per
@@ -11,37 +11,23 @@ nothing is built before the clock starts.  A wrapper this script installs
 on ``transport.burnett_solve`` also times each row (``src/`` is the same as
 without it), so the first row, solved cold on both sides, stands apart from
 the later ones, which a revision with warm-started rows starts from the
-previous row's preimages.  The sides, rounds and statistics are those of
-``bench/fft_period.py``: each side runs in a fresh process with ``src/`` of
-this checkout or of git revision REV, the sides alternate, and a difference
-counts as resolved only when at least ten rounds ran, one side wins at
-least nine tenths of them and the medians differ by more than the distance
-between the quartiles of ``before``.  n = 32 runs ``--rounds-32`` rounds,
-since a seven-row table takes about 20 s a side there; with fewer than ten
-rounds no difference counts as resolved.  Next to each time stand, per side, the table's mu,
-kappa and residual columns, and across the sides the largest relative
-difference of each column.  A call that raises is recorded with its
+previous row's preimages.  Both sides run the protocol in
+``bench/harness.py``.  n = 32 runs ``--rounds-32`` rounds, since a
+seven-row table takes about 20 s a side there; with fewer than ten rounds
+no difference counts as resolved.  Next to each time stand, per side, the
+table's mu, kappa and residual columns, and across the sides the largest
+relative difference of each column.  A call that raises is recorded with its
 message instead; a lattice on which both sides raise is listed as a
-resolution floor.  The result is written as JSON.
+resolution floor.
 """
 
 from __future__ import annotations
 
-import os
+import time
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-from scipy import fft  # noqa: E402
-
-from fft_period import ROOT, compare, provenance, run_rounds  # noqa: E402
+from harness import compare, dispatch, parser, run_rounds, write
 
 SIZES = (16, 20, 24, 32)
 TABLES = {2: (0.8, 1.0), 7: (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)}
@@ -49,15 +35,11 @@ TOL, SPAN = 1e-2, 6.5
 COLUMNS = ("mu", "kappa", "residual")
 
 
-def measure(src: str, out: str, *sizes: str) -> None:
-    """Time both tables at each of ``sizes`` with the ``rarewave`` under ``src``."""
-    sys.path.insert(0, src)
-    import rarewave
+def measure(*sizes: str) -> dict:
+    """Time both tables at each of ``sizes`` with the ``rarewave`` the harness loaded."""
     from rarewave import transport
     from rarewave.collision import NonConvergenceError
 
-    if Path(rarewave.__file__).resolve().parent != Path(src).resolve() / "rarewave":
-        raise SystemExit(f"rarewave imported from {rarewave.__file__}, not from {src}")
     row_s = []
     solve = transport.burnett_solve
 
@@ -70,23 +52,22 @@ def measure(src: str, out: str, *sizes: str) -> None:
 
     transport.burnett_solve = timed_solve
     res = {}
-    with fft.set_workers(1):
-        for n in map(int, sizes):
-            for rows, thetas in TABLES.items():
-                key = f"{rows}_{n}"
-                row_s.clear()
-                t0 = time.perf_counter()
-                try:
-                    table = transport.transport_table(thetas, n_per_axis=n, span=SPAN, tol=TOL)
-                except NonConvergenceError as exc:
-                    res[f"raised_{key}"] = str(exc)
-                    continue
-                finally:
-                    res[f"time_{key}"] = time.perf_counter() - t0
-                    res[f"row_s_{key}"] = list(row_s)
-                for col in COLUMNS:
-                    res[f"{col}_{key}"] = getattr(table, col)
-    np.savez(out, **res)
+    for n in map(int, sizes):
+        for rows, thetas in TABLES.items():
+            key = f"{rows}_{n}"
+            row_s.clear()
+            t0 = time.perf_counter()
+            try:
+                table = transport.transport_table(thetas, n_per_axis=n, span=SPAN, tol=TOL)
+            except NonConvergenceError as exc:
+                res[f"raised_{key}"] = str(exc)
+                continue
+            finally:
+                res[f"time_{key}"] = time.perf_counter() - t0
+                res[f"row_s_{key}"] = list(row_s)
+            for col in COLUMNS:
+                res[f"{col}_{key}"] = getattr(table, col)
+    return res
 
 
 def side_row(run: dict, key: str) -> dict:
@@ -117,11 +98,8 @@ def table_row(runs: dict, rows: int, n: int, rounds: int) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=10)
+    ap = parser(__doc__)
     ap.add_argument("--rounds-32", type=int, default=3)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_warm_rows.json"))
     args = ap.parse_args()
     small = [str(n) for n in SIZES if n != 32]
     batches = [(small, args.rounds), (["32"], args.rounds_32)]
@@ -133,7 +111,6 @@ def main() -> None:
     report = {
         "what": "transport_table seconds per row, 2-row and 7-row tables on thermal_grid(theta, n): "
         "before/after",
-        **provenance(args.before),
         "tables": {str(k): v for k, v in TABLES.items()},
         "tol": TOL,
         "span": SPAN,
@@ -150,7 +127,7 @@ def main() -> None:
         ],
         "rows": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write(args, report)
     print(f"{'rows':>4} {'n':>3} {'rounds':>6} {'before s/row':>12} {'after s/row':>11} wins resolved")
     for row in rows:
         r = row["seconds_per_row"]
@@ -163,7 +140,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--measure"]:  # one side, in its own process
-        measure(*sys.argv[2:])
-    else:
-        main()
+    dispatch(measure, main)

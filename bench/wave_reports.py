@@ -1,39 +1,26 @@
 """Cost of the Burgers wave reports, against an earlier revision.
 
-    python bench/wave_reports.py --before REV [--rounds 10] [--out BENCH_wave_reports.json]
+    python bench/wave_reports.py --before REV [--rounds 10] --out FILE
 
 Run it from the root of a checkout.  On the wave of the ``wave_reports``
 benchmark workload (left state (1, 0, 1), right density 1.5, width 0.5) and
 at t in {0.5, 5, 50} it times ``derivative_decay_report`` (p = 1, 2, inf),
 ``riemann_gap``, 16 ``euler_residual`` calls and 16 ``SmoothWave.state``
-calls (best of 5 each, one thread) at 16 seeded points of the transition.
-The sides, rounds and statistics are those of ``bench/fft_period.py``: each
-side runs in a fresh process with ``src/`` of this checkout or of git
-revision REV, and a difference counts as resolved only when one side wins
-at least nine tenths of the rounds and the medians differ by more than the
-distance between the quartiles of ``before``.  Next to each time stands the
-accuracy: the largest relative change of the decay values and of the gap,
-the largest absolute change of any residual row (with the largest residual
-for scale), and the largest absolute change of any state component.  The
-result is written as JSON.
+calls (best of 5 each, one thread) at 16 seeded points of the transition,
+on both sides of the protocol in ``bench/harness.py``.  Next to each time
+stands the accuracy: the largest relative change of the decay values and of
+the gap, the largest absolute change of any residual row (with the largest
+residual for scale), and the largest absolute change of any state
+component.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from fft_period import ROOT, best_of, compare, provenance, run_rounds  # noqa: E402
+from harness import best_of, compare, dispatch, parser, run_rounds, write
 
 TIMES = (0.5, 5.0, 50.0)
 POINTS = 16
@@ -42,15 +29,11 @@ LEFT, RHO_PLUS, DELTA = (1.0, 0.0, 1.0), 1.5, 0.5
 LAYERS = ("decay_s", "gap_s", "residual16_s", "state16_s")
 
 
-def measure(src: str, out: str) -> None:
-    """Time the four calls with the ``rarewave`` found under ``src``."""
-    sys.path.insert(0, src)
-    import rarewave
+def measure() -> dict:
+    """Time the four calls with the ``rarewave`` the harness loaded."""
     from rarewave import burgers
     from rarewave.euler import GasState, RiemannData
 
-    if Path(rarewave.__file__).resolve().parent != Path(src).resolve() / "rarewave":
-        raise SystemExit(f"rarewave imported from {rarewave.__file__}, not from {src}")
     wave = burgers.SmoothWave.build(
         RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS), DELTA
     )
@@ -74,15 +57,11 @@ def measure(src: str, out: str) -> None:
         for layer, fn in zip(LAYERS, (decay, gap, residuals, states)):
             res[f"{layer}_{t}"] = best_of(fn)
             res[f"value_{layer}_{t}"] = np.asarray(fn())
-    np.savez(out, **res)
+    return res
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_wave_reports.json"))
-    args = ap.parse_args()
+    args = parser(__doc__).parse_args()
     runs = run_rounds(__file__, args.before, args.rounds)
 
     rows = []
@@ -108,7 +87,6 @@ def main() -> None:
     report = {
         "what": "derivative_decay_report, riemann_gap, 16 euler_residual and 16 "
         "SmoothWave.state calls: before/after",
-        **provenance(args.before),
         "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "p": "1, 2, inf"},
         "timing": f"best of 5 per round, {args.rounds} alternating rounds, one thread, "
         "seconds; median and quartiles over rounds",
@@ -116,7 +94,7 @@ def main() -> None:
         "max |after - before| over the 16 points and every row or component",
         "rows": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write(args, report)
     print(f"{'t':>5} {'layer':<13} {'before median':>14} {'after median':>13} wins resolved")
     for row in rows:
         for layer in LAYERS:
@@ -133,7 +111,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--measure"]:  # one side, in its own process
-        measure(*sys.argv[2:4])
-    else:
-        main()
+    dispatch(measure, main)

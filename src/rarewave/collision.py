@@ -292,30 +292,24 @@ def linearized_LM(
 
 
 def gamma_bilinear(
-    h: GridFunction,
-    k: GridFunction,
-    g: VelocityGrid | None = None,
-    p: KernelParams = KernelParams(),
+    h: GridFunction, k: GridFunction, p: KernelParams = KernelParams()
 ) -> GridFunction:
-    """Gamma(h, k) = Q(sqrt(mu) h, sqrt(mu) k) / sqrt(mu)."""
-    if g is None:
-        g = h.grid
+    """Gamma(h, k) = Q(sqrt(mu) h, sqrt(mu) k) / sqrt(mu), on the lattice of ``h`` and ``k``."""
+    g = h.grid
+    if k.grid != g:
+        raise ValueError("collision inputs live on different lattices")
     sq = np.sqrt(maxwellian(REFERENCE_STATE, g).values)
     qq = collision_Q(GridFunction(g, sq * h.values), GridFunction(g, sq * k.values), g, p)
     return GridFunction(g, qq.values / sq)
 
 
-def linearized_script_L(
-    f: GridFunction,
-    g: VelocityGrid | None = None,
-    p: KernelParams = KernelParams(),
-) -> GridFunction:
+def linearized_script_L(f: GridFunction, p: KernelParams = KernelParams()) -> GridFunction:
     """The sqrt(mu)-conjugated linearization Gamma(f, sqrt(mu)) + Gamma(sqrt(mu), f).
 
-    Evaluated as L_mu (sqrt(mu) f) / sqrt(mu), the same two Q sums.
+    Evaluated as L_mu (sqrt(mu) f) / sqrt(mu), the same two Q sums, on the
+    lattice of ``f``.
     """
-    if g is None:
-        g = f.grid
+    g = f.grid
     sq = np.sqrt(maxwellian(REFERENCE_STATE, g).values)
     lm = linearized_LM(GridFunction(g, sq * f.values), REFERENCE_STATE, g, p)
     return GridFunction(g, lm.values / sq)
@@ -519,7 +513,10 @@ def invert_LM_micro(
     cycle of ``_RESTART`` steps cuts the residual by less than 2x.
     Consistent right-hand sides gain orders of magnitude per cycle; a
     stall means the source has content the lattice operator cannot reach.
+    A ``tol`` that is not finite and positive raises ``ValueError``.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     g = op.grid
     if h.grid != g:
         raise ValueError("grid function was built on a different lattice")

@@ -185,8 +185,12 @@ def burnett_solve(
     ``start`` maps component names such as ``"A1"`` to nodal fields on
     ``g``; each solved component it names starts its solve from that field
     (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``;
-    a name that is not a component raises ``ValueError``.
+    a name that is not a component raises ``ValueError``, and so does a
+    ``tol`` that is not finite and positive, both before the operator is
+    built.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     unknown = sorted(set(start or ()) - {_name(c) for c in _COMPONENTS})
     if unknown:
         raise ValueError(f"start names no component: {unknown}")
@@ -321,6 +325,8 @@ def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
 
 
 def _check_temperatures(thetas: tuple) -> None:
+    if not all(0.0 < t < math.inf for t in thetas):
+        raise ValueError(f"table temperatures must be finite and positive, got {thetas}")
     if len(thetas) < 2 or any(t2 <= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise ValueError("table needs at least two strictly increasing temperatures")
 
@@ -330,7 +336,8 @@ class TransportTable:
     """Viscosity and heat conductivity against temperature, one ``burnett_solve`` per row.
 
     Each row at rest runs three solves (A1, B11, B12); the rest of its
-    nine preimages follow by transposition and the trace.
+    nine preimages follow by transposition and the trace.  Its temperatures
+    must be finite, positive and strictly increasing.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
     at any positive temperature, scalar or array: the first row times
@@ -378,9 +385,9 @@ def transport_table(
     their solves from the previous row's preimages times the law's nodal
     factor (theta / theta_prev)^(thermal_exponent - 5/2), and each start is
     verified, and iterated on if need be, to ``tol`` on its own lattice.
-    Temperatures must be strictly increasing and within (3/4, 3), the
-    regime the downstream wave states occupy; both are checked before
-    anything is solved.
+    Temperatures must be finite, strictly increasing and within (3/4, 3),
+    the regime the downstream wave states occupy; all three are checked
+    before anything is solved.
     """
     thetas = tuple(float(t) for t in theta_values)
     _check_temperatures(thetas)
@@ -467,8 +474,11 @@ def gbar_construct(
 
     The wave provides physical-frame profile derivatives; the analysis
     frame compresses space by eps^a, so the frame gradients carry one
-    factor of eps^a, and the whole field another eps^(1 - a).
+    factor of eps^a, and the whole field another eps^(1 - a).  An eps
+    that is not finite and positive raises ``ValueError``.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if sol.state != s:
         raise ValueError("correction field requested at a state the solution was not built for")
     prof = wave.profile(t, x, order=1)

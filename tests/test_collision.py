@@ -185,6 +185,10 @@ def test_mismatched_grids_rejected():
         invert_LM_micro(LMOperator(STATE, grid(8)), f2, 1e-2)
     with pytest.raises(ValueError, match="different lattice"):
         macro_coefficients(f2, macro_basis(STATE, grid(8)))
+    # the same n on another half width: Gamma took the lattice of h for both
+    k = smooth_positive(grid(8, L=7.0), 1)
+    with pytest.raises(ValueError, match="different lattices"):
+        gamma_bilinear(smooth_positive(grid(8, L=6.0), 1), k)
 
 
 def test_bilinearity_in_both_slots():
@@ -382,14 +386,14 @@ def test_conjugated_form_nulls_and_identity():
     v2 = vx * vx + vy * vy + vz * vz
     mu_scale = math.sqrt(g.integrate(mu))
     for field, tol in ((sq, 1e-12), (sq * vx, 1e-12), (sq * v2, 1e-8)):
-        out = linearized_script_L(GridFunction(g, field), g)
+        out = linearized_script_L(GridFunction(g, field))
         assert math.sqrt(g.integrate(out.values**2)) <= tol * mu_scale
     f = GridFunction(g, sq * vx * vy)
     k = GridFunction(g, sq * (v2 - 4.0) * vy)
-    conj = gamma_bilinear(f, k, g).values * sq
+    conj = gamma_bilinear(f, k).values * sq
     plain = collision_Q(GridFunction(g, sq * f.values), GridFunction(g, sq * k.values), g).values
     assert np.abs(conj - plain).max() <= 1e-12 * np.abs(plain).max()
-    quad = g.integrate(linearized_script_L(f, g).values * f.values)
+    quad = g.integrate(linearized_script_L(f).values * f.values)
     assert quad < 0.0
 
 
@@ -534,6 +538,22 @@ def test_invert_rejects_a_start_of_the_wrong_shape():
     for bad in (np.zeros((15, 16, 16)), np.zeros(g.shape[:2]), np.zeros(16**3)):
         with pytest.raises(ValueError, match="does not fit the lattice"):
             invert_LM_micro(op, h, 1e-4, bad)
+
+
+def test_invert_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch):
+    # a nan tol returned an unconverged field at once, and 0 or -1 spent the
+    # whole inner budget before reporting a stall
+    g = grid(8)
+    op = LMOperator(STATE, g)
+    h = micro_field(g, op.basis, 0)
+
+    def no_pcg(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(collision, "_pcg", no_pcg)
+    for bad in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            invert_LM_micro(op, h, bad)
 
 
 def test_invert_zero_rhs_gives_zero():

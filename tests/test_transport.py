@@ -269,13 +269,15 @@ def test_table_follows_exact_thermal_law(solutions):
 def test_table_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a bad temperature list reached the solver")
 
     # every check runs before the first row is solved
     monkeypatch.setattr("rarewave.transport.burnett_solve", no_solve)
-    for bad in ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (1.0,)):
+    for bad in ((0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (1.0,), (0.8, math.nan)):
         with pytest.raises(ValueError):
             transport_table(bad)
 
@@ -302,6 +304,18 @@ def test_burnett_solve_rejects_start_names_that_are_not_components(monkeypatch):
     # every component name is a valid start, derived ones included
     with pytest.raises(AssertionError, match="operator was built"):
         burnett_solve(s, g, start=dict.fromkeys(COMPONENTS, field))
+
+
+def test_burnett_solve_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch):
+    # tol = nan ran every solve and raised "verified residual above tol nan"
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(transport, "LMOperator", no_operator)
+    s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N)
+    for bad in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            burnett_solve(s, g, tol=bad)
 
 
 @pytest.mark.parametrize("thetas", [(1.0, 1.7), (1.0, 1.7, 2.3)], ids=["2-row", "3-row"])
@@ -563,6 +577,14 @@ def test_gbar_rejects_a_state_the_solution_was_not_built_for(wave_point):
     other = GasState.make(sol.state.rho, sol.state.u1, 1.01 * sol.state.theta)
     with pytest.raises(ValueError, match="not built for"):
         gbar_construct(wave, t, x, other, 0.1, 0.5, sol)
+
+
+def test_gbar_rejects_an_eps_that_is_not_finite_and_positive(wave_point):
+    # eps = -0.1 gave a field of size 1e-35, the real part of complex powers
+    wave, t, x, sol = wave_point
+    for bad in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            gbar_construct(wave, t, x, sol.state, bad, 0.5, sol)
 
 
 def test_decay_check_constants_positive_and_nonincreasing_in_eps(wave_point):
