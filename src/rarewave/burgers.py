@@ -49,8 +49,10 @@ class WaveParams:
     omega_plus: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if not (math.isfinite(self.omega_minus) and math.isfinite(self.omega_plus)):
+            raise ValueError("edge speeds must be finite")
         if not (self.omega_minus < self.omega_plus):
             raise ValueError("need omega_minus < omega_plus")
 
@@ -65,7 +67,7 @@ class WaveParams:
 
 def burgers_init(p: WaveParams, x):
     """Initial profile omega0(x); accepts scalars or arrays."""
-    return p.mid + p.half_span * np.tanh(np.asarray(x, dtype=float) / p.delta)
+    return _init_derivs(p, x)[0]
 
 
 def _init_derivs(p: WaveParams, x0):
@@ -91,11 +93,14 @@ def _foot_points(p: WaveParams, t, x):
     condition).  At t = 0 the start is x itself.  A point that meets the
     tolerance keeps its value, so each point iterates exactly as alone; the
     tolerance has a floor at the round-off of F where t omega0 and x cancel.
+    Every t must be finite and >= 0 and every x finite, else ``ValueError``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise ValueError("t must be nonnegative")
+    if not np.all((t >= 0.0) & np.isfinite(t)):
+        raise ValueError("t must be finite and nonnegative")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     x0 = np.clip(0.0, x - p.omega_plus * t, x - p.omega_minus * t)
     speed = max(abs(p.omega_minus), abs(p.omega_plus))
     roundoff = 8.0 * np.finfo(float).eps * (np.abs(x) + t * speed)
@@ -140,12 +145,10 @@ class SmoothWave:
     data: RiemannData
     delta: float
     params: WaveParams = field(init=False)
-    _coeffs: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        left, right = self.data.left, self.data.right
-        object.__setattr__(self, "params", WaveParams(self.delta, lambda3(left), lambda3(right)))
-        object.__setattr__(self, "_coeffs", curve_coefficients(left))
+        params = WaveParams(self.delta, lambda3(self.data.left), lambda3(self.data.right))
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
@@ -153,7 +156,7 @@ class SmoothWave:
 
     def _curve_values(self, omega, order=0):
         """rho, u1, theta at omega clipped to the edge speeds, with omega-derivatives."""
-        a, b, cstar = self._coeffs
+        a, b, cstar = curve_coefficients(self.data.left)
         p = self.params
         omega = np.clip(np.asarray(omega, dtype=float), p.omega_minus, p.omega_plus)
         z = (omega - a) / b
@@ -273,8 +276,8 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
     """
     if not all(p >= 1.0 for p in p_exponents):
         raise ValueError(f"exponents must satisfy p >= 1, got {list(p_exponents)}")
-    if not all(t >= 0.0 for t in times):
-        raise ValueError(f"times must be nonnegative, got {list(times)}")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError(f"times must be finite and nonnegative, got {list(times)}")
     p_ = wave.params
     span = p_.omega_plus - p_.omega_minus
     rows = []
@@ -302,18 +305,18 @@ def riemann_gap(wave: SmoothWave, t: float) -> tuple[float, float]:
     known foot points (it resolves the tanh transition), and uniform samples
     across the fan opening, whose foot points are solved for.
     """
-    if not (t > 0.0):
-        raise ValueError("gap defined for t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"gap defined for finite t > 0, got {t}")
     p = wave.params
     x0, x_char, _ = _char_grid(wave, t)
     pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
     x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
     x = np.concatenate((x_char, x_fan))
     prof = wave._profile_at_feet(t, np.concatenate((x0, _foot_points(p, t, x_fan))), order=0)
-    # The fan is the curve lift of the clipped similarity variable, so the
-    # same closed form evaluates it (cross-checked against the pointwise
-    # Riemann solver in the tests).
-    fan = wave._curve_values(np.clip(x / t, p.omega_minus, p.omega_plus))
+    # The fan is the curve lift of the similarity variable clipped to the
+    # edge speeds, which is what _curve_values evaluates (cross-checked
+    # against the pointwise Riemann solver in the tests).
+    fan = wave._curve_values(x / t)
     gap = max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
     shape = p.delta / t * (math.log1p(t) + abs(math.log(p.delta)))
     return gap, shape

@@ -513,7 +513,8 @@ def invert_LM_micro(
     cycle of ``_RESTART`` steps cuts the residual by less than 2x.
     Consistent right-hand sides gain orders of magnitude per cycle; a
     stall means the source has content the lattice operator cannot reach.
-    A ``tol`` that is not finite and positive raises ``ValueError``.
+    A ``tol`` that is not finite and positive raises ``ValueError``, and
+    so does a start that is not finite, before any apply.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -522,6 +523,8 @@ def invert_LM_micro(
         raise ValueError("grid function was built on a different lattice")
     if x0 is not None and np.shape(x0) != g.shape:
         raise ValueError(f"start of shape {np.shape(x0)} does not fit the lattice {g.shape}")
+    if x0 is not None and not np.all(np.isfinite(x0)):
+        raise ValueError("start carries non-finite values")
     normh = math.sqrt(g.integrate(h.values * h.values))
     if normh == 0.0:
         _log.debug("solve: zero right-hand side, 0 inner iterations, 0 apply calls")

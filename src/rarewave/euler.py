@@ -30,7 +30,6 @@ __all__ = [
     "curve_lift",
     "r3_state",
     "riemann_rarefaction",
-    "fan_state",
     "curve_coefficients",
 ]
 
@@ -134,19 +133,6 @@ def r3_state(left: GasState, rho: float) -> GasState:
     return GasState.make(*curve_lift(left, rho ** (1.0 / 3.0)))
 
 
-def fan_state(left: GasState, speed: float) -> GasState:
-    """Invert lambda3 = speed along the curve through ``left`` (closed form).
-
-    Tolerant of speeds marginally below lambda3(left), which occur at the
-    left fan edge through round-off.
-    """
-    a, b, _ = curve_coefficients(left)
-    z = (speed - a) / b
-    if z <= 0.0:
-        raise ValueError(f"speed {speed} below the vacuum edge of the fan")
-    return GasState.make(*curve_lift(left, z))
-
-
 @dataclass(frozen=True)
 class RiemannData:
     """End states of a 3-rarefaction Riemann problem.
@@ -194,10 +180,9 @@ def riemann_rarefaction(data: RiemannData, xi: float) -> GasState:
     Constant end states outside [lambda3(left), lambda3(right)]; inside the
     fan, the unique curve state whose lambda3 equals xi.
     """
-    lam_l = lambda3(data.left)
-    lam_r = lambda3(data.right)
-    if xi <= lam_l:
+    if xi <= lambda3(data.left):
         return data.left
-    if xi >= lam_r:
+    if xi >= lambda3(data.right):
         return data.right
-    return fan_state(data.left, xi)
+    a, b, _ = curve_coefficients(data.left)
+    return GasState.make(*curve_lift(data.left, (xi - a) / b))

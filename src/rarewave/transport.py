@@ -75,21 +75,26 @@ def _sources(s: GasState, g: VelocityGrid) -> tuple[np.ndarray, dict]:
     return sq, polys
 
 
+def _nest(by_component: dict) -> tuple[tuple, tuple]:
+    """(A, B) from a map keyed by ``_COMPONENTS``: A[j] heat, B[i][j] is B[j][i] shear."""
+    return (
+        tuple(by_component[(j,)] for j in range(3)),
+        tuple(tuple(by_component[min(i, j), max(i, j)] for j in range(3)) for i in range(3)),
+    )
+
+
 def burnett_hats(s: GasState, g: VelocityGrid):
     """Both source families multiplied by the local Maxwellian.
 
-    Returns (hat_a, hat_b): hat_a lists the three heat GridFunctions and
-    hat_b is a 3x3 nested list of the shear ones in which hat_b[i][j]
+    Returns (hat_a, hat_b): hat_a holds the three heat GridFunctions and
+    hat_b is a 3x3 nested tuple of the shear ones in which hat_b[i][j]
     and hat_b[j][i] are the same object.  The shear family is pointwise
     trace-free, and every member integrates to zero against the
     collision invariants.  ``burnett_solve`` builds the same products
     from the same table.
     """
     m = maxwellian(s, g).values
-    hats = {c: GridFunction(g, q * m) for c, q in _sources(s, g)[1].items()}
-    ha = [hats[(j,)] for j in range(3)]
-    hb = [[hats[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-    return ha, hb
+    return _nest({c: GridFunction(g, q * m) for c, q in _sources(s, g)[1].items()})
 
 
 @dataclass(frozen=True)
@@ -247,9 +252,7 @@ def burnett_solve(
     kappa = -GAS_R * GAS_R * s.theta * g.integrate(polys[(0,)] * fields[(0,)])
     mu = -GAS_R * s.theta * g.integrate(polys[0, 1] * fields[0, 1])
 
-    fns = {c: GridFunction(g, f) for c, f in fields.items()}
-    A = tuple(fns[(j,)] for j in range(3))
-    B = tuple(tuple(fns[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    A, B = _nest({c: GridFunction(g, f) for c, f in fields.items()})
     return BurnettSolution(
         state=s,
         grid=g,
@@ -341,7 +344,8 @@ class TransportTable:
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
     at any positive temperature, scalar or array: the first row times
-    (theta / theta_0)^thermal_exponent.  A temperature <= 0 raises ``ValueError``.
+    (theta / theta_0)^thermal_exponent at ``GAMMA_DEFAULT``, the kernel
+    ``transport_table`` solves with.  A temperature <= 0 raises ``ValueError``.
     """
 
     theta: tuple
@@ -350,7 +354,6 @@ class TransportTable:
     residual: tuple
     span: float
     n_per_axis: int
-    gamma: float
 
     def __post_init__(self):
         _check_temperatures(self.theta)
@@ -358,7 +361,7 @@ class TransportTable:
     def _law(self, first: float, theta):
         if not np.all(np.asarray(theta) > 0.0):
             raise ValueError(f"temperature must be positive, got {theta}")
-        out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(self.gamma)
+        out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(GAMMA_DEFAULT)
         return float(out) if np.isscalar(theta) else out
 
     def mu_of(self, theta):
@@ -412,7 +415,6 @@ def transport_table(
         residual=tuple(resids),
         span=span,
         n_per_axis=n_per_axis,
-        gamma=GAMMA_DEFAULT,
     )
 
 

@@ -187,7 +187,6 @@ class MacroBasis:
     it so that they stay exactly idempotent even on coarse lattices.
     """
 
-    state: GasState
     grid: VelocityGrid
     chi: tuple[GridFunction, ...]
     duals: tuple[np.ndarray, ...]
@@ -214,7 +213,7 @@ def macro_basis(s: GasState, g: VelocityGrid) -> MacroBasis:
     )
     chi = tuple(GridFunction(g, d * m) for d in duals)
     gram = np.array([[g.integrate(ch.values * d) for ch in chi] for d in duals])
-    return MacroBasis(s, g, chi, duals, gram)
+    return MacroBasis(g, chi, duals, gram)
 
 
 def macro_coefficients(h: GridFunction, basis: MacroBasis) -> np.ndarray:

@@ -45,6 +45,14 @@ def test_params_validation():
         WaveParams(0.1, 1.0, 0.5)
 
 
+def test_params_reject_non_finite_values():
+    # -inf and +inf edge speeds and an infinite width were accepted
+    inf, nan = math.inf, math.nan
+    for bad in ((0.3, -inf, 1.0), (0.3, 0.0, inf), (0.3, nan, 1.0), (inf, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            WaveParams(*bad)
+
+
 def test_burgers_init_values():
     assert burgers_init(PARAMS, 0.0) == pytest.approx(PARAMS.mid, rel=1e-15)
     assert burgers_init(PARAMS, 80.0) == pytest.approx(PARAMS.omega_plus, rel=1e-14)
@@ -241,6 +249,24 @@ class TestSmoothWave:
         with pytest.raises(ValueError, match="delta"):
             SmoothWave(DATA, -0.1)
 
+    def test_rejects_an_infinite_width(self):
+        # an infinite delta built a flat wave whose gradients, and so its gbar, were zero
+        with pytest.raises(ValueError, match="delta must be finite"):
+            SmoothWave(DATA, math.inf)
+
+    def test_pointwise_paths_reject_non_finite_points(self):
+        # nan and inf ran Newton to its iteration cap, with RuntimeWarnings for inf
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                self.wave.state(2.0, x)
+        with pytest.raises(ValueError, match="x must be finite"):
+            burgers_eval_full(self.wave.params, 1.0, np.array([0.0, math.inf]))
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                self.wave.profile(t, 0.2)
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                euler_residual(self.wave, t, 0.0)
+
     def test_profile_rejects_negative_time(self):
         for t, x in ((-1.0, 0.2), (np.array([0.5, -1e-12]), np.array([0.1, 0.2]))):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -414,6 +440,13 @@ class TestDecayReport:
             with pytest.raises(ValueError, match="nonnegative"):
                 derivative_decay_report(wave, [1.0, bad], [2.0])
 
+    def test_rejects_an_infinite_time(self):
+        # t = inf returned a row whose value was nan
+        wave = SmoothWave.build(DATA, 0.3)
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                derivative_decay_report(wave, [1.0, bad], [2.0])
+
     @pytest.mark.parametrize("delta", [0.3, 0.1])
     def test_known_feet_match_newton_path(self, delta):
         # the report evaluates at the grid's own foot points; solving for
@@ -450,9 +483,7 @@ class TestRiemannGap:
         t = 2.0
         for xi in (1.25, 1.30, 1.35, 1.42, 1.50):
             ref = riemann_rarefaction(DATA, xi)
-            fan = wave._curve_values(
-                np.clip(xi, wave.params.omega_minus, wave.params.omega_plus)
-            )
+            fan = wave._curve_values(xi)
             assert float(fan["rho"]) == pytest.approx(ref.rho, rel=1e-13)
             assert float(fan["u1"]) == pytest.approx(ref.u1, abs=1e-13)
             assert float(fan["theta"]) == pytest.approx(ref.theta, rel=1e-13)
@@ -485,7 +516,7 @@ class TestRiemannGap:
             pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
             x = np.union1d(x_char, t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001))
             prof = wave.profile(t, x, order=0)
-            fan = wave._curve_values(np.clip(x / t, p.omega_minus, p.omega_plus))
+            fan = wave._curve_values(x / t)
             ref = max(np.max(np.abs(prof[k] - fan[k])) for k in ("rho", "u1", "theta"))
             assert riemann_gap(wave, t)[0] == pytest.approx(ref, rel=1e-11, abs=0)
 
@@ -493,3 +524,10 @@ class TestRiemannGap:
         wave = SmoothWave.build(DATA, 0.1)
         with pytest.raises(ValueError):
             riemann_gap(wave, 0.0)
+
+    def test_rejects_a_non_finite_time(self):
+        # t = inf ran the fan grid's Newton to its cap, with RuntimeWarnings
+        wave = SmoothWave.build(DATA, 0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite t > 0"):
+                riemann_gap(wave, bad)

@@ -540,6 +540,24 @@ def test_invert_rejects_a_start_of_the_wrong_shape():
             invert_LM_micro(op, h, 1e-4, bad)
 
 
+def test_invert_rejects_a_start_that_is_not_finite():
+    # a nan or inf start ran a full apply with RuntimeWarnings, and the nan
+    # residual then ended the loop at once
+    g = grid(8)
+    op = LMOperator(STATE, g)
+    h = micro_field(g, op.basis, 0)
+
+    def no_apply(values):
+        raise AssertionError("a non-finite start reached the operator")
+
+    op.apply = no_apply
+    one_nan = np.zeros(g.shape)
+    one_nan[3, 4, 5] = math.nan
+    for bad in (np.full(g.shape, math.nan), np.full(g.shape, math.inf), one_nan):
+        with pytest.raises(ValueError, match="start carries non-finite values"):
+            invert_LM_micro(op, h, 1e-4, bad)
+
+
 def test_invert_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch):
     # a nan tol returned an unconverged field at once, and 0 or -1 spent the
     # whole inner budget before reporting a stall
@@ -669,6 +687,53 @@ def test_invert_raises_when_the_preconditioner_gives_no_direction(monkeypatch):
     start = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
     assert exc.value.residuals == [1.0, pytest.approx(start, rel=1e-12)]
     assert start > 1e-4
+
+
+def test_invert_raises_when_a_direction_has_no_product():
+    # only the start's apply is real; a step whose product vanishes cannot
+    # be normalised and must raise with the start's true residual
+    g = grid(8)
+    op = LMOperator(STATE, g)
+    h = micro_field(g, op.basis, 0)
+    plain, calls = op.apply, []
+
+    def start_only(values):
+        calls.append(values)
+        return plain(values) if len(calls) == 1 else np.zeros(g.shape)
+
+    op.apply = start_only
+    with pytest.raises(NonConvergenceError, match="stalled") as exc:
+        invert_LM_micro(op, h, 1e-12)
+    assert len(calls) == 2
+    assert len(exc.value.residuals) == 2 and exc.value.residuals[1] > 1e-12
+    assert int(re.search(r"after (\d+) inner iterations", str(exc.value)).group(1)) > 0
+
+
+def test_pcg_on_a_zero_residual_returns_zero_without_an_apply():
+    g = grid(8)
+    op = LMOperator(STATE, g)
+
+    def no_weak_apply(values):
+        raise AssertionError("a zero residual reached the weak form")
+
+    op.weak_apply = no_weak_apply
+    dx, it = collision._pcg(op, np.zeros(g.shape), 1e-2, 10)
+    assert it == 0 and np.all(dx == 0.0)
+
+
+def test_pcg_stops_at_a_direction_of_nonpositive_curvature():
+    # a weak form that is not positive gives no CG step: _pcg returns the
+    # zero correction, and the solve reports a stall at its start residual
+    g = grid(8)
+    op = LMOperator(STATE, g)
+    h = micro_field(g, op.basis, 0)
+    plain = op.weak_apply
+    op.weak_apply = lambda values: -plain(values)
+    dx, it = collision._pcg(op, h.values, 1e-2, 10)
+    assert it == 0 and np.all(dx == 0.0)
+    with pytest.raises(NonConvergenceError, match="stalled") as exc:
+        invert_LM_micro(op, h, 1e-2)
+    assert exc.value.residuals == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from rarewave.euler import (
     curve_coefficients,
     curve_lift,
     entropy,
-    fan_state,
     lambda3,
     pressure,
     r3_state,
@@ -167,19 +166,11 @@ def test_fan_state_closed_form_matches_bisection():
             lo = mid
         else:
             hi = mid
-    s = fan_state(LEFT, target)
+    s = riemann_rarefaction(RiemannData.from_density(LEFT, 1.1), target)
     assert s.rho == pytest.approx(0.5 * (lo + hi), rel=1e-13)
     assert s.rho == pytest.approx(FAN_MID_RHO, rel=1e-15)
     assert s.u1 == pytest.approx(FAN_MID_U1, rel=1e-15)
     assert s.theta == pytest.approx(FAN_MID_TH, rel=1e-15)
-
-
-def test_fan_state_rejects_speeds_below_the_vacuum_edge():
-    # lambda3 = a + b rho^(1/3) on the curve, so a is the speed at rho = 0
-    a = curve_coefficients(LEFT)[0]
-    for speed in (a, a - 1.0):
-        with pytest.raises(ValueError, match="vacuum edge"):
-            fan_state(LEFT, speed)
 
 
 def test_riemann_data_wave_strength():

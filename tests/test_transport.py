@@ -71,6 +71,17 @@ def distinct_point():
     return burnett_solve(s, g, tol=TOL)
 
 
+@pytest.fixture(scope="module")
+def a1_stall():
+    """The A1 solve on the n = 16 thermal lattice at rest, which stalls, and its error."""
+    s = GasState.make(1.0, 0.0, 1.0)
+    g = thermal_grid(1.0, 16)
+    source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
+    with pytest.raises(NonConvergenceError) as exc:
+        invert_LM_micro(LMOperator(s, g), source, TOL)
+    return s, g, exc.value
+
+
 def scaled(sol):
     """mu / theta^2.5 and kappa / theta^2.5."""
     th = sol.state.theta
@@ -225,21 +236,18 @@ def test_grid_defect_reads_q_of_m_m_on_the_reference_weight(solutions):
     assert np.abs(collision_Q(m, m, sol.grid, weight=sol.state).values).max() <= 1e-15
 
 
-def test_stalled_restart_cycle_raises_before_the_budget_is_spent():
+def test_stalled_restart_cycle_raises_before_the_budget_is_spent(a1_stall):
     # At n = 16 the heat source carries content the lattice operator
     # barely reaches: the true residual stalls near 2.2e-2 from the second
     # restart on, where a consistent right-hand side gains decades per cycle.
-    s = GasState.make(1.0, 0.0, 1.0)
-    g = thermal_grid(1.0, 16)
-    source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
-    with pytest.raises(NonConvergenceError, match="restart cycle") as exc:
-        invert_LM_micro(LMOperator(s, g), source, 1e-2)
-    used = int(re.search(r"after (\d+) inner iterations", str(exc.value)).group(1))
+    err = a1_stall[2]
+    assert re.search("restart cycle", str(err))
+    used = int(re.search(r"after (\d+) inner iterations", str(err)).group(1))
     assert used < 600
-    assert exc.value.residuals[-1] > 1e-2
+    assert err.residuals[-1] > 1e-2
     # every step minimises the true residual over a space holding the last
     # iterate, so the history after the zero start never rises
-    history = exc.value.residuals[1:]
+    history = err.residuals[1:]
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
@@ -252,12 +260,11 @@ def test_table_follows_exact_thermal_law(solutions):
         residual=tuple(max(s.residuals.values()) for s in sols),
         span=6.5,
         n_per_axis=N,
-        gamma=sols[0].params.gamma,
     )
     assert table.mu_of(1.7) == pytest.approx(table.mu[1], rel=1e-14)
     assert np.allclose(table.kappa_of(np.array([1.0, 1.7])), table.kappa, rtol=1e-14)
     # outside the table range the exact law holds, with no clamp and no warning
-    law = (np.array([0.8, 2.5]) / table.theta[0]) ** thermal_exponent(table.gamma)
+    law = (np.array([0.8, 2.5]) / table.theta[0]) ** thermal_exponent(sols[0].params.gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k, th in enumerate((0.8, 2.5)):
@@ -268,9 +275,9 @@ def test_table_follows_exact_thermal_law(solutions):
 
 def test_table_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
-        TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
+        TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
     with pytest.raises(ValueError, match="finite and positive"):
-        TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N, -3.0)
+        TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a bad temperature list reached the solver")
@@ -284,7 +291,7 @@ def test_table_rejects_bad_inputs(monkeypatch):
 
 def test_table_law_rejects_nonpositive_temperatures():
     # theta = 0 gave 0.0 and theta < 0 gave nan with a RuntimeWarning
-    table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N, -3.0)
+    table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N)
     for law in (table.mu_of, table.kappa_of):
         for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5]):
             with pytest.raises(ValueError, match="temperature must be positive"):
@@ -316,6 +323,14 @@ def test_burnett_solve_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch
     for bad in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             burnett_solve(s, g, tol=bad)
+
+
+def test_burnett_solve_rejects_a_start_that_is_not_finite():
+    # a nan start ran a full apply and failed only in GridFunction's own check
+    s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, 8)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="start carries non-finite values"):
+            burnett_solve(s, g, start={"A1": np.full(g.shape, bad)})
 
 
 @pytest.mark.parametrize("thetas", [(1.0, 1.7), (1.0, 1.7, 2.3)], ids=["2-row", "3-row"])
@@ -524,16 +539,12 @@ def test_a_derived_component_off_its_source_raises(at, skewed, match, wave_point
     assert exc.value.residuals[-1] > TOL
 
 
-def test_a_failed_solve_names_its_component_and_the_resolution_floor():
-    s = GasState.make(1.0, 0.0, 1.0)
-    g = thermal_grid(1.0, 16)
-    source = project_P1(burnett_hats(s, g)[0][0], macro_basis(s, g))
-    with pytest.raises(NonConvergenceError) as direct:
-        invert_LM_micro(LMOperator(s, g), source, TOL)
+def test_a_failed_solve_names_its_component_and_the_resolution_floor(a1_stall):
+    s, g, direct = a1_stall
     with pytest.raises(NonConvergenceError, match=r"^A1 \(solve\): constrained solve") as exc:
         burnett_solve(s, g, tol=TOL)
     assert re.search(r"; grid_defect \d\.\d{3}e-\d+, n_per_axis 16$", str(exc.value))
-    assert exc.value.residuals == direct.value.residuals
+    assert exc.value.residuals == direct.residuals
     assert isinstance(exc.value.__cause__, NonConvergenceError)
 
 
