@@ -152,6 +152,7 @@ class SmoothWave:
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
+        """``SmoothWave(data, delta)``; kept only for the benchmark workloads, which call it."""
         return cls(data, delta)
 
     def _curve_values(self, omega, order=0):

@@ -336,7 +336,9 @@ class LMOperator:
     ``weak_apply`` is the exactly symmetric positive-semidefinite
     Dirichlet form acting on potentials x = h / M; the deflated
     conjugate-gradient solve on it preconditions the flexible GCR
-    iteration that ``invert_LM_micro`` runs on ``apply``.
+    iteration that ``invert_LM_micro`` runs on ``apply``.  A lattice on
+    which the state's Maxwellian underflows to 0 raises ``ValueError``:
+    the Jacobi scale divides by it.
     """
 
     def __init__(self, s: GasState, g: VelocityGrid, p: KernelParams = KernelParams()):
@@ -345,6 +347,8 @@ class LMOperator:
         self.params = p
         self.m = maxwellian(s, g)
         mv = self.m.values
+        if not np.all(mv > 0.0):
+            raise ValueError(f"the Maxwellian underflows to 0 on {np.sum(mv == 0.0)} nodes of {g}")
         n, h = g.n_per_axis, g.spacing
         # Differences weighted by the operator's own Maxwellian: the
         # weight drift cancels through the kernel projection, so any

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -113,11 +114,6 @@ class BurnettSolution:
     u_a == u_b, which maps the lattice, the state and the sources onto
     themselves, or a diagonal shear that follows from the trace:
     B11 + B22 + B33 = 0, since the sources sum to zero and L_M is linear.
-    ``grid_defect`` is the resolution floor sup|Q(M, M)| measured on
-    this lattice at this state, with ``collision_Q``'s reference weight.
-    Under the state's own weight, the one ``LMOperator`` uses, Q(M, M) is
-    round-off (about 5e-17 at rest and off rest) and would floor nothing;
-    ``burnett_property_check`` takes 100 ``grid_defect`` as its floor.
     """
 
     state: GasState
@@ -129,7 +125,22 @@ class BurnettSolution:
     kappa_theta: float
     residuals: dict
     solved: tuple
-    grid_defect: float
+
+    @cached_property
+    def grid_defect(self) -> float:
+        """The lattice's resolution floor sup|Q(M, M)|, on ``collision_Q``'s reference weight.
+
+        Under the state's own weight, the one ``LMOperator`` uses, Q(M, M) is
+        round-off (about 5e-17 at rest and off rest) and would floor nothing;
+        ``burnett_property_check`` takes 100 ``grid_defect`` as its floor.
+        Evaluated on first read, not by ``burnett_solve``.
+        """
+        return _grid_defect(self.state, self.grid, self.params)
+
+
+def _grid_defect(s: GasState, g: VelocityGrid, p: KernelParams) -> float:
+    m = maxwellian(s, g)
+    return float(np.abs(collision_Q(m, m, g, p).values).max())
 
 
 def thermal_grid(theta: float, n_per_axis: int, span: float = 6.5) -> VelocityGrid:
@@ -202,8 +213,6 @@ def burnett_solve(
     op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
     m = op.m
-    qvals = collision_Q(m, m, g, p).values
-    grid_defect = float(np.abs(qvals).max())
 
     def transposes(c):
         """(origin, axes) of each allowed axis transposition moving onto c."""
@@ -233,7 +242,7 @@ def burnett_solve(
             try:
                 field, products[c] = invert_LM_micro(op, source, tol, x0)
             except NonConvergenceError as exc:
-                why = f"{exc}; grid_defect {grid_defect:.3e}, n_per_axis {g.n_per_axis}"
+                why = f"{exc}; grid_defect {_grid_defect(s, g, p):.3e}, n_per_axis {g.n_per_axis}"
                 raise NonConvergenceError(f"{name} (solve): {why}", exc.residuals) from exc
             fields[c] = field.values
             solved.append(name)
@@ -263,7 +272,6 @@ def burnett_solve(
         kappa_theta=float(kappa),
         residuals=residuals,
         solved=tuple(solved),
-        grid_defect=grid_defect,
     )
 
 
@@ -453,16 +461,6 @@ def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[Preimag
     return rows
 
 
-def gbar_from_gradients(du1_dy: float, dtheta_dy: float, sol: BurnettSolution) -> GridFunction:
-    """Correction field for unit scaling: linear in the wave gradients."""
-    s = sol.state
-    core = (
-        math.sqrt(GAS_R) * dtheta_dy / math.sqrt(s.theta) * sol.A[0].values
-        + du1_dy * sol.B[0][0].values
-    )
-    return GridFunction(sol.grid, core)
-
-
 def gbar_construct(
     wave,
     t: float,
@@ -474,8 +472,10 @@ def gbar_construct(
 ) -> GridFunction:
     """The wave-gradient correction field at one space-time point.
 
-    The wave provides physical-frame profile derivatives; the analysis
-    frame compresses space by eps^a, so the frame gradients carry one
+    The field is linear in the wave gradients:
+    sqrt(R) theta_y / sqrt(theta) A1 + u1_y B11.  The wave provides
+    physical-frame profile derivatives; the analysis frame compresses
+    space by eps^a, so the frame gradients theta_y, u1_y carry one
     factor of eps^a, and the whole field another eps^(1 - a).  An eps
     that is not finite and positive raises ``ValueError``.
     """
@@ -485,7 +485,8 @@ def gbar_construct(
         raise ValueError("correction field requested at a state the solution was not built for")
     prof = wave.profile(t, x, order=1)
     scale = eps**a
-    core = gbar_from_gradients(
-        scale * float(prof["u1_x"]), scale * float(prof["theta_x"]), sol
+    core = (
+        math.sqrt(GAS_R) * (scale * float(prof["theta_x"])) / math.sqrt(s.theta) * sol.A[0].values
+        + (scale * float(prof["u1_x"])) * sol.B[0][0].values
     )
-    return GridFunction(sol.grid, eps ** (1.0 - a) * core.values)
+    return GridFunction(sol.grid, eps ** (1.0 - a) * core)

@@ -4,13 +4,18 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rarewave
 from rarewave import transport
 from rarewave.burgers import SmoothWave, derivative_decay_report
 from rarewave.collision import (
@@ -28,7 +33,6 @@ from rarewave.transport import (
     burnett_solve,
     decay_check,
     gbar_construct,
-    gbar_from_gradients,
     thermal_exponent,
     thermal_grid,
     transport_table,
@@ -54,7 +58,7 @@ def solutions():
 def wave_point():
     """A smoothed 3-rarefaction wave, mid-fan at t = 2, with its solve."""
     data = RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5)
-    wave = SmoothWave.build(data, 0.5)
+    wave = SmoothWave(data, 0.5)
     t = 2.0
     x = 0.5 * t * (lambda3(data.left) + lambda3(data.right))
     s = wave.state(t, x)
@@ -234,6 +238,22 @@ def test_grid_defect_reads_q_of_m_m_on_the_reference_weight(solutions):
     assert sol.grid_defect == np.abs(collision_Q(m, m, sol.grid).values).max()
     assert sol.grid_defect >= 1e-6
     assert np.abs(collision_Q(m, m, sol.grid, weight=sol.state).values).max() <= 1e-15
+
+
+def test_grid_defect_is_evaluated_once_and_only_when_read(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return collision_Q(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "collision_Q", counted)
+    sol = burnett_solve(GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, 12), tol=0.5)
+    assert not calls
+    assert sol.grid_defect > 0.0
+    assert len(calls) == 1
+    assert sol.grid_defect > 0.0
+    assert len(calls) == 1
 
 
 def test_stalled_restart_cycle_raises_before_the_budget_is_spent(a1_stall):
@@ -572,7 +592,11 @@ def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
         return gbar_construct(wave, t, x, sol.state, eps, a, sol).values
 
     prof = wave.profile(t, x, order=1)
-    unit = gbar_from_gradients(float(prof["u1_x"]), float(prof["theta_x"]), sol).values
+    # the field at eps = 1: sqrt(R) theta_x / sqrt(theta) A1 + u1_x B11
+    unit = (
+        math.sqrt(GAS_R) * prof["theta_x"] / math.sqrt(sol.state.theta) * sol.A[0].values
+        + prof["u1_x"] * sol.B[0][0].values
+    )
     ref = gbar(0.1, 0.5)
     bound = 1e-12 * np.abs(ref).max()
     assert bound > 0.0
@@ -604,3 +628,18 @@ def test_decay_check_constants_positive_and_nonincreasing_in_eps(wave_point):
     consts = [r.constant for r in rows]
     assert all(math.isfinite(c) and c > 0.0 for c in consts)
     assert all(c2 <= c1 for c1, c2 in zip(consts, consts[1:]))
+
+
+def test_the_package_imports_no_sparse_or_optimize_scipy():
+    # scipy.sparse.linalg alone adds 9.8 MB of peak RSS, past the 5% bound
+    # of the benchmark's lightest workload
+    probe = (
+        "import sys, rarewave.transport, rarewave.burgers; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rarewave.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
