@@ -392,10 +392,11 @@ def transport_table(
     temperature gets its own thermally sized lattice, so the residual
     stays uniform down the column and the rows follow the exact law of
     ``thermal_exponent``.  Each row is still solved, as the law's check,
-    with the default kernel ``KernelParams()``.  Rows after the first start
-    their solves from the previous row's preimages times the law's nodal
-    factor (theta / theta_prev)^(thermal_exponent - 5/2), and each start is
-    verified, and iterated on if need be, to ``tol`` on its own lattice.
+    with the default kernel ``KernelParams()``.  At its gamma = -3 the nodal
+    preimages on the thermal lattice do not depend on theta
+    (``thermal_exponent``), so rows after the first start their solves from
+    the previous row's preimages as they are, and each start is verified,
+    and iterated on if need be, to ``tol`` on its own lattice.
     Temperatures must be finite, strictly increasing and within (3/4, 3),
     the regime the downstream wave states occupy; all three are checked
     before anything is solved.
@@ -405,14 +406,11 @@ def transport_table(
     if any(t <= 0.75 or t >= 3.0 for t in thetas):
         raise ValueError("table temperatures must lie inside (0.75, 3)")
     mus, kappas, resids = [], [], []
-    sol = None
+    start = None
     for t in thetas:
         g = thermal_grid(t, n_per_axis, span)
-        start = None
-        if sol is not None:
-            scale = (t / sol.state.theta) ** (thermal_exponent(GAMMA_DEFAULT) - 2.5)
-            start = {_name(c): scale * _solution_field(sol, c).values for c in _COMPONENTS}
         sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol, start=start)
+        start = {_name(c): _solution_field(sol, c).values for c in _COMPONENTS}
         mus.append(sol.mu_theta)
         kappas.append(sol.kappa_theta)
         resids.append(max(sol.residuals.values()))

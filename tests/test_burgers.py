@@ -148,6 +148,12 @@ def test_batched_foot_points_match_single_point(monkeypatch):
     assert len(iterations) >= 3
 
 
+def test_foot_points_raise_when_the_iteration_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(burgers, "FOOT_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="foot-point iteration failed for 1 points"):
+        _foot_points(PARAMS, 2.0, 1.0)
+
+
 # the wave of the wave_reports benchmark workload
 REPORT_DATA = RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5)
 REPORT_WAVE = SmoothWave(REPORT_DATA, 0.5)

@@ -1,10 +1,12 @@
 """Collision operator: kernel, convolutions, linearization, and the solver."""
 
 import logging
+import logging.handlers
 import math
 import re
 from functools import reduce
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,11 +406,49 @@ def test_conjugated_form_nulls_and_identity():
 # constrained solver on the microscopic subspace
 
 
-def manufactured(g, op):
+def manufactured(n):
+    """The manufactured problem at STATE on grid(n): lattice, operator, source and true solution."""
+    g = grid(n)
+    op = LMOperator(STATE, g)
     vx, vy, _ = coords(g)
-    g_true = project_P1(GridFunction(g, op.m.values * vx * vy / (1.0 + 0.05 * vx * vx)), op.basis)
-    h = project_P1(GridFunction(g, op.apply(g_true.values)), op.basis)
-    return h, g_true
+    true = project_P1(GridFunction(g, op.m.values * vx * vy / (1.0 + 0.05 * vx * vx)), op.basis)
+    h = project_P1(GridFunction(g, op.apply(true.values)), op.basis)
+    return SimpleNamespace(g=g, op=op, h=h, true=true)
+
+
+def count_applies(op, monkeypatch):
+    """Count the ``apply`` calls of this operator; returns the counter and the plain apply."""
+    calls, plain = [0], op.apply
+
+    def counted(values):
+        calls[0] += 1
+        return plain(values)
+
+    monkeypatch.setattr(op, "apply", counted)
+    return calls, plain
+
+
+@pytest.fixture(scope="module")
+def m16():
+    """``manufactured(16)`` solved cold to 1e-4 and 1e-8, with what the 1e-4 solve
+    logged at the default level and the 1e-8 solve's apply count; tests patch
+    the shared operator only through ``monkeypatch``."""
+    m = manufactured(16)
+    log, logger = logging.handlers.BufferingHandler(100), logging.getLogger("rarewave.collision")
+    logger.addHandler(log)
+    m.cold = invert_LM_micro(m.op, m.h, 1e-4)
+    logger.removeHandler(log)
+    with pytest.MonkeyPatch.context() as mp:
+        calls, _ = count_applies(m.op, mp)
+        m.tight = invert_LM_micro(m.op, m.h, 1e-8)
+    m.cold_log, m.tight_applies = log.buffer, calls[0]
+    return m
+
+
+def test_linearized_form_reads_its_lattice_from_the_field():
+    g = grid(8)
+    h = micro_field(g, macro_basis(STATE, g), 0)
+    assert np.array_equal(linearized_LM(h, STATE).values, linearized_LM(h, STATE, g).values)
 
 
 def test_operator_wrapper_matches_linearized_form():
@@ -532,12 +572,11 @@ def test_weak_form_is_coercive_in_the_sigma_norm_on_the_microscopic_subspace():
     assert lam[10] >= lam[8], lam
 
 
-def test_invert_recovers_manufactured_solution():
-    for n, tol, err_tol in ((16, 1e-4, 5e-3), (24, 1e-6, 3e-5)):
-        g = grid(n)
-        op = LMOperator(STATE, g)
-        h, g_true = manufactured(g, op)
-        sol, _ = invert_LM_micro(op, h, tol)
+def test_invert_recovers_manufactured_solution(m16):
+    m24 = manufactured(24)
+    m24.cold = invert_LM_micro(m24.op, m24.h, 1e-6)
+    for m, tol, err_tol in ((m16, 1e-4, 5e-3), (m24, 1e-6, 3e-5)):
+        g, op, h, g_true, (sol, _) = m.g, m.op, m.h, m.true, m.cold
         assert op.micro_defect(sol.values) <= 1e-12
         resid = h.values - op.apply(sol.values)
         rel = math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2))
@@ -549,24 +588,19 @@ def test_invert_recovers_manufactured_solution():
         assert err <= err_tol
 
 
-def test_invert_reaches_tight_tolerance_across_restarts():
+def test_invert_reaches_tight_tolerance_across_restarts(m16):
     # a consistent right-hand side must reach any tolerance above round-off;
     # 1e-8 takes more than one restart cycle, so the true residual checked
     # here also guards the directions and products carried across restarts
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    sol, _ = invert_LM_micro(op, h, 1e-8)
+    g, op, h, (sol, _) = m16.g, m16.op, m16.h, m16.tight
     resid = h.values - op.apply(sol.values)
     assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-8
 
 
-def test_invert_from_a_given_start_still_reaches_tol():
+def test_invert_from_a_given_start_still_reaches_tol(m16):
     # a start replaces the initial preconditioner pass only; a zero start and
     # a random microscopic one each iterate down to tol from their residual
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
+    g, op, h = m16.g, m16.op, m16.h
     noise = np.random.default_rng(7).standard_normal(g.shape) * op.m.values
     for x0 in (np.zeros(g.shape), project_P1(GridFunction(g, noise), op.basis).values):
         sol, _ = invert_LM_micro(op, h, 1e-4, x0)
@@ -575,11 +609,8 @@ def test_invert_from_a_given_start_still_reaches_tol():
         assert math.sqrt(g.integrate(resid**2) / g.integrate(h.values**2)) <= 1e-4
 
 
-def test_invert_from_a_converged_start_runs_no_preconditioner(monkeypatch):
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    done, _ = invert_LM_micro(op, h, 1e-4)
+def test_invert_from_a_converged_start_runs_no_preconditioner(m16, monkeypatch):
+    op, h, (done, _) = m16.op, m16.h, m16.cold
 
     def no_pcg(*args, **kwargs):
         raise AssertionError("a start within tol reached the preconditioner")
@@ -589,13 +620,10 @@ def test_invert_from_a_converged_start_runs_no_preconditioner(monkeypatch):
     assert np.abs(again.values - done.values).max() <= 1e-14 * np.abs(done.values).max()
 
 
-def test_invert_rejects_a_start_of_the_wrong_shape():
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    for bad in (np.zeros((15, 16, 16)), np.zeros(g.shape[:2]), np.zeros(16**3)):
+def test_invert_rejects_a_start_of_the_wrong_shape(m16):
+    for bad in (np.zeros((15, 16, 16)), np.zeros(m16.g.shape[:2]), np.zeros(16**3)):
         with pytest.raises(ValueError, match="does not fit the lattice"):
-            invert_LM_micro(op, h, 1e-4, bad)
+            invert_LM_micro(m16.op, m16.h, 1e-4, bad)
 
 
 def test_invert_rejects_a_start_that_is_not_finite():
@@ -639,44 +667,23 @@ def test_invert_zero_rhs_gives_zero():
     assert np.all(out.values == 0.0) and np.all(product == 0.0)
 
 
-def count_applies(op):
-    """Count the ``apply`` calls of this operator; returns the counter and the plain apply."""
-    calls, plain = [0], op.apply
-
-    def counted(values):
-        calls[0] += 1
-        return plain(values)
-
-    op.apply = counted
-    return calls, plain
-
-
-def test_returned_product_is_a_fresh_apply_of_the_solution():
+def test_returned_product_is_a_fresh_apply_of_the_solution(m16):
     # the product is accumulated from the solve's own applies, on the
     # unprojected iterate; it must equal L_M of the returned field on every
     # path: cold, from a converged start, across restarts, and at h = 0
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    calls, plain = count_applies(op)
-    cold = invert_LM_micro(op, h, 1e-4)
-    warm = invert_LM_micro(op, h, 1e-4, cold[0].values)
-    calls[0] = 0
-    tight = invert_LM_micro(op, h, 1e-8)
-    assert calls[0] > collision._RESTART + 1  # more than one Krylov cycle
+    g, op, h = m16.g, m16.op, m16.h
+    warm = invert_LM_micro(op, h, 1e-4, m16.cold[0].values)
+    assert m16.tight_applies > collision._RESTART + 1  # more than one Krylov cycle
     zero = invert_LM_micro(op, GridFunction(g, np.zeros(g.shape)), 1e-6)
-    for field, product in (cold, warm, tight, zero):
-        fresh = plain(field.values)
+    for field, product in (m16.cold, warm, m16.tight, zero):
+        fresh = op.apply(field.values)
         assert np.abs(product - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
-def test_each_solve_logs_its_iterations_applies_and_residual(caplog):
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    sol, product = invert_LM_micro(op, h, 1e-4)
-    assert not [r for r in caplog.records if r.name == "rarewave.collision"]
-    calls, _ = count_applies(op)
+def test_each_solve_logs_its_iterations_applies_and_residual(m16, caplog, monkeypatch):
+    g, op, h, (sol, product) = m16.g, m16.op, m16.h, m16.cold
+    assert not m16.cold_log
+    calls, _ = count_applies(op, monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="rarewave.collision"):
         invert_LM_micro(op, h, 1e-4)
         invert_LM_micro(op, h, 1e-4, sol.values)
@@ -700,34 +707,26 @@ def test_invert_rejects_fluid_content():
         invert_LM_micro(LMOperator(STATE, g), m, 1e-6)
 
 
-def test_invert_scaling_equivariance():
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
-    one, _ = invert_LM_micro(op, h, 1e-4)
-    three, _ = invert_LM_micro(op, GridFunction(g, 3.0 * h.values), 1e-4)
+def test_invert_scaling_equivariance(m16):
+    one = m16.cold[0]
+    three, _ = invert_LM_micro(m16.op, GridFunction(m16.g, 3.0 * m16.h.values), 1e-4)
     assert np.abs(three.values - 3.0 * one.values).max() <= 1e-12 * np.abs(one.values).max()
 
 
-def test_invert_reports_residual_history_on_stall(monkeypatch):
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
+def test_invert_reports_residual_history_on_stall(m16, monkeypatch):
     monkeypatch.setattr(collision, "_MAX_INNER_ITER", 3)
     with pytest.raises(NonConvergenceError) as exc:
-        invert_LM_micro(op, h, 1e-13)
+        invert_LM_micro(m16.op, m16.h, 1e-13)
     err = exc.value
     assert len(err.residuals) >= 1
     assert all(r >= 0.0 for r in err.residuals)
     assert "residual" in str(err)
 
 
-def test_invert_raises_when_the_preconditioner_gives_no_direction(monkeypatch):
+def test_invert_raises_when_the_preconditioner_gives_no_direction(m16, monkeypatch):
     # only the start's _pcg is real; a step that finds no direction must
     # raise with the start's true residual, after the start's one apply
-    g = grid(16)
-    op = LMOperator(STATE, g)
-    h, _ = manufactured(g, op)
+    g, op, h = m16.g, m16.op, m16.h
     real_pcg, starts = collision._pcg, []
 
     def start_only(*args, **kwargs):
@@ -737,7 +736,7 @@ def test_invert_raises_when_the_preconditioner_gives_no_direction(monkeypatch):
         return starts[-1]
 
     monkeypatch.setattr(collision, "_pcg", start_only)
-    calls, plain = count_applies(op)
+    calls, plain = count_applies(op, monkeypatch)
     with pytest.raises(NonConvergenceError, match="stalled") as exc:
         invert_LM_micro(op, h, 1e-4)
     assert calls[0] == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import logging.handlers
 import math
 import os
 import re
@@ -46,24 +47,31 @@ COMPONENTS = ("A1", "A2", "A3", "B11", "B12", "B13", "B22", "B23", "B33")
 
 @pytest.fixture(scope="module")
 def solutions():
-    """Rest-state solves keyed by (rho, theta), each on its thermal lattice."""
+    """Rest-state solves keyed by (rho, theta), each on its thermal lattice at the default tol."""
     out = {}
     for rho, theta in ((1.0, 1.0), (1.0, 1.7), (2.0, 1.0)):
-        s = GasState.make(rho, 0.0, theta)
-        out[rho, theta] = burnett_solve(s, thermal_grid(theta, N), tol=TOL)
+        out[rho, theta] = burnett_solve(GasState.make(rho, 0.0, theta), thermal_grid(theta, N))
     return out
 
 
 @pytest.fixture(scope="module")
 def wave_point():
-    """A smoothed 3-rarefaction wave, mid-fan at t = 2, with its solve."""
+    """A smoothed 3-rarefaction wave, mid-fan at t = 2, with its solve and the DEBUG log of it."""
     data = RiemannData.from_density(GasState.make(1.0, 0.0, 1.0), 1.5)
     wave = SmoothWave(data, 0.5)
     t = 2.0
     x = 0.5 * t * (lambda3(data.left) + lambda3(data.right))
     s = wave.state(t, x)
     g = VelocityGrid(abs(s.u1) + 6.5 * math.sqrt(GAS_R * s.theta), N)
-    return wave, t, x, burnett_solve(s, g, tol=TOL)
+    log, logger = logging.handlers.BufferingHandler(100), logging.getLogger("rarewave.transport")
+    logger.addHandler(log)
+    logger.setLevel(logging.DEBUG)
+    try:
+        sol = burnett_solve(s, g, tol=TOL)
+    finally:
+        logger.setLevel(logging.NOTSET)
+        logger.removeHandler(log)
+    return wave, t, x, sol, log.buffer
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +107,11 @@ def test_burnett_solve_records_all_nine_residuals_within_tol(solutions):
         assert sol.mu_theta > 0.0 and sol.kappa_theta > 0.0
 
 
-def test_default_tolerance_is_met_on_the_default_lattice():
-    # the default tol must lie above the residual floor of the n = 20
-    # thermal lattice, where the A1 solve stalls near 1e-3
-    sol = burnett_solve(GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N))
+def test_default_tolerance_is_met_on_the_default_lattice(solutions):
+    # ``solutions`` solves with the default tol: it is the TOL other tests assume, and lies
+    # above the residual floor of the n = 20 thermal lattice, where the A1 solve stalls near 1e-3
+    assert transport.DEFAULT_TOL == TOL
+    sol = solutions[1.0, 1.0]
     assert sorted(sol.residuals) == sorted(COMPONENTS)
     assert all(0.0 <= r <= 1e-2 for r in sol.residuals.values())
 
@@ -568,12 +577,10 @@ def test_a_failed_solve_names_its_component_and_the_resolution_floor(a1_stall):
     assert isinstance(exc.value.__cause__, NonConvergenceError)
 
 
-def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplog):
-    ref = wave_point[3]
+def test_each_component_is_logged_with_its_origin_and_residual(wave_point):
+    sol, log = wave_point[3:]
     assert not logging.getLogger("rarewave.transport").handlers
-    with caplog.at_level(logging.DEBUG, logger="rarewave.transport"):
-        sol = burnett_solve(ref.state, ref.grid, tol=TOL)
-    records = [r.getMessage() for r in caplog.records if r.name == "rarewave.transport"]
+    records = [r.getMessage() for r in log if r.name == "rarewave.transport"]
     assert len(records) == 9
     logged = {m.split(":")[0]: m for m in records}
     assert sorted(logged) == sorted(COMPONENTS)
@@ -586,7 +593,7 @@ def test_each_component_is_logged_with_its_origin_and_residual(wave_point, caplo
 
 
 def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
-    wave, t, x, sol = wave_point
+    wave, t, x, sol, _ = wave_point
 
     def gbar(eps, a):
         return gbar_construct(wave, t, x, sol.state, eps, a, sol).values
@@ -608,7 +615,7 @@ def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
 
 
 def test_gbar_rejects_a_state_the_solution_was_not_built_for(wave_point):
-    wave, t, x, sol = wave_point
+    wave, t, x, sol, _ = wave_point
     other = GasState.make(sol.state.rho, sol.state.u1, 1.01 * sol.state.theta)
     with pytest.raises(ValueError, match="not built for"):
         gbar_construct(wave, t, x, other, 0.1, 0.5, sol)
@@ -616,7 +623,7 @@ def test_gbar_rejects_a_state_the_solution_was_not_built_for(wave_point):
 
 def test_gbar_rejects_an_eps_that_is_not_finite_and_positive(wave_point):
     # eps = -0.1 gave a field of size 1e-35, the real part of complex powers
-    wave, t, x, sol = wave_point
+    wave, t, x, sol, _ = wave_point
     for bad in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             gbar_construct(wave, t, x, sol.state, bad, 0.5, sol)
