@@ -158,11 +158,19 @@ def max_rel(a, b) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+def round_count(text: str) -> int:
+    """A round count for argparse: an integer of at least 1, since a run needs a round."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 round, got {n}")
+    return n
+
+
 def parser(doc: str) -> argparse.ArgumentParser:
     """The options every script takes, described by the first line of its docstring."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--before", required=True, help="git revision to compare against")
-    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--rounds", type=round_count, default=10)
     ap.add_argument("--out", required=True, help="JSON file the report is written to")
     return ap
 

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from harness import compare, dispatch, parser, run_rounds, write
+from harness import compare, dispatch, parser, round_count, run_rounds, write
 
 SIZES = (16, 20, 24, 32)
 TABLES = {2: (0.8, 1.0), 7: (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)}
@@ -99,7 +99,7 @@ def table_row(runs: dict, rows: int, n: int, rounds: int) -> dict:
 
 def main() -> None:
     ap = parser(__doc__)
-    ap.add_argument("--rounds-32", type=int, default=3)
+    ap.add_argument("--rounds-32", type=round_count, default=3)
     args = ap.parse_args()
     small = [str(n) for n in SIZES if n != 32]
     batches = [(small, args.rounds), (["32"], args.rounds_32)]

@@ -518,17 +518,15 @@ def invert_LM_micro(
     Consistent right-hand sides gain orders of magnitude per cycle; a
     stall means the source has content the lattice operator cannot reach.
     A ``tol`` that is not finite and positive raises ``ValueError``, and
-    so does a start that is not finite, before any apply.
+    so does a start that ``GridFunction`` rejects on ``op``'s lattice (of
+    another shape, or not finite), before any apply.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     g = op.grid
     if h.grid != g:
         raise ValueError("grid function was built on a different lattice")
-    if x0 is not None and np.shape(x0) != g.shape:
-        raise ValueError(f"start of shape {np.shape(x0)} does not fit the lattice {g.shape}")
-    if x0 is not None and not np.all(np.isfinite(x0)):
-        raise ValueError("start carries non-finite values")
+    x0 = None if x0 is None else GridFunction(g, x0).values
     normh = math.sqrt(g.integrate(h.values * h.values))
     if normh == 0.0:
         _log.debug("solve: zero right-hand side, 0 inner iterations, 0 apply calls")

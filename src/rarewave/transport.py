@@ -151,8 +151,11 @@ def thermal_grid(theta: float, n_per_axis: int, span: float = 6.5) -> VelocityGr
     frequency, which scales like exp(-(pi/h)^2 R theta / 2); keeping the
     box at a fixed number of thermal widths keeps that floor uniform
     across temperatures instead of letting cold states starve the core
-    of resolution.
+    of resolution.  A theta that is not finite and positive raises
+    ``ValueError``.
     """
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {theta}")
     return VelocityGrid(half_width=span * math.sqrt(GAS_R * theta), n_per_axis=n_per_axis)
 
 
@@ -175,7 +178,7 @@ def burnett_solve(
     p: KernelParams = KernelParams(),
     tol: float = DEFAULT_TOL,
     *,
-    start: dict | None = None,
+    start: BurnettSolution | None = None,
 ) -> BurnettSolution:
     """Solve the linearized equations for both source families.
 
@@ -198,18 +201,14 @@ def burnett_solve(
     :class:`NonConvergenceError` naming the component, with the
     residuals recorded so far.  A failed solve re-raises the solver's
     error with the component, ``grid_defect`` and ``n_per_axis``.
-    ``start`` maps component names such as ``"A1"`` to nodal fields on
-    ``g``; each solved component it names starts its solve from that field
-    (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``;
-    a name that is not a component raises ``ValueError``, and so does a
-    ``tol`` that is not finite and positive, both before the operator is
-    built.
+    ``start`` is an earlier solution on a lattice of ``g``'s shape: each
+    solved component starts its solve from the same component of it
+    (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``.
+    A ``tol`` that is not finite and positive raises ``ValueError`` before
+    the operator is built.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    unknown = sorted(set(start or ()) - {_name(c) for c in _COMPONENTS})
-    if unknown:
-        raise ValueError(f"start names no component: {unknown}")
     op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
     m = op.m
@@ -238,7 +237,7 @@ def burnett_solve(
             fields[c], products[c] = (-(d[siblings[0]] + d[siblings[1]]) for d in both)
             how = "trace of " + ", ".join(_name(d) for d in siblings)
         else:
-            x0 = (start or {}).get(name)
+            x0 = None if start is None else _solution_field(start, c).values
             try:
                 field, products[c] = invert_LM_micro(op, source, tol, x0)
             except NonConvergenceError as exc:
@@ -348,7 +347,8 @@ class TransportTable:
 
     Each row at rest runs three solves (A1, B11, B12); the rest of its
     nine preimages follow by transposition and the trace.  Its temperatures
-    must be finite, positive and strictly increasing.
+    must be finite, positive and strictly increasing, with one ``mu``,
+    ``kappa`` and ``residual`` entry each.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
     at any positive temperature, scalar or array: the first row times
@@ -365,6 +365,8 @@ class TransportTable:
 
     def __post_init__(self):
         _check_temperatures(self.theta)
+        if any(len(col) != len(self.theta) for col in (self.mu, self.kappa, self.residual)):
+            raise ValueError("mu, kappa and residual need one entry per temperature")
 
     def _law(self, first: float, theta):
         if not np.all(np.asarray(theta) > 0.0):
@@ -406,11 +408,10 @@ def transport_table(
     if any(t <= 0.75 or t >= 3.0 for t in thetas):
         raise ValueError("table temperatures must lie inside (0.75, 3)")
     mus, kappas, resids = [], [], []
-    start = None
+    sol = None
     for t in thetas:
         g = thermal_grid(t, n_per_axis, span)
-        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol, start=start)
-        start = {_name(c): _solution_field(sol, c).values for c in _COMPONENTS}
+        sol = burnett_solve(GasState.make(1.0, 0.0, t), g, tol=tol, start=sol)
         mus.append(sol.mu_theta)
         kappas.append(sol.kappa_theta)
         resids.append(max(sol.residuals.values()))

@@ -1,5 +1,6 @@
 """The before/after protocol of bench/harness.py: when ``compare`` calls a
-difference resolved, how a side is run, and that every script needs ``--out``."""
+difference resolved, how a side is run, and that every script needs ``--out`` and at
+least one round."""
 
 import importlib.util
 import subprocess
@@ -61,15 +62,17 @@ def test_a_side_runs_pinned_to_one_thread(harness, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_a_run_without_out_exits_2_and_writes_no_file(script, harness, tmp_path):
+    # with --rounds 0 a script exported src/, ran no round and ended in IndexError
     evidence = {p: p.stat().st_mtime_ns for p in harness.ROOT.glob("BENCH_*.json")}
-    done = subprocess.run(
-        [sys.executable, str(BENCH / script), "--before", "HEAD"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 2
-    assert "--out" in done.stderr
-    assert list(tmp_path.iterdir()) == []
-    assert {p: p.stat().st_mtime_ns for p in harness.ROOT.glob("BENCH_*.json")} == evidence
+    for extra, named in (([], "--out"), (["--rounds", "0", "--out", "F"], "--rounds")):
+        done = subprocess.run(
+            [sys.executable, str(BENCH / script), "--before", "HEAD", *extra],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert named in done.stderr
+        assert list(tmp_path.iterdir()) == []
+        assert {p: p.stat().st_mtime_ns for p in harness.ROOT.glob("BENCH_*.json")} == evidence

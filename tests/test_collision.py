@@ -622,7 +622,7 @@ def test_invert_from_a_converged_start_runs_no_preconditioner(m16, monkeypatch):
 
 def test_invert_rejects_a_start_of_the_wrong_shape(m16):
     for bad in (np.zeros((15, 16, 16)), np.zeros(m16.g.shape[:2]), np.zeros(16**3)):
-        with pytest.raises(ValueError, match="does not fit the lattice"):
+        with pytest.raises(ValueError, match="grid shape"):
             invert_LM_micro(m16.op, m16.h, 1e-4, bad)
 
 
@@ -640,7 +640,7 @@ def test_invert_rejects_a_start_that_is_not_finite():
     one_nan = np.zeros(g.shape)
     one_nan[3, 4, 5] = math.nan
     for bad in (np.full(g.shape, math.nan), np.full(g.shape, math.inf), one_nan):
-        with pytest.raises(ValueError, match="start carries non-finite values"):
+        with pytest.raises(ValueError, match="non-finite values"):
             invert_LM_micro(op, h, 1e-4, bad)
 
 

@@ -307,6 +307,11 @@ def test_table_rejects_bad_inputs(monkeypatch):
         TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
     with pytest.raises(ValueError, match="finite and positive"):
         TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
+    # columns of other lengths built, and mu_of(1.5) read 2.756 off a one-entry mu
+    ok, short, long = (1.0, 2.0), (1.0,), (1.0, 2.0, 3.0)
+    for columns in ((short, long, short), (short, ok, ok), (ok, long, ok), (ok, ok, short)):
+        with pytest.raises(ValueError, match="one entry per temperature"):
+            TransportTable(ok, *columns, 6.5, N)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a bad temperature list reached the solver")
@@ -318,6 +323,13 @@ def test_table_rejects_bad_inputs(monkeypatch):
             transport_table(bad)
 
 
+def test_thermal_grid_rejects_a_temperature_that_is_not_finite_and_positive():
+    # theta = -1 raised "math domain error", and 0, nan or inf "half_width must be positive"
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"temperature must be finite and positive, got {bad}"):
+            thermal_grid(bad, N)
+
+
 def test_table_law_rejects_nonpositive_temperatures():
     # theta = 0 gave 0.0 and theta < 0 gave nan with a RuntimeWarning
     table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N)
@@ -325,21 +337,6 @@ def test_table_law_rejects_nonpositive_temperatures():
         for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5]):
             with pytest.raises(ValueError, match="temperature must be positive"):
                 law(bad)
-
-
-def test_burnett_solve_rejects_start_names_that_are_not_components(monkeypatch):
-    def no_operator(*args, **kwargs):
-        raise AssertionError("the operator was built")
-
-    monkeypatch.setattr(transport, "LMOperator", no_operator)
-    s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, N)
-    field = np.zeros(g.shape)
-    for bad, unknown in ((["a1"], "['a1']"), (["A1", "B21", "A4"], "['A4', 'B21']")):
-        with pytest.raises(ValueError, match=re.escape(unknown)):
-            burnett_solve(s, g, start=dict.fromkeys(bad, field))
-    # every component name is a valid start, derived ones included
-    with pytest.raises(AssertionError, match="operator was built"):
-        burnett_solve(s, g, start=dict.fromkeys(COMPONENTS, field))
 
 
 def test_burnett_solve_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch):
@@ -354,19 +351,24 @@ def test_burnett_solve_rejects_a_tol_that_is_not_finite_and_positive(monkeypatch
             burnett_solve(s, g, tol=bad)
 
 
-def test_burnett_solve_rejects_a_start_that_is_not_finite():
-    # a nan start ran a full apply and failed only in GridFunction's own check
+def test_burnett_solve_rejects_a_start_of_another_lattice_shape(solutions, monkeypatch):
+    # the start is an earlier solution; invert_LM_micro checks each of its
+    # fields as a GridFunction on the new lattice before any apply
+    def no_apply(*args, **kwargs):
+        raise AssertionError("a start of another shape reached the operator")
+
+    monkeypatch.setattr(LMOperator, "apply", no_apply)
     s, g = GasState.make(1.0, 0.0, 1.0), thermal_grid(1.0, 8)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="start carries non-finite values"):
-            burnett_solve(s, g, start={"A1": np.full(g.shape, bad)})
+    with pytest.raises(ValueError, match="grid shape"):
+        burnett_solve(s, g, start=solutions[1.0, 1.0])
 
 
 @pytest.mark.parametrize("thetas", [(1.0, 1.7), (1.0, 1.7, 2.3)], ids=["2-row", "3-row"])
 def test_warm_started_rows_equal_cold_solves(thetas, solutions, monkeypatch):
-    # rows after the first start from the previous row's preimages, mapped by
-    # the thermal law; the start is already within tol, so no preconditioner
-    # runs, and every row still equals an independent cold solve
+    # rows after the first start from the previous row's solution as it is,
+    # since the nodal preimages do not depend on theta at the default gamma;
+    # the start is already within tol, so no preconditioner runs, and every
+    # row still equals an independent cold solve
     counts, rows = [0], []
     weak_apply = LMOperator.weak_apply
     solve = transport.burnett_solve
