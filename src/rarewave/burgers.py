@@ -11,10 +11,9 @@ derivatives are computed analytically by implicit differentiation of the
 characteristic relation x = x0 + t omega0(x0); finite differences appear only
 in the residual cross-check.
 
-Paths given x (``burgers_eval_full``, ``SmoothWave.state``/``profile``,
-``euler_residual``, the fan grid of ``riemann_gap``) solve for the foot points
-x0 by monotone Newton from the tanh inflection; the characteristic-grid
-reports choose x0 and solve none.
+Paths given x (``SmoothWave.state``/``profile``, ``euler_residual``, the fan
+grid of ``riemann_gap``) solve for the foot points x0 by monotone Newton from
+the tanh inflection; the characteristic-grid reports choose x0 and solve none.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "WaveParams",
     "SmoothWave",
     "burgers_init",
-    "burgers_eval_full",
     "euler_residual",
     "derivative_decay_report",
     "riemann_gap",
@@ -124,14 +122,6 @@ def _eval_at_feet(p: WaveParams, t, x0):
     wx = gp / jac
     wxx = gpp / jac ** 3
     return w, wx, -w * wx, wxx, -(wx * wx + w * wxx), 2.0 * w * wx * wx + w * w * wxx
-
-
-def burgers_eval_full(p: WaveParams, t: float, x):
-    """(omega, w_x, w_t, w_xx, w_xt, w_tt) by implicit differentiation."""
-    out = _eval_at_feet(p, t, _foot_points(p, t, x))
-    if np.ndim(t) == np.ndim(x) == 0:
-        return tuple(float(a[0]) for a in out)
-    return out
 
 
 @dataclass(frozen=True)

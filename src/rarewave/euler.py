@@ -139,8 +139,7 @@ class RiemannData:
 
     The right state must lie on the 3-rarefaction curve of the left state
     (relative tolerance 1e-10 on entropy and the Riemann invariant), move no
-    slower, and carry no transverse velocity.  ``wave_strength`` is
-    |rho+ - rho-| + |u+ - u-| + |theta+ - theta-|.
+    slower, and carry no transverse velocity.
     """
 
     left: GasState
@@ -158,15 +157,6 @@ class RiemannData:
             target.theta, self.right.theta, rel_tol=1e-10
         ):
             raise ValueError("right state is not on the 3-rarefaction curve of left")
-
-    @property
-    def wave_strength(self) -> float:
-        du = math.dist(self.left.u, self.right.u)
-        return (
-            abs(self.right.rho - self.left.rho)
-            + du
-            + abs(self.right.theta - self.left.theta)
-        )
 
     @classmethod
     def from_density(cls, left: GasState, rho_plus: float) -> "RiemannData":

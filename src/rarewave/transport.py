@@ -351,9 +351,9 @@ class TransportTable:
     ``kappa`` and ``residual`` entry each.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
-    at any positive temperature, scalar or array: the first row times
+    at any finite positive temperature, scalar or array: the first row times
     (theta / theta_0)^thermal_exponent at ``GAMMA_DEFAULT``, the kernel
-    ``transport_table`` solves with.  A temperature <= 0 raises ``ValueError``.
+    ``transport_table`` solves with.  Any other temperature raises ``ValueError``.
     """
 
     theta: tuple
@@ -369,8 +369,8 @@ class TransportTable:
             raise ValueError("mu, kappa and residual need one entry per temperature")
 
     def _law(self, first: float, theta):
-        if not np.all(np.asarray(theta) > 0.0):
-            raise ValueError(f"temperature must be positive, got {theta}")
+        if not np.all(np.isfinite(theta) & (np.asarray(theta) > 0.0)):
+            raise ValueError(f"temperature must be finite and positive, got {theta}")
         out = first * np.divide(theta, self.theta[0]) ** thermal_exponent(GAMMA_DEFAULT)
         return float(out) if np.isscalar(theta) else out
 
@@ -475,8 +475,10 @@ def gbar_construct(
     sqrt(R) theta_y / sqrt(theta) A1 + u1_y B11.  The wave provides
     physical-frame profile derivatives; the analysis frame compresses
     space by eps^a, so the frame gradients theta_y, u1_y carry one
-    factor of eps^a, and the whole field another eps^(1 - a).  An eps
-    that is not finite and positive raises ``ValueError``.
+    factor of eps^a, and the whole field another eps^(1 - a).  It closes the
+    Navier-Stokes fluxes: heat flux -eps kappa_theta theta_x, normal stress
+    -(4/3) eps mu11 u1_x with mu11 from B11.  An eps that is not finite and
+    positive raises ``ValueError``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")

@@ -16,8 +16,8 @@ from rarewave.burgers import (
     SmoothWave,
     WaveParams,
     _char_grid,
+    _eval_at_feet,
     _foot_points,
-    burgers_eval_full,
     burgers_init,
     derivative_decay_report,
     euler_residual,
@@ -64,15 +64,15 @@ def test_burgers_init_values():
 
 @pytest.mark.parametrize("t,x,w_ref,wx_ref,wt_ref", ORACLES)
 def test_characteristic_oracles(t, x, w_ref, wx_ref, wt_ref):
-    w, wx, wt = burgers_eval_full(PARAMS, t, x)[:3]
-    assert w == pytest.approx(w_ref, rel=1e-14)
-    assert wx == pytest.approx(wx_ref, rel=1e-13)
-    assert wt == pytest.approx(wt_ref, rel=1e-13)
+    w, wx, wt = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, x))[:3]
+    assert w[0] == pytest.approx(w_ref, rel=1e-14)
+    assert wx[0] == pytest.approx(wx_ref, rel=1e-13)
+    assert wt[0] == pytest.approx(wt_ref, rel=1e-13)
 
 
 def test_t0_matches_initial_profile():
     x = np.linspace(-2, 2, 41)
-    w, wx, _ = burgers_eval_full(PARAMS, 0.0, x)[:3]
+    w, wx, _ = _eval_at_feet(PARAMS, 0.0, _foot_points(PARAMS, 0.0, x))[:3]
     assert np.allclose(w, burgers_init(PARAMS, x), rtol=0, atol=0)
     sech2 = 1.0 / np.cosh(x / PARAMS.delta) ** 2
     assert np.allclose(wx, PARAMS.half_span / PARAMS.delta * sech2, rtol=1e-14)
@@ -84,8 +84,8 @@ def test_pde_residual_random_points():
     x = rng.uniform(-5.0, 8.0, 1000)
     worst = 0.0
     for ti, xi in zip(t, x):
-        w, wx, wt = burgers_eval_full(PARAMS, ti, xi)[:3]
-        worst = max(worst, abs(wt + w * wx))
+        w, wx, wt = _eval_at_feet(PARAMS, ti, _foot_points(PARAMS, ti, xi))[:3]
+        worst = max(worst, abs(wt[0] + w[0] * wx[0]))
     assert worst <= 1e-11
 
 
@@ -95,20 +95,20 @@ def test_derivatives_match_finite_differences(t):
     # First derivatives at small h; second derivatives at larger h because
     # the second difference amplifies round-off by 1/h^2.
     xs = np.array([-0.5, 0.05, 0.4, 1.2])
-    w, wx, wt, wxx, wxt, wtt = burgers_eval_full(PARAMS, t, xs)
+    w, wx, wt, wxx, wxt, wtt = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, xs))
     h = 1e-6
-    wp = burgers_eval_full(PARAMS, t, xs + h)[0]
-    wm = burgers_eval_full(PARAMS, t, xs - h)[0]
+    wp = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, xs + h))[0]
+    wm = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, xs - h))[0]
     assert np.max(np.abs((wp - wm) / (2 * h) - wx)) < 1e-9
-    wtp = burgers_eval_full(PARAMS, t + h, xs)[0]
-    wtm = burgers_eval_full(PARAMS, t - h, xs)[0]
+    wtp = _eval_at_feet(PARAMS, t + h, _foot_points(PARAMS, t + h, xs))[0]
+    wtm = _eval_at_feet(PARAMS, t - h, _foot_points(PARAMS, t - h, xs))[0]
     assert np.max(np.abs((wtp - wtm) / (2 * h) - wt)) < 1e-9
     h = 3e-4
-    wp = burgers_eval_full(PARAMS, t, xs + h)[0]
-    wm = burgers_eval_full(PARAMS, t, xs - h)[0]
+    wp = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, xs + h))[0]
+    wm = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, xs - h))[0]
     assert np.max(np.abs((wp - 2 * w + wm) / h ** 2 - wxx)) < 1e-5
-    wtp = burgers_eval_full(PARAMS, t + h, xs)[0]
-    wtm = burgers_eval_full(PARAMS, t - h, xs)[0]
+    wtp = _eval_at_feet(PARAMS, t + h, _foot_points(PARAMS, t + h, xs))[0]
+    wtm = _eval_at_feet(PARAMS, t - h, _foot_points(PARAMS, t - h, xs))[0]
     assert np.max(np.abs((wtp - 2 * w + wtm) / h ** 2 - wtt)) < 1e-5
 
 
@@ -118,7 +118,7 @@ def test_foot_point_residual_bulk():
     rng = np.random.default_rng(3)
     for t in (0.0, 0.4, 3.0, 50.0):
         x = rng.uniform(-30, 30, 5000)
-        w = burgers_eval_full(PARAMS, t, x)[0]
+        w = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, x))[0]
         assert np.all(w >= PARAMS.omega_minus)
         assert np.all(w <= PARAMS.omega_plus)
         inner = np.abs(x - PARAMS.mid * t) < 5.0
@@ -223,7 +223,7 @@ def test_state_is_scalar_profile():
 def test_monotone_and_bounded():
     x = np.linspace(-4, 4, 4001)
     for t in (0.1, 1.0, 10.0):
-        w, wx, _ = burgers_eval_full(PARAMS, t, x)[:3]
+        w, wx, _ = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, x))[:3]
         assert np.all(wx >= 0)
         assert np.all(wx[np.abs(x) < 3.0] > 0)
         env = min(PARAMS.half_span / PARAMS.delta, 1.0 / t)
@@ -238,7 +238,7 @@ def test_envelope_constant_stable_across_delta():
         best = 0.0
         for t in (0.1, 1.0, 10.0):
             x = np.linspace(-4, 4 + t * SPAN, 30001)
-            wx = burgers_eval_full(p, t, x)[1]
+            wx = _eval_at_feet(p, t, _foot_points(p, t, x))[1]
             best = max(best, wx.max() * (delta + t))
         consts.append(best)
     assert max(consts) <= 1.2
@@ -270,7 +270,7 @@ class TestSmoothWave:
             with pytest.raises(ValueError, match="x must be finite"):
                 self.wave.state(2.0, x)
         with pytest.raises(ValueError, match="x must be finite"):
-            burgers_eval_full(self.wave.params, 1.0, np.array([0.0, math.inf]))
+            self.wave.profile(1.0, np.array([0.0, math.inf]))
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="t must be finite and nonnegative"):
                 self.wave.profile(t, 0.2)
@@ -291,9 +291,10 @@ class TestSmoothWave:
 
     def test_speed_consistency(self):
         # omega is lambda3 of the lifted state
+        p = self.wave.params
         for (t, x) in ((0.5, 0.1), (2.0, 0.35), (1.0, -0.2)):
-            w = burgers_eval_full(self.wave.params, t, x)[0]
-            assert lambda3(self.wave.state(t, x)) == pytest.approx(w, rel=1e-13)
+            w = _eval_at_feet(p, t, _foot_points(p, t, x))[0]
+            assert lambda3(self.wave.state(t, x)) == pytest.approx(w[0], rel=1e-13)
 
     def test_theta_gradient_identity(self):
         # theta_x = sqrt(2/5) sqrt(theta) u1_x, exact on the curve
@@ -304,8 +305,9 @@ class TestSmoothWave:
         assert np.all(prof["u1_x"] > 0)
 
     def test_u1_gradient_proportional_to_omega(self):
-        prof = self.wave.profile(0.7, np.linspace(-1, 2, 51), order=1)
-        w, wx, _ = burgers_eval_full(self.wave.params, 0.7, np.linspace(-1, 2, 51))[:3]
+        x, p = np.linspace(-1, 2, 51), self.wave.params
+        prof = self.wave.profile(0.7, x, order=1)
+        w, wx, _ = _eval_at_feet(p, 0.7, _foot_points(p, 0.7, x))[:3]
         assert np.allclose(prof["u1_x"], 0.75 * wx, rtol=1e-13)
 
     def test_invariants_constant_in_time_and_space(self):
@@ -426,7 +428,7 @@ class TestDecayReport:
         x0 = np.linspace(-12, 12, 200001)
         for t in (0.5, 2.0):
             x = x0 + t * burgers_init(PARAMS, x0)
-            wx = burgers_eval_full(PARAMS, t, x)[1]
+            wx = _eval_at_feet(PARAMS, t, _foot_points(PARAMS, t, x))[1]
             tv = np.trapezoid(wx, x)
             assert tv == pytest.approx(SPAN, rel=1e-8)
 

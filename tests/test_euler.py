@@ -173,12 +173,6 @@ def test_fan_state_closed_form_matches_bisection():
     assert s.theta == pytest.approx(FAN_MID_TH, rel=1e-15)
 
 
-def test_riemann_data_wave_strength():
-    data = RiemannData.from_density(LEFT, 1.1)
-    expected = 0.1 + U1_AT_11 + (TH_AT_11 - 1.5)
-    assert data.wave_strength == pytest.approx(expected, rel=1e-13)
-
-
 def test_riemann_data_validation():
     with pytest.raises(ValueError):
         RiemannData(LEFT, GasState.make(1.1, 0.2, 1.6))  # off the curve

@@ -331,11 +331,11 @@ def test_thermal_grid_rejects_a_temperature_that_is_not_finite_and_positive():
 
 
 def test_table_law_rejects_nonpositive_temperatures():
-    # theta = 0 gave 0.0 and theta < 0 gave nan with a RuntimeWarning
+    # theta = 0 gave 0.0, theta < 0 gave nan with a RuntimeWarning, and theta = inf gave inf
     table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N)
     for law in (table.mu_of, table.kappa_of):
-        for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5]):
-            with pytest.raises(ValueError, match="temperature must be positive"):
+        for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5], math.inf, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="temperature must be finite and positive"):
                 law(bad)
 
 
@@ -614,6 +614,29 @@ def test_gbar_is_independent_of_a_and_linear_in_eps(wave_point):
         assert np.abs(gbar(0.1, a) - ref).max() <= bound
     for eps in (0.25, 0.5):
         assert np.abs(gbar(eps, 0.5) - (eps / 0.1) * ref).max() <= (eps / 0.1) * bound
+
+
+@pytest.mark.parametrize("eps,a", [(0.05, 2.0 / 3.0), (0.1, 1.0)])
+def test_gbar_closes_the_navier_stokes_fluxes(wave_point, eps, a):
+    # Chapman-Enskog: the heat flux and normal stress of gbar are -eps kappa theta_x and
+    # -(4/3) eps mu11 u1_x, with mu11 the normal shear viscosity of the same solution
+    wave, t, x, sol, _ = wave_point
+    s, g = sol.state, sol.grid
+    gbar = gbar_construct(wave, t, x, s, eps, a, sol).values
+    prof = wave.profile(t, x, order=1)
+    c = [v - u for v, u in zip(g.components, s.u)]
+    sq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+    stress = c[0] * c[0] - sq / 3.0  # R theta b11
+    mu11 = -0.75 * g.integrate(stress * sol.B[0][0].values)  # -(3/4) R theta <b11, B11>
+    q1 = g.integrate(c[0] * sq / 2.0 * gbar)
+    tau11 = g.integrate(stress * gbar)
+    assert abs(q1 + eps * sol.kappa_theta * prof["theta_x"]) <= 1e-5 * abs(q1)
+    assert abs(tau11 + 4.0 / 3.0 * eps * mu11 * prof["u1_x"]) <= 1e-5 * abs(tau11)
+    # the cubic lattice's shear anisotropy: B11 and B12 viscosities differ at O(h^2)
+    assert 0.0 < 1.0 - mu11 / sol.mu_theta <= 0.05
+    bound = 1e-14 * np.abs(gbar).max() * (2.0 * g.half_width) ** 3
+    for moment in (1.0, *c, sq):
+        assert abs(g.integrate(moment * gbar)) <= bound
 
 
 def test_gbar_rejects_a_state_the_solution_was_not_built_for(wave_point):
