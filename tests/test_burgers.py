@@ -209,6 +209,18 @@ def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
     assert np.all((root - steps) * toward >= 0)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 50.0])
+def test_order0_lift_ties_the_order2_values_exactly(t):
+    # order 0 lifts omega0(x0) without the derivative arrays; its values are
+    # those of the order-2 profile bit for bit
+    x0 = np.concatenate((_char_grid(REPORT_WAVE.params), np.linspace(-40.0, 90.0, 1001)))
+    low = REPORT_WAVE._profile_at_feet(t, x0, 0)
+    full = REPORT_WAVE._profile_at_feet(t, x0, 2)
+    assert set(low) == {"omega", "rho", "u1", "theta"}
+    for k in low:
+        assert np.array_equal(low[k], full[k])
+
+
 def test_state_is_scalar_profile():
     # one evaluation path: state lifts the scalar order-0 profile
     rng = np.random.default_rng(11)
@@ -281,6 +293,17 @@ class TestSmoothWave:
         for t, x in ((-1.0, 0.2), (np.array([0.5, -1e-12]), np.array([0.1, 0.2]))):
             with pytest.raises(ValueError, match="nonnegative"):
                 self.wave.profile(t, x)
+
+    def test_profile_rejects_an_order_outside_0_to_2(self, monkeypatch):
+        # order 3 returned the order-2 dict, -1 the order-0 one and 1.5 the
+        # order-1 one; the check runs before any foot point is solved
+        def unsolved(p, t, x):
+            raise AssertionError("foot points solved for a bad order")
+
+        monkeypatch.setattr(burgers, "_foot_points", unsolved)
+        for bad in (3, -1, 1.5):
+            with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+                self.wave.profile(1.0, 0.2, order=bad)
 
     def test_far_field_states(self):
         for x, ref in ((-60.0, LEFT), (60.0, DATA.right)):
@@ -465,8 +488,10 @@ class TestDecayReport:
         # them again from x (the Newton path) must give the same rows
         wave = SmoothWave(DATA, delta)
         ps = [1.0, 2.0, math.inf]
+        x0 = _char_grid(wave.params)
+        g, gp, _ = burgers._init_derivs(wave.params, x0)
         for t in (0.0, 0.1, 1.0, 10.0, 100.0):
-            x0, x, jac = _char_grid(wave, t)
+            x, jac = x0 + t * g, 1.0 + t * gp
             prof = wave.profile(t, x, order=2)
             mags = [
                 np.sqrt(sum(prof[f"{k}_{d}"] ** 2 for k in ("rho", "u1", "theta")))
@@ -479,6 +504,33 @@ class TestDecayReport:
             ]
             got = [r.value for r in derivative_decay_report(wave, [t], ps)]
             assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_generator_inputs_match_lists(self):
+        # the input checks consumed generators, and the report returned []
+        wave = SmoothWave(DATA, 0.3)
+        ref = derivative_decay_report(wave, [1.0, 2.0], [2.0, math.inf])
+        assert len(ref) == 8
+        assert derivative_decay_report(wave, (t for t in [1.0, 2.0]), [2.0, math.inf]) == ref
+        assert derivative_decay_report(wave, [1.0, 2.0], (p for p in [2.0, math.inf])) == ref
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 50.0])
+    def test_rows_tie_the_order2_profile_exactly(self, t):
+        # the report forms only the x- and xx-derivatives, with the
+        # expressions of _profile_at_feet(order=2): the norms agree bit for bit
+        x0 = _char_grid(REPORT_WAVE.params)
+        jac = 1.0 + t * burgers._init_derivs(REPORT_WAVE.params, x0)[1]
+        prof = REPORT_WAVE._profile_at_feet(t, x0, 2)
+        ps = [1.0, 2.0, math.inf]
+        mags = [
+            np.sqrt(sum(prof[f"{k}_{d}"] ** 2 for k in ("rho", "u1", "theta")))
+            for d in ("x", "xx")
+        ]
+        ref = [
+            np.max(m) if math.isinf(p) else np.trapezoid(m**p * jac, x0) ** (1.0 / p)
+            for p in ps
+            for m in mags
+        ]
+        assert [r.value for r in derivative_decay_report(REPORT_WAVE, [t], ps)] == ref
 
     def test_second_derivative_constant_stable(self):
         consts = []
@@ -523,8 +575,9 @@ class TestRiemannGap:
         # reference: both grids merged and every foot point solved from x
         wave = SmoothWave(DATA, delta)
         p = wave.params
+        x0 = _char_grid(p)
         for t in (0.5, 1.0, 2.0, 5.0, 50.0):
-            _, x_char, _ = _char_grid(wave, t)
+            x_char = x0 + t * burgers_init(p, x0)
             pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
             x = np.union1d(x_char, t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001))
             prof = wave.profile(t, x, order=0)
