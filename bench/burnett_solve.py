@@ -21,24 +21,17 @@ workload's set-up builds them.  Each of the five calls builds its own
 20, 24 and 32 (one thread of a 2-core Intel Xeon).  A ``--before`` revision
 from before ``invert_LM_micro`` took its operator as an argument kept the
 last one in a cache, so there calls 2-5 reuse it and read about one build
-per call faster.  Both sides run the protocol in ``bench/harness.py``.
-Next to each time stand, per side, the number of solves, the number of
-``LMOperator.apply`` calls one ``burnett_solve`` call makes (counted by a
-wrapper this script installs, so ``src/`` is the same as without it), the
-largest recorded residual, mu and kappa, and across the sides the largest
-relative difference of the nine recorded residuals and
-max |B11_after - B11_before| / max |B11_before|.  A call that raises is
-recorded with its message and apply count instead; a lattice on which both
-sides raise is listed as a resolution floor.
+per call faster.  Both sides run the protocol in ``bench/harness.py``, next
+to the solves, the ``LMOperator.apply`` calls of one ``burnett_solve`` call
+(counted by a wrapper this script installs, so ``src/`` is the same as
+without it), the nine residuals, mu, kappa and B11, or the message raised.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from harness import REPEATS, best_of, compare, dispatch, max_rel, parser, run_rounds, write
+from harness import REPEATS, best_of, dispatch, main
 
 SIZES = (16, 20, 24, 32)
 LEFT, RHO_PLUS, DELTA, T, TOL, SPAN = (1.0, 0.0, 1.0), 1.5, 0.5, 2.0, 1e-2, 6.5
@@ -77,7 +70,7 @@ def measure() -> dict:
             g = lattice(n)
             m = velocity.maxwellian(s, g)
             collision.collision_Q(m, m, g)  # builds the lattice's kernel transforms
-            key = f"{state}_{n}"
+            at = f"state={state} n_per_axis={n}/"
             outcome = []
 
             def solve():
@@ -87,82 +80,29 @@ def measure() -> dict:
                 except collision.NonConvergenceError as exc:
                     outcome.append(exc)
 
-            res[f"time_{key}"] = best_of(solve)
-            res[f"apply_calls_{key}"] = calls[0]
+            res[at + "burnett_solve_s"] = best_of(solve)
+            res[at + "apply_calls"] = calls[0]
             sol = outcome[-1]
             if isinstance(sol, Exception):
-                res[f"raised_{key}"] = str(sol)
+                res[at + "raised"] = str(sol)
                 continue
-            res[f"solves_{key}"] = len(sol.solved)
-            res[f"residuals_{key}"] = [sol.residuals[c] for c in sorted(sol.residuals)]
-            res[f"mu_{key}"] = sol.mu_theta
-            res[f"kappa_{key}"] = sol.kappa_theta
-            res[f"B11_{key}"] = sol.B[0][0].values
+            res[at + "solves"] = len(sol.solved)
+            res[at + "residuals"] = [sol.residuals[c] for c in sorted(sol.residuals)]
+            res[at + "mu"] = sol.mu_theta
+            res[at + "kappa"] = sol.kappa_theta
+            res[at + "B11"] = sol.B[0][0].values
     return res
 
 
-def side_row(run: dict, key: str) -> dict:
-    calls = int(run[f"apply_calls_{key}"])
-    if f"raised_{key}" in run:
-        return {"raised": str(run[f"raised_{key}"]), "apply_calls": calls}
-    return {
-        "solves": int(run[f"solves_{key}"]),
-        "apply_calls": calls,
-        "max_residual": float(run[f"residuals_{key}"].max()),
-        "mu": float(run[f"mu_{key}"]),
-        "kappa": float(run[f"kappa_{key}"]),
-    }
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    runs = run_rounds(__file__, args.before, args.rounds)
-
-    rows = []
-    for n in SIZES:
-        for state in STATES:
-            key = f"{state}_{n}"
-            row = {"state": state, "n_per_axis": n, "rounds": args.rounds}
-            row["burnett_solve_s"] = compare(
-                {side: [float(r[f"time_{key}"]) for r in runs[side]] for side in runs}
-            )
-            before, after = runs["before"][0], runs["after"][0]
-            row["before"], row["after"] = side_row(before, key), side_row(after, key)
-            if f"B11_{key}" in before and f"B11_{key}" in after:
-                rb, ra = before[f"residuals_{key}"], after[f"residuals_{key}"]
-                row["residuals_max_rel_diff"] = float(np.abs(ra / rb - 1.0).max())
-                row["B11_max_rel_diff"] = max_rel(after[f"B11_{key}"], before[f"B11_{key}"])
-            rows.append(row)
-
-    report = {
-        "what": "burnett_solve at rest on thermal_grid(1, n) and at the wave_slice mid-fan state "
-        "on its shared lattice: before/after",
-        "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
-        "timing": f"best of {REPEATS} calls per round after the kernel-transform build, {args.rounds} "
-        "alternating rounds per lattice, one thread, seconds; median and quartiles over rounds",
-        "accuracy": "per side: solves, LMOperator.apply calls per burnett_solve call, largest "
-        "recorded residual, mu, kappa; residuals: max over the nine components of "
-        "|after - before| / before; B11: max |after - before| / max |before|",
-        "resolution_floor": [
-            f"{row['state']} n_per_axis {row['n_per_axis']}: both sides raise"
-            for row in rows
-            if "raised" in row["before"] and "raised" in row["after"]
-        ],
-        "rows": rows,
-    }
-    write(args, report)
-    head = f"{'state':>8} {'n':>3} {'before median':>14} {'after median':>13} wins resolved"
-    print(f"{head}  accuracy")
-    for row in rows:
-        r = row["burnett_solve_s"]
-        print(
-            f"{row['state']:>8} {row['n_per_axis']:>3} {r['before']['median']:14.3e} "
-            f"{r['after']['median']:13.3e} {r['after_wins']:4.0%} {str(r['resolved']):8}  "
-            f"before {row['before']}  after {row['after']}  "
-            f"residuals rel {row.get('residuals_max_rel_diff', '-')}  "
-            f"B11 rel {row.get('B11_max_rel_diff', '-')}"
-        )
-
+DESCRIPTION = {
+    "what": "burnett_solve at rest on thermal_grid(1, n) and at the wave_slice mid-fan state "
+    "on its shared lattice: before/after",
+    "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
+    "timing": f"best of {REPEATS} calls per round after the kernel-transform build, alternating "
+    "rounds per lattice, one thread, seconds; median and quartiles over rounds",
+    "accuracy": "per side: solves, LMOperator.apply calls per burnett_solve call, the nine "
+    "recorded residuals, mu, kappa and max |B11|; max_rel: max |after - before| / max |before|",
+}
 
 if __name__ == "__main__":
-    dispatch(measure, main)
+    dispatch(measure, lambda: main(__file__, __doc__, DESCRIPTION))

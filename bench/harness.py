@@ -1,4 +1,4 @@
-"""The before/after protocol every ``bench/`` script runs.
+"""The before/after protocol and report every ``bench/`` script runs.
 
     python bench/SCRIPT.py --before REV [--rounds 10] --out FILE
 
@@ -8,14 +8,26 @@ exported by ``git archive`` into a temporary directory.  Each side runs in
 a fresh process, ``SCRIPT.py --measure SRC OUT [EXTRA...]``, with
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1, and
 stops unless ``rarewave`` is imported from its own SRC.  The sides
-alternate for ``--rounds`` rounds (``before`` runs first on even rounds,
-``after`` on odd ones).  Each timing reports every round's time per side,
-their median and quartiles, and the share of rounds in which ``after`` is
-faster than ``before``.  A difference counts as resolved only when at least
-ten rounds ran, one side wins at least nine tenths of them and the medians
-differ by more than the distance between the quartiles of ``before``.  The
-report is written as JSON to ``--out``, which has no default, with both
-revisions and the host next to the script's rows.
+alternate for ``--rounds`` rounds (``before`` first on even rounds).  A
+difference counts as resolved only when at least ten rounds ran, one side
+wins at least nine tenths of them and the medians differ by more than the
+distance between the quartiles of ``before``.
+
+A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
+``key=value`` words (``"state=rest n_per_axis=16"``).  A NAME ending in
+``_s`` holds a timing, [seconds, minor page faults] as ``cost_of`` and
+``best_of`` give it; ``raised`` holds the message of a call that raised;
+any other NAME holds a value, a number or an array.
+
+The JSON report at ``--out`` (no default) holds the script's description
+(``what``, ``timing``, ``accuracy``, metadata), both revisions and the host,
+the resolution floor (the rows where both sides raise) and one row per ROW
+in ``measure()``'s order.  A row holds ``row``, ``rounds``; per timing,
+``compare()`` of its seconds and each side's median minor page faults; under
+``before`` and ``after`` that side's first-round values (an array of more
+than ``SHOWN`` entries by its largest absolute entry) or ``raised``; and
+under ``max_rel``, max |after - before| / max |before| of every value both
+sides returned.  The console table prints the same rows.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tarfile
@@ -40,15 +53,22 @@ REPEATS = 5
 # Fewest rounds that can resolve a difference: with one round the quartile
 # spread of ``before`` is 0, so any gap that round shows would pass.
 MIN_ROUNDS = 10
+# Largest array a report lists entry by entry for each side.
+SHOWN = 9
 
 
-def best_of(fn, *args) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def cost_of(fn, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` and what it cost: [seconds, this process's minor page faults]."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    seconds = time.perf_counter() - t0
+    return out, np.array([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+
+
+def best_of(fn, *args) -> np.ndarray:
+    """The cost of the fastest of ``REPEATS`` calls: [seconds, minor page faults]."""
+    return min((cost_of(fn, *args)[1] for _ in range(REPEATS)), key=lambda cost: cost[0])
 
 
 def load(src: str) -> None:
@@ -155,7 +175,67 @@ def provenance(before: str) -> dict:
 
 
 def max_rel(a, b) -> float:
-    return float(np.abs(a - b).max() / np.abs(b).max())
+    """max |a - b| / max |b|, and 0 where a and b are equal."""
+    diff = np.abs(np.asarray(a) - np.asarray(b)).max()
+    return 0.0 if diff == 0 else float(diff / np.abs(b).max())
+
+
+def _shown(value):
+    """A value as a report lists it for one side."""
+    value = np.asarray(value)
+    if value.dtype.kind == "U":
+        return str(value)
+    return value.tolist() if value.size <= SHOWN else {"max_abs": float(np.abs(value).max())}
+
+
+def report_rows(runs: dict) -> list[dict]:
+    """The report rows of ``run_rounds``' results, laid out as the module docstring says."""
+    out = []
+    for label in dict.fromkeys(k.split("/")[0] for side in runs for k in runs[side][0]):
+        head = label + "/"
+        rounds = {
+            side: [{k[len(head) :]: v for k, v in r.items() if k.startswith(head)} for r in rs]
+            for side, rs in runs.items()
+        }
+        row = {"row": label, "rounds": len(rounds["before"])}
+        timed = dict.fromkeys(n for side in rounds for n in rounds[side][0] if n.endswith("_s"))
+        for name in timed:
+            if all(name in r for side in rounds for r in rounds[side]):
+                costs = {side: np.array([r[name] for r in rounds[side]]) for side in rounds}
+                row[name] = {
+                    **compare({side: costs[side][:, 0].tolist() for side in costs}),
+                    "minor_faults": {side: float(np.median(costs[side][:, 1])) for side in costs},
+                }
+        first = {side: rounds[side][0] for side in rounds}
+        for side in first:
+            row[side] = {n: _shown(v) for n, v in first[side].items() if n not in timed}
+        before, after = first["before"], first["after"]
+        shared = [n for n in after if n in before and n not in timed and n != "raised"]
+        row["max_rel"] = {n: max_rel(after[n], before[n]) for n in shared}
+        out.append(row)
+    return out
+
+
+def floors(rows: list[dict]) -> list[str]:
+    """The rows on which both sides raise."""
+    both = [row for row in rows if "raised" in row["before"] and "raised" in row["after"]]
+    return [f"{row['row']}: both sides raise" for row in both]
+
+
+def table(rows: list[dict]) -> str:
+    """One line per timing (median s, after wins, resolved, median faults), one per max_rel."""
+    lines = ["row / timing: before after median s, after wins, resolved, before after faults"]
+    for row in rows:
+        for name, r in row.items():
+            if name.endswith("_s"):
+                b, a, f = r["before"], r["after"], r["minor_faults"]
+                lines.append(
+                    f"{row['row']} / {name}: {b['median']:.3e} {a['median']:.3e}, "
+                    f"{r['after_wins']:.0%}, {r['resolved']}, {f['before']:.0f} {f['after']:.0f}"
+                )
+        raised = {s: row[s]["raised"] for s in ("before", "after") if "raised" in row[s]}
+        lines.append(f"    max_rel {row['max_rel']}" + (f"  raised {raised}" if raised else ""))
+    return "\n".join(lines)
 
 
 def round_count(text: str) -> int:
@@ -175,10 +255,18 @@ def parser(doc: str) -> argparse.ArgumentParser:
     return ap
 
 
-def write(args: argparse.Namespace, report: dict) -> None:
-    """Write ``report`` to ``args.out``: its "what", the provenance, then the rest."""
-    report = {"what": report["what"], **provenance(args.before), **report}
+def write(args: argparse.Namespace, description: dict, rows: list[dict]) -> None:
+    """Write the report to ``args.out`` and print its table."""
+    report = {"what": description["what"], **provenance(args.before), **description}
+    report.update(resolution_floor=floors(rows), rows=rows)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(table(rows))
+
+
+def main(script: str, doc: str, description: dict) -> None:
+    """Run ``script``'s sides for ``--rounds`` rounds and write its report."""
+    args = parser(doc).parse_args()
+    write(args, description, report_rows(run_rounds(script, args.before, args.rounds)))
 
 
 def dispatch(measure, main) -> None:

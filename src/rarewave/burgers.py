@@ -68,12 +68,14 @@ def burgers_init(p: WaveParams, x):
     return p.mid + p.half_span * np.tanh(np.asarray(x, dtype=float) / p.delta)
 
 
-def _init_derivs(p: WaveParams, x0):
-    """omega0, omega0', omega0'' at the foot points; omega0 as ``burgers_init`` forms it."""
+def _init_derivs(p: WaveParams, x0, order: int = 2):
+    """omega0 and its first ``order`` (1 or 2) derivatives at x0, omega0 as ``burgers_init``."""
     th = np.tanh(np.asarray(x0, dtype=float) / p.delta)
     sech2 = 1.0 - th * th
     g = p.mid + p.half_span * th
     gp = p.half_span / p.delta * sech2
+    if order == 1:
+        return g, gp
     gpp = -2.0 * p.half_span / (p.delta * p.delta) * sech2 * th
     return g, gp, gpp
 
@@ -104,7 +106,7 @@ def _foot_points(p: WaveParams, t, x):
     roundoff = 8.0 * np.finfo(float).eps * (np.abs(x) + t * speed)
     tol = 1e-13 * (1.0 + np.abs(x)) + roundoff
     for _ in range(FOOT_MAX_ITER):
-        g, gp, _ = _init_derivs(p, x0)
+        g, gp = _init_derivs(p, x0, order=1)
         f = x0 + t * g - x
         done = np.abs(f) <= tol
         if np.all(done):
@@ -226,7 +228,7 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     dt, dx = h * np.array([[0.0, 0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
     ts, xs = t + dt, x + dx
     x0 = _foot_points(wave.params, ts, xs)
-    g, gp, _ = _init_derivs(wave.params, x0)
+    g, gp = _init_derivs(wave.params, x0, order=1)
     prof = wave._profile_at_feet(ts, x0 - (x0 + ts * g - xs) / (1.0 + ts * gp), order=0)
     rho, u1, theta = prof["rho"], prof["u1"], prof["theta"]
     pressure = GAS_R * rho * theta

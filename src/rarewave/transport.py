@@ -45,12 +45,12 @@ _log = logging.getLogger(__name__)
 # in the order of burnett_solve's outputs (its solves may run in another).
 _COMPONENTS = ((0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
-# Defect of the rotation identity of the shear pairings per squared thermal
-# lattice spacing, relative to its largest entry.  The cubic lattice carries
-# only the octahedral symmetry, so the identity fails at second order:
-# 0.141-0.145 measured over n_per_axis 20-28, at rest, on the wave and with
-# three distinct velocity components.
-PAIRING_ANISOTROPY = 0.2
+# Defect of the rotation identity of the shear pairings per thermal lattice
+# spacing h to the power 1.9, relative to its largest entry.  The cubic lattice
+# carries only the octahedral symmetry, so the identity fails at about second
+# order: 0.135-0.137 measured over n_per_axis 20-28, at rest, on the wave and
+# with three distinct velocity components.
+PAIRING_ANISOTROPY = 0.14
 
 
 def _name(c: tuple) -> str:
@@ -302,9 +302,9 @@ def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
     with solver the largest recorded residual: at rest octahedral symmetry
     and the trace fix the form to round-off, off rest it measures drift.
     "rotation identity" reports P[B11, B11] - P[B11, B22] - 2 P[B12, B12],
-    the one continuum identity the cubic lattice breaks, at O(h^2) in the
+    the one continuum identity the cubic lattice breaks, at about O(h^2) in the
     thermal spacing h, against its largest entry times
-    (5 solver + ``PAIRING_ANISOTROPY`` h^2) plus the same floor.
+    (5 solver + ``PAIRING_ANISOTROPY`` h^1.9) plus the same floor.
     """
     g = sol.grid
     _, polys = _sources(sol.state, g)
@@ -328,7 +328,7 @@ def burnett_property_check(sol: BurnettSolution) -> list[PropertyCheck]:
         PropertyCheck(
             "rotation identity",
             abs(b11 - b1122 - 2.0 * b12),
-            max(map(abs, entries)) * (5.0 * solver + PAIRING_ANISOTROPY * h_thermal**2) + floor,
+            max(map(abs, entries)) * (5.0 * solver + PAIRING_ANISOTROPY * h_thermal**1.9) + floor,
             entries,
         ),
     ]

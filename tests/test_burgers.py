@@ -135,9 +135,9 @@ def test_batched_foot_points_match_single_point(monkeypatch):
     calls = []
     init_derivs = burgers._init_derivs
 
-    def counting(p, x0):  # called once per iteration
+    def counting(p, x0, order):  # called once per iteration
         calls.append(x0)
-        return init_derivs(p, x0)
+        return init_derivs(p, x0, order)
 
     monkeypatch.setattr(burgers, "_init_derivs", counting)
     iterations = set()
@@ -196,9 +196,9 @@ def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
     iterates = []
     init_derivs = burgers._init_derivs
 
-    def counting(p, x0):  # called once per iteration
+    def counting(p, x0, order):  # called once per iteration
         iterates.append(np.copy(x0))
-        return init_derivs(p, x0)
+        return init_derivs(p, x0, order)
 
     monkeypatch.setattr(burgers, "_init_derivs", counting)
     root = _foot_points(REPORT_WAVE.params, t, x_fan)
