@@ -14,12 +14,19 @@ in the residual cross-check.
 Paths given x (``SmoothWave.state``/``profile``, ``euler_residual``, the fan
 grid of ``riemann_gap``) solve for the foot points x0 by monotone Newton from
 the tanh inflection; the characteristic-grid reports choose x0 and solve none.
+Along a characteristic only x and the Jacobian 1 + t omega0'(x0) depend on t,
+so each wave evaluates itself on that grid once, on first use, and
+``derivative_decay_report`` and ``riemann_gap`` read that one evaluation at
+every t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "derivative_decay_report",
     "riemann_gap",
     "DecayRow",
+    "GapReport",
 ]
 
 FOOT_MAX_ITER = 100
@@ -97,11 +105,11 @@ def _foot_points(p: WaveParams, t, x):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & np.isfinite(t)):
+    if not ((t >= 0.0) & np.isfinite(t)).all():
         raise ValueError("t must be finite and nonnegative")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    x0 = np.clip(0.0, x - p.omega_plus * t, x - p.omega_minus * t)
+    x0 = np.minimum(np.maximum(x - p.omega_plus * t, 0.0), x - p.omega_minus * t)
     speed = max(abs(p.omega_minus), abs(p.omega_plus))
     roundoff = 8.0 * np.finfo(float).eps * (np.abs(x) + t * speed)
     tol = 1e-13 * (1.0 + np.abs(x)) + roundoff
@@ -109,7 +117,7 @@ def _foot_points(p: WaveParams, t, x):
         g, gp = _init_derivs(p, x0, order=1)
         f = x0 + t * g - x
         done = np.abs(f) <= tol
-        if np.all(done):
+        if done.all():
             return x0
         x0 = np.where(done, x0, x0 - f / (1.0 + t * gp))
     raise RuntimeError(
@@ -144,14 +152,36 @@ class SmoothWave:
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
-        """``SmoothWave(data, delta)``; kept only for the benchmark workloads, which call it."""
+        """``SmoothWave(data, delta)``; the benchmark workloads call it, and so does
+        ``bench/wave_reports.py``, whose ``--before`` side may load a ``src/`` older
+        than f49f3f2, where the constructor took other arguments."""
         return cls(data, delta)
+
+    @cached_property
+    def _curve(self) -> tuple[float, float, float]:
+        """``curve_coefficients`` (a, b, cstar) of the left state, computed once per wave."""
+        return curve_coefficients(self.data.left)
+
+    @cached_property
+    def _char_eval(self) -> MappingProxyType:
+        """The t-independent part of the wave on ``_char_grid``, built on first read.
+
+        ``x0``, omega0 (``w``), omega0' (``gp``), omega0'' (``gpp``) and
+        ``_curve_values(omega0, order=2)``, every array read-only.
+        """
+        x0 = _char_grid(self.params)
+        w, gp, gpp = _init_derivs(self.params, x0)
+        out = {"x0": x0, "w": w, "gp": gp, "gpp": gpp, **self._curve_values(w, order=2)}
+        for a in out.values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return MappingProxyType(out)
 
     def _curve_values(self, omega, order=0):
         """rho, u1, theta at omega clipped to the edge speeds, with omega-derivatives."""
-        a, b, cstar = curve_coefficients(self.data.left)
+        a, b, cstar = self._curve
         p = self.params
-        omega = np.clip(np.asarray(omega, dtype=float), p.omega_minus, p.omega_plus)
+        omega = np.minimum(np.maximum(np.asarray(omega, dtype=float), p.omega_minus), p.omega_plus)
         z = (omega - a) / b
         out = dict(zip(("rho", "u1", "theta"), curve_lift(self.data.left, z)))
         if order >= 1:
@@ -267,9 +297,10 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
     (omega+ - omega-)^q (delta+t)^(-1+q) for j = 1 and
     delta^(-1+q) (delta+t)^(-1) for j = 2; the ratio column is the implied
     constant.  Norms integrate over the foot-point parameterization, where
-    the integrand support is known exactly.  omega0 and its derivatives are
-    evaluated once on that grid, and each time forms from them, by the chain
-    rule of ``_profile_at_feet``, only the x- and xx-derivatives.
+    the integrand support is known exactly.  It reads the wave's one
+    evaluation on that grid (``SmoothWave._char_eval``), and each time forms
+    from it, by the chain rule of ``_profile_at_feet``, only the Jacobian and
+    the x- and xx-derivatives.
     """
     times, p_exponents = tuple(times), tuple(p_exponents)
     if not all(p >= 1.0 for p in p_exponents):
@@ -278,9 +309,8 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
         raise ValueError(f"times must be finite and nonnegative, got {list(times)}")
     p_ = wave.params
     span = p_.omega_plus - p_.omega_minus
-    x0 = _char_grid(p_)
-    w, gp, gpp = _init_derivs(p_, x0)
-    c = wave._curve_values(w, order=2)
+    c = wave._char_eval
+    x0, gp, gpp = c["x0"], c["gp"], c["gpp"]
     names = ("rho", "u1", "theta")
     rows = []
     for t in times:
@@ -299,26 +329,42 @@ def derivative_decay_report(wave: SmoothWave, times, p_exponents) -> list[DecayR
     return rows
 
 
-def riemann_gap(wave: SmoothWave, t: float) -> tuple[float, float]:
+class GapReport(NamedTuple):
+    """Sup distance to the Riemann fan and the decay shape it is tested against."""
+
+    gap: float
+    shape: float
+
+    @property
+    def ratio(self) -> float:
+        return self.gap / self.shape
+
+
+def riemann_gap(wave: SmoothWave, t: float) -> GapReport:
     """Sup distance to the Riemann fan and the decay shape it is tested against.
 
-    Returns (gap, shape) with shape = delta t^-1 (ln(1+t) + |ln delta|).
-    The sup runs over two grids: the characteristic grid, evaluated at its
-    known foot points (it resolves the tanh transition), and uniform samples
-    across the fan opening, whose foot points are solved for.
+    The shape is delta t^-1 (ln(1+t) + |ln delta|).  The sup runs over two
+    grids: the characteristic grid, read from the wave's one evaluation on it
+    (``SmoothWave._char_eval``; it resolves the tanh transition), and uniform
+    samples across the fan opening, whose foot points are solved for.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"gap defined for finite t > 0, got {t}")
     p = wave.params
-    x0 = _char_grid(p)
+    c = wave._char_eval
     pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
     x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
-    x = np.concatenate((x0 + t * burgers_init(p, x0), x_fan))
-    prof = wave._profile_at_feet(t, np.concatenate((x0, _foot_points(p, t, x_fan))), order=0)
-    # The fan is the curve lift of the similarity variable clipped to the
-    # edge speeds, which is what _curve_values evaluates (cross-checked
-    # against the pointwise Riemann solver in the tests).
-    fan = wave._curve_values(x / t)
-    gap = max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
+
+    def sup(x, prof):
+        # The fan is the curve lift of the similarity variable clipped to the
+        # edge speeds, which is what _curve_values evaluates (cross-checked
+        # against the pointwise Riemann solver in the tests).
+        fan = wave._curve_values(x / t)
+        return max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
+
+    gap = max(
+        sup(c["x0"] + t * c["w"], c),
+        sup(x_fan, wave._profile_at_feet(t, _foot_points(p, t, x_fan), order=0)),
+    )
     shape = p.delta / t * (math.log1p(t) + abs(math.log(p.delta)))
-    return gap, shape
+    return GapReport(gap, shape)

@@ -119,9 +119,16 @@ def test_wave_reports_rows_read_no_difference_between_equal_sides(monkeypatch):
     runs = {side: [wave_reports.measure()] for side in ("before", "after")}
     rows = importlib.import_module("harness").report_rows(runs)
     assert [row["row"] for row in rows] == [f"t={t}" for t in wave_reports.TIMES]
-    decay = [f"decay_p{p}_j{j}" for p in ("1", "2", "inf") for j in (1, 2)]
+    entries = [f"_p{p}_j{j}" for p in ("1", "2", "inf") for j in (1, 2)]
+    decay, decay_first = ([name + e for e in entries] for name in ("decay", "decay_first"))
+    timed = ("decay", "gap", "decay_first", "gap_first", "residual16", "state16")
     for row in rows:
-        assert all(f"{name}_s" in row for name in ("decay", "gap", "residual16", "state16"))
-        assert list(row["max_rel"]) == ["gap", "residual16", "state16"] + decay
+        assert all(f"{name}_s" in row for name in timed)
+        values = ["gap", "gap_first", "residual16", "state16"] + decay + decay_first
+        assert list(row["max_rel"]) == values
         assert set(row["max_rel"].values()) == {0.0}
         assert row["before"] == row["after"]
+        # a wave's first report and its warm ones give the same values
+        side = row["after"]
+        assert side["gap_first"] == side["gap"]
+        assert [side[n] for n in decay_first] == [side[n] for n in decay]

@@ -5,6 +5,7 @@ output against independently derived numbers (mpmath foot-point solves,
 finite-difference stencils, quadrature identities).
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from rarewave import burgers
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3, riemann_rarefaction
 from rarewave.burgers import (
+    GapReport,
     SmoothWave,
     WaveParams,
     _char_grid,
@@ -268,7 +270,7 @@ class TestSmoothWave:
             SmoothWave(DATA, -0.1)
 
     def test_build_is_the_constructor(self):
-        # the alias stays only while the benchmark workloads call it
+        # the alias stays while the benchmark workloads and bench/wave_reports.py call it
         assert SmoothWave.build(DATA, 0.3) == self.wave
 
     def test_rejects_an_infinite_width(self):
@@ -429,6 +431,38 @@ class TestEulerResidual:
                 euler_residual(self.wave, 1.0, 0.0, bad)
 
 
+class TestCharGridEvaluation:
+    def test_arrays_are_read_only(self):
+        wave = SmoothWave(DATA, 0.3)
+        c = wave._char_eval
+        assert set(c) == {"x0", "w", "gp", "gpp"} | {
+            k + d for k in ("rho", "u1", "theta") for d in ("", "_w", "_ww")
+        }
+        arrays = [a for a in c.values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 10  # u1_w, u1_ww and theta_ww are constants
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        with pytest.raises(TypeError):
+            c["x0"] = np.zeros(3)
+
+    def test_equal_waves_stay_equal_after_one_fills_its_cache(self):
+        a, b = SmoothWave(DATA, 0.3), SmoothWave(DATA, 0.3)
+        derivative_decay_report(a, [1.0], [2.0])
+        assert "_char_eval" in vars(a) and "_char_eval" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+
+    def test_pointwise_paths_leave_it_unbuilt(self):
+        # only the two reports read the grid; state, profile and the
+        # residual (and gbar_construct, which reads profile) never build it
+        wave = SmoothWave(DATA, 0.3)
+        wave.state(2.0, 0.1)
+        for order in (0, 1, 2):
+            wave.profile(2.0, np.linspace(-1.0, 1.0, 5), order=order)
+        euler_residual(wave, 2.0, 0.1)
+        assert "_char_eval" not in vars(wave)
+
+
 class TestDecayReport:
     def test_l1_first_derivative_exact(self):
         # each component is monotone, so the L1 norm of its derivative is its
@@ -504,6 +538,17 @@ class TestDecayReport:
             ]
             got = [r.value for r in derivative_decay_report(wave, [t], ps)]
             assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_times_in_one_call_match_one_call_each(self):
+        # every t reads the same grid evaluation, so the rows do not depend
+        # on which call built it
+        wave = SmoothWave(DATA, 0.3)
+        ps, times = [1.0, 2.0, math.inf], [0.1, 3.0, 40.0]
+        rows = derivative_decay_report(wave, times, ps)
+        assert rows == [r for t in times for r in derivative_decay_report(wave, [t], ps)]
+        assert rows == [
+            r for t in times for r in derivative_decay_report(SmoothWave(DATA, 0.3), [t], ps)
+        ]
 
     def test_generator_inputs_match_lists(self):
         # the input checks consumed generators, and the report returned []
@@ -584,6 +629,32 @@ class TestRiemannGap:
             fan = wave._curve_values(x / t)
             ref = max(np.max(np.abs(prof[k] - fan[k])) for k in ("rho", "u1", "theta"))
             assert riemann_gap(wave, t)[0] == pytest.approx(ref, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.2, 0.05])
+    def test_equals_the_concatenated_grids_exactly(self, delta):
+        # reference: both grids in one array, the characteristic grid at its
+        # known feet and the fan grid at solved feet; the sup over the two
+        # grids apart is the same float
+        wave = SmoothWave(DATA, delta)
+        p = wave.params
+        x0 = _char_grid(p)
+        for t in (0.5, 5.0, 50.0):
+            pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
+            x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
+            x = np.concatenate((x0 + t * burgers_init(p, x0), x_fan))
+            feet = np.concatenate((x0, _foot_points(p, t, x_fan)))
+            prof = wave._profile_at_feet(t, feet, order=0)
+            fan = wave._curve_values(x / t)
+            ref = max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
+            assert riemann_gap(wave, t).gap == ref
+
+    def test_returns_a_gap_report(self):
+        report = riemann_gap(SmoothWave(DATA, 0.1), 2.0)
+        gap, shape = report
+        assert isinstance(report, GapReport)
+        assert (report.gap, report.shape) == (report[0], report[1]) == (gap, shape)
+        assert report.ratio == gap / shape < 1.0
+        assert json.loads(json.dumps(report._asdict())) == {"gap": gap, "shape": shape}
 
     def test_rejects_nonpositive_time(self):
         wave = SmoothWave(DATA, 0.1)
