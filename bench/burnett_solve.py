@@ -18,13 +18,11 @@ two states:
 The lattice's kernel transforms are built before the clock starts, as the
 workload's set-up builds them.  Each of the five calls builds its own
 ``LMOperator``: a best-of-7 build took about 6, 12, 24 and 65 ms at n = 16,
-20, 24 and 32 (one thread of a 2-core Intel Xeon).  A ``--before`` revision
-from before ``invert_LM_micro`` took its operator as an argument kept the
-last one in a cache, so there calls 2-5 reuse it and read about one build
-per call faster.  Both sides run the protocol in ``bench/harness.py``, next
-to the solves, the ``LMOperator.apply`` calls of one ``burnett_solve`` call
-(counted by a wrapper this script installs, so ``src/`` is the same as
-without it), the nine residuals, mu, kappa and B11, or the message raised.
+20, 24 and 32 (one thread of a 2-core Intel Xeon).  Both sides run the
+protocol in ``bench/harness.py``, next to the solves, the
+``LMOperator.apply`` calls of one ``burnett_solve`` call (counted by a
+wrapper this script installs, so ``src/`` is the same as without it), the
+nine residuals, mu, kappa and B11, or the message raised.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def measure() -> dict:
     from rarewave.transport import burnett_solve, thermal_grid
 
     data = RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS)
-    wave = SmoothWave.build(data, DELTA)
+    wave = SmoothWave(data, DELTA)
     half_width = abs(data.right.u1) + SPAN * math.sqrt(GAS_R * data.right.theta)
     lattices = {
         "rest": (GasState.make(1.0, 0.0, 1.0), lambda n: thermal_grid(1.0, n, SPAN)),

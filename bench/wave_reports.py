@@ -35,7 +35,7 @@ def measure() -> dict:
     from rarewave.euler import GasState, RiemannData
 
     data = RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS)
-    wave = burgers.SmoothWave.build(data, DELTA)
+    wave = burgers.SmoothWave(data, DELTA)
     res = {}
     for t in TIMES:
         at = f"t={t}/"
@@ -45,9 +45,9 @@ def measure() -> dict:
             "decay": lambda: burgers.derivative_decay_report(wave, [t], P_EXPONENTS),
             "gap": lambda: burgers.riemann_gap(wave, t)[0],
             "decay_first": lambda: burgers.derivative_decay_report(
-                burgers.SmoothWave.build(data, DELTA), [t], P_EXPONENTS
+                burgers.SmoothWave(data, DELTA), [t], P_EXPONENTS
             ),
-            "gap_first": lambda: burgers.riemann_gap(burgers.SmoothWave.build(data, DELTA), t)[0],
+            "gap_first": lambda: burgers.riemann_gap(burgers.SmoothWave(data, DELTA), t)[0],
             "residual16": lambda: [burgers.euler_residual(wave, t, x) for x in xs],
             "state16": lambda: [(s.rho, s.u1, s.theta) for s in (wave.state(t, x) for x in xs)],
         }

@@ -32,17 +32,6 @@ import numpy as np
 
 from .euler import GAS_R, GasState, RiemannData, curve_coefficients, curve_lift, lambda3
 
-__all__ = [
-    "WaveParams",
-    "SmoothWave",
-    "burgers_init",
-    "euler_residual",
-    "derivative_decay_report",
-    "riemann_gap",
-    "DecayRow",
-    "GapReport",
-]
-
 FOOT_MAX_ITER = 100
 
 
@@ -152,15 +141,8 @@ class SmoothWave:
 
     @classmethod
     def build(cls, data: RiemannData, delta: float) -> "SmoothWave":
-        """``SmoothWave(data, delta)``; the benchmark workloads call it, and so does
-        ``bench/wave_reports.py``, whose ``--before`` side may load a ``src/`` older
-        than f49f3f2, where the constructor took other arguments."""
+        """``SmoothWave(data, delta)``; ``perfbench/workloads.py`` is the one caller left."""
         return cls(data, delta)
-
-    @cached_property
-    def _curve(self) -> tuple[float, float, float]:
-        """``curve_coefficients`` (a, b, cstar) of the left state, computed once per wave."""
-        return curve_coefficients(self.data.left)
 
     @cached_property
     def _char_eval(self) -> MappingProxyType:
@@ -179,7 +161,7 @@ class SmoothWave:
 
     def _curve_values(self, omega, order=0):
         """rho, u1, theta at omega clipped to the edge speeds, with omega-derivatives."""
-        a, b, cstar = self._curve
+        a, b, cstar = curve_coefficients(self.data.left)
         p = self.params
         omega = np.minimum(np.maximum(np.asarray(omega, dtype=float), p.omega_minus), p.omega_plus)
         z = (omega - a) / b

@@ -241,14 +241,14 @@ def _divergence(fluxes, g: VelocityGrid) -> np.ndarray:
     return sum(_along(d, flux, i) for i, flux in enumerate(fluxes))
 
 
-def collision_frequency(g: VelocityGrid, p: KernelParams = KernelParams()) -> np.ndarray:
-    """sigma^{ij} = phi^{ij} * mu against the global Maxwellian.
+def collision_frequency(g: VelocityGrid) -> np.ndarray:
+    """sigma^{ij} = phi^{ij} * mu against the global Maxwellian, with the default kernel.
 
     Returned as an array of shape (3, 3) + g.shape, symmetric positive
     semidefinite at each node.
     """
     mu = maxwellian(REFERENCE_STATE, g)
-    return _phi_conv_fft(g, p, mu.values * g.weights)[_UNPACK]
+    return _phi_conv_fft(g, KernelParams(), mu.values * g.weights)[_UNPACK]
 
 
 def collision_Q(
@@ -291,19 +291,17 @@ def linearized_LM(
     return GridFunction(g, qa.values + qb.values)
 
 
-def gamma_bilinear(
-    h: GridFunction, k: GridFunction, p: KernelParams = KernelParams()
-) -> GridFunction:
+def gamma_bilinear(h: GridFunction, k: GridFunction) -> GridFunction:
     """Gamma(h, k) = Q(sqrt(mu) h, sqrt(mu) k) / sqrt(mu), on the lattice of ``h`` and ``k``."""
     g = h.grid
     if k.grid != g:
         raise ValueError("collision inputs live on different lattices")
     sq = np.sqrt(maxwellian(REFERENCE_STATE, g).values)
-    qq = collision_Q(GridFunction(g, sq * h.values), GridFunction(g, sq * k.values), g, p)
+    qq = collision_Q(GridFunction(g, sq * h.values), GridFunction(g, sq * k.values), g)
     return GridFunction(g, qq.values / sq)
 
 
-def linearized_script_L(f: GridFunction, p: KernelParams = KernelParams()) -> GridFunction:
+def linearized_script_L(f: GridFunction) -> GridFunction:
     """The sqrt(mu)-conjugated linearization Gamma(f, sqrt(mu)) + Gamma(sqrt(mu), f).
 
     Evaluated as L_mu (sqrt(mu) f) / sqrt(mu), the same two Q sums, on the
@@ -311,7 +309,7 @@ def linearized_script_L(f: GridFunction, p: KernelParams = KernelParams()) -> Gr
     """
     g = f.grid
     sq = np.sqrt(maxwellian(REFERENCE_STATE, g).values)
-    lm = linearized_LM(GridFunction(g, sq * f.values), REFERENCE_STATE, g, p)
+    lm = linearized_LM(GridFunction(g, sq * f.values), REFERENCE_STATE, g)
     return GridFunction(g, lm.values / sq)
 
 

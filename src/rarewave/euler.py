@@ -17,21 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-__all__ = [
-    "GAS_R",
-    "K0",
-    "GasState",
-    "RiemannData",
-    "pressure",
-    "entropy",
-    "sound_speed",
-    "lambda3",
-    "curve_lift",
-    "r3_state",
-    "riemann_rarefaction",
-    "curve_coefficients",
-]
+from functools import lru_cache
 
 GAS_R = 2.0 / 3.0
 K0 = 1.0 / (2.0 * math.pi * math.e)
@@ -89,6 +75,7 @@ def lambda3(s: GasState) -> float:
     return s.u1 + sound_speed(s)
 
 
+@lru_cache(maxsize=64)
 def curve_coefficients(left: GasState) -> tuple[float, float, float]:
     """Affine representation of lambda3 along the 3-rarefaction curve.
 
@@ -100,6 +87,7 @@ def curve_coefficients(left: GasState) -> tuple[float, float, float]:
         lambda3 = A + B z
 
     with cstar = sqrt(k0 exp(S_left)) and B = (sqrt(15) + sqrt(5/3)) cstar.
+    Cached per left state, so every caller computes them once per wave.
     """
     cstar = math.sqrt(K0 * math.exp(entropy(left)))
     z_left = left.rho ** (1.0 / 3.0)

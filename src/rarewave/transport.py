@@ -347,8 +347,8 @@ class TransportTable:
 
     Each row at rest runs three solves (A1, B11, B12); the rest of its
     nine preimages follow by transposition and the trace.  Its temperatures
-    must be finite, positive and strictly increasing, with one ``mu``,
-    ``kappa`` and ``residual`` entry each.
+    must be finite, positive and strictly increasing, with one finite entry
+    each of ``mu`` > 0, ``kappa`` > 0 and ``residual`` >= 0.
 
     ``mu_of`` and ``kappa_of`` evaluate the exact law of the thermal lattice
     at any finite positive temperature, scalar or array: the first row times
@@ -360,13 +360,16 @@ class TransportTable:
     mu: tuple
     kappa: tuple
     residual: tuple
-    span: float
-    n_per_axis: int
 
     def __post_init__(self):
         _check_temperatures(self.theta)
         if any(len(col) != len(self.theta) for col in (self.mu, self.kappa, self.residual)):
             raise ValueError("mu, kappa and residual need one entry per temperature")
+        for name, col in (("mu", self.mu), ("kappa", self.kappa)):
+            if not all(0.0 < c < math.inf for c in col):
+                raise ValueError(f"{name} must be finite and positive, got {col}")
+        if not all(0.0 <= r < math.inf for r in self.residual):
+            raise ValueError(f"residual must be finite and nonnegative, got {self.residual}")
 
     def _law(self, first: float, theta):
         if not np.all(np.isfinite(theta) & (np.asarray(theta) > 0.0)):
@@ -420,8 +423,6 @@ def transport_table(
         mu=tuple(mus),
         kappa=tuple(kappas),
         residual=tuple(resids),
-        span=span,
-        n_per_axis=n_per_axis,
     )
 
 
@@ -433,8 +434,8 @@ class PreimageDecayRow:
     component: str
 
 
-def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[PreimageDecayRow]:
-    """Smallest C with |field| <= C M^(1 - eps) pointwise, per exponent.
+def decay_check(sol: BurnettSolution) -> list[PreimageDecayRow]:
+    """Smallest C with |field| <= C M^(1 - eps) pointwise, at eps = 0.1, 0.25 and 0.5.
 
     The ratio is only formed where the Maxwellian power stays above the
     underflow floor; the returned radius locates the binding node in
@@ -445,7 +446,7 @@ def decay_check(sol: BurnettSolution, epsilons=(0.1, 0.25, 0.5)) -> list[Preimag
     rad = np.sqrt(_sources(sol.state, g)[0])
     fields = {_name(c): _solution_field(sol, c).values for c in _COMPONENTS}
     rows = []
-    for eps in epsilons:
+    for eps in (0.1, 0.25, 0.5):
         env = m ** (1.0 - eps)
         ok = env > 1e-280
         best_c, best_r, best_name = 0.0, 0.0, ""

@@ -239,16 +239,16 @@ def project_P1(h: GridFunction, basis: MacroBasis) -> GridFunction:
     return GridFunction(basis.grid, h.values - p0.values)
 
 
-def weight_w(v, gamma: float = GAMMA_DEFAULT):
-    """Soft-potential velocity weight <v>^(gamma+2) on vectors (..., 3)."""
+def weight_w(v):
+    """Soft-potential velocity weight <v>^(gamma+2) on vectors (..., 3), gamma = -3."""
     v = np.asarray(v, dtype=float)
     ss = np.sum(v * v, axis=-1)
-    out = (1.0 + ss) ** (0.5 * (gamma + 2.0))
+    out = (1.0 + ss) ** (0.5 * (GAMMA_DEFAULT + 2.0))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sigma_norm(h: GridFunction, sigma, ell: float = 0.0, gamma: float = GAMMA_DEFAULT) -> float:
-    """Weighted dissipation norm |h|_{sigma, ell}.
+def sigma_norm(h: GridFunction, sigma, ell: float = 0.0) -> float:
+    """Weighted dissipation norm |h|_{sigma, ell} at the fixed gamma = -3.
 
     ``sigma`` is the diffusion matrix sigma^{ij}(v) as an array of shape
     (3, 3) + grid.shape, the form :func:`rarewave.collision.collision_frequency`
@@ -267,7 +267,7 @@ def sigma_norm(h: GridFunction, sigma, ell: float = 0.0, gamma: float = GAMMA_DE
         for j in range(3):
             acc += sig[i, j] * (grads[i] * grads[j] + vhalf[i] * vhalf[j] * hsq)
     if ell != 0.0:
-        acc = acc * (1.0 + g.speed_sq) ** ((gamma + 2.0) * ell)
+        acc = acc * (1.0 + g.speed_sq) ** ((GAMMA_DEFAULT + 2.0) * ell)
     return math.sqrt(max(g.integrate(acc), 0.0))
 
 

@@ -265,7 +265,7 @@ def test_sigma_symmetric_psd_and_isotropic():
 def test_sigma_trace_matches_scalar_direct_sum():
     g = grid(10)
     p = KernelParams()
-    trace = np.trace(collision_frequency(g, p))
+    trace = np.trace(collision_frequency(g))
     vx, vy, vz = coords(g)
     pts = np.stack([vx, vy, vz], axis=-1).reshape(-1, 3)
     mu = maxwellian(REFERENCE_STATE, g).values

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rarewave import euler
+from rarewave.burgers import SmoothWave, derivative_decay_report, riemann_gap
 from rarewave.euler import (
     GAS_R,
     K0,
@@ -128,6 +130,30 @@ def test_curve_lift_arrays_match_pointwise_states():
         s = r3_state(LEFT, float(r))
         want = (s.rho, s.u1, s.theta)
         assert (rho[k], u1[k], theta[k]) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_curve_coefficients_are_computed_once_per_left_state(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return entropy(s)
+
+    monkeypatch.setattr(euler, "entropy", counted)
+    curve_coefficients.cache_clear()
+    data = RiemannData.from_density(LEFT, 1.1)
+    r3_state(LEFT, 1.05)
+    riemann_rarefaction(data, 0.5 * (LAM3_LEFT + LAM3_AT_11))
+    curve_lift(LEFT, np.linspace(1.0, 1.1 ** (1.0 / 3.0), 5))
+    wave = SmoothWave(data, 0.5)
+    wave.state(1.0, 1.4)
+    wave.profile(1.0, np.linspace(0.5, 2.0, 5), order=2)
+    derivative_decay_report(wave, [1.0], [2.0])
+    riemann_gap(wave, 1.0)
+    assert calls == [LEFT]
+    RiemannData.from_density(GasState.make(1.0, 0.1, 1.5), 1.1)
+    assert len(calls) == 2
+    assert curve_coefficients(LEFT) == curve_coefficients.__wrapped__(LEFT)
 
 
 def test_r3_state_rejects_compression():

@@ -287,8 +287,6 @@ def test_table_follows_exact_thermal_law(solutions):
         mu=tuple(s.mu_theta for s in sols),
         kappa=tuple(s.kappa_theta for s in sols),
         residual=tuple(max(s.residuals.values()) for s in sols),
-        span=6.5,
-        n_per_axis=N,
     )
     assert table.mu_of(1.7) == pytest.approx(table.mu[1], rel=1e-14)
     assert np.allclose(table.kappa_of(np.array([1.0, 1.7])), table.kappa, rtol=1e-14)
@@ -304,14 +302,14 @@ def test_table_follows_exact_thermal_law(solutions):
 
 def test_table_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
-        TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
+        TransportTable((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0))
     with pytest.raises(ValueError, match="finite and positive"):
-        TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 6.5, N)
+        TransportTable((-1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0))
     # columns of other lengths built, and mu_of(1.5) read 2.756 off a one-entry mu
     ok, short, long = (1.0, 2.0), (1.0,), (1.0, 2.0, 3.0)
     for columns in ((short, long, short), (short, ok, ok), (ok, long, ok), (ok, ok, short)):
         with pytest.raises(ValueError, match="one entry per temperature"):
-            TransportTable(ok, *columns, 6.5, N)
+            TransportTable(ok, *columns)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a bad temperature list reached the solver")
@@ -323,6 +321,23 @@ def test_table_rejects_bad_inputs(monkeypatch):
             transport_table(bad)
 
 
+@pytest.mark.parametrize(
+    "column, bad, named",
+    [
+        ("mu", (math.nan, -0.9, 0.0, math.inf), "mu must be finite and positive"),
+        ("kappa", (math.nan, -2.4, 0.0, math.inf), "kappa must be finite and positive"),
+        ("residual", (math.nan, -1e-3, math.inf), "residual must be finite and nonnegative"),
+    ],
+)
+def test_table_rejects_a_column_that_is_not_physical(column, bad, named):
+    # a nan mu built, and mu_of(1.5) returned nan; a mu of -0.9 gave a viscosity of -2.48
+    for value in bad:
+        columns = {"mu": (0.9, 1.1), "kappa": (2.4, 3.0), "residual": (0.0, 0.0)}
+        columns[column] = (value, columns[column][1])
+        with pytest.raises(ValueError, match=named):
+            TransportTable((1.0, 2.0), **columns)
+
+
 def test_thermal_grid_rejects_a_temperature_that_is_not_finite_and_positive():
     # theta = -1 raised "math domain error", and 0, nan or inf "half_width must be positive"
     for bad in (-1.0, 0.0, math.nan, math.inf):
@@ -332,7 +347,7 @@ def test_thermal_grid_rejects_a_temperature_that_is_not_finite_and_positive():
 
 def test_table_law_rejects_nonpositive_temperatures():
     # theta = 0 gave 0.0, theta < 0 gave nan with a RuntimeWarning, and theta = inf gave inf
-    table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0), 6.5, N)
+    table = TransportTable((1.0, 1.7), (0.9, 1.1), (2.4, 3.0), (0.0, 0.0))
     for law in (table.mu_of, table.kappa_of):
         for bad in (0.0, -1.0, np.array([1.0, 0.0]), [1.0, -0.5], math.inf, [1.0, math.inf]):
             with pytest.raises(ValueError, match="temperature must be finite and positive"):

@@ -261,7 +261,7 @@ class TestWeight:
 
     def test_coulomb_exponent_shape(self):
         v = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.0, 4.0]])
-        got = weight_w(v, gamma=-3.0)
+        got = weight_w(v)
         want = (1.0 + np.array([1.0, 4.0, 25.0])) ** -0.5
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
