@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from harness import REPEATS, best_of, dispatch, main
+from harness import REPEATS, best_of, main
 
 SIZES = (16, 20, 24, 32)
 LEFT, RHO_PLUS, DELTA, T, TOL, SPAN = (1.0, 0.0, 1.0), 1.5, 0.5, 2.0, 1e-2, 6.5
@@ -93,8 +93,6 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "what": "burnett_solve at rest on thermal_grid(1, n) and at the wave_slice mid-fan state "
-    "on its shared lattice: before/after",
     "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
     "timing": f"best of {REPEATS} calls per round after the kernel-transform build, alternating "
     "rounds per lattice, one thread, seconds; median and quartiles over rounds",
@@ -103,4 +101,4 @@ DESCRIPTION = {
 }
 
 if __name__ == "__main__":
-    dispatch(measure, lambda: main(__file__, __doc__, DESCRIPTION))
+    main(measure, __doc__, DESCRIPTION)

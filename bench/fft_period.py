@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from harness import REPEATS, best_of, dispatch, main
+from harness import REPEATS, best_of, main
 
 SIZES = (16, 24, 32)
 # a drifting state on the transport lattice, so no axis symmetry is special
@@ -48,7 +48,6 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "what": "_KernelTransforms build, LMOperator.apply and weak_apply: before/after",
     "state": {"rho": RHO, "u1": U1, "theta": THETA, "lattice": "thermal_grid(theta, n)"},
     "timing": f"best of {REPEATS} per round, alternating rounds, one thread, seconds; median and "
     "quartiles over rounds",
@@ -57,4 +56,4 @@ DESCRIPTION = {
 }
 
 if __name__ == "__main__":
-    dispatch(measure, lambda: main(__file__, __doc__, DESCRIPTION))
+    main(measure, __doc__, DESCRIPTION)

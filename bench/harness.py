@@ -2,16 +2,18 @@
 
     python bench/SCRIPT.py --before REV [--rounds 10] --out FILE
 
-Run a script from the root of a checkout.  It measures twice over: once
-with this checkout's ``src/`` and once with ``src/`` of git revision REV,
-exported by ``git archive`` into a temporary directory.  Each side runs in
-a fresh process, ``SCRIPT.py --measure SRC OUT [EXTRA...]``, with
-OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1, and
-stops unless ``rarewave`` is imported from its own SRC.  The sides
-alternate for ``--rounds`` rounds (``before`` first on even rounds).  A
-difference counts as resolved only when at least ten rounds ran, one side
-wins at least nine tenths of them and the medians differ by more than the
-distance between the quartiles of ``before``.
+A script is its docstring, its constants, ``measure()`` and a
+``DESCRIPTION`` dict, and ends with ``main(measure, __doc__, DESCRIPTION)``,
+its one entry point.  It measures twice over: once with this checkout's
+``src/`` and once with ``src/`` of git revision REV, exported by ``git
+archive`` into a temporary directory.  Each side runs in a fresh process,
+``SCRIPT.py --measure SRC OUT`` by the script's absolute path, in the
+checkout's root, with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS set to 1, and stops unless ``rarewave`` is imported from
+its own SRC.  The sides alternate for ``--rounds`` rounds (``before`` first
+on even rounds).  A difference counts as resolved only when at least ten
+rounds ran, one side wins at least nine tenths of them and the medians
+differ by more than the distance between the quartiles of ``before``.
 
 A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 ``key=value`` words (``"state=rest n_per_axis=16"``).  A NAME ending in
@@ -19,15 +21,16 @@ A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 ``best_of`` give it; ``raised`` holds the message of a call that raised;
 any other NAME holds a value, a number or an array.
 
-The JSON report at ``--out`` (no default) holds the script's description
-(``what``, ``timing``, ``accuracy``, metadata), both revisions and the host,
-the resolution floor (the rows where both sides raise) and one row per ROW
-in ``measure()``'s order.  A row holds ``row``, ``rounds``; per timing,
-``compare()`` of its seconds and each side's median minor page faults; under
-``before`` and ``after`` that side's first-round values (an array of more
-than ``SHOWN`` entries by its largest absolute entry) or ``raised``; and
-under ``max_rel``, max |after - before| / max |before| of every value both
-sides returned.  The console table prints the same rows.
+The JSON report at ``--out`` (no default) holds ``what``, the first line of
+the script's docstring, then both revisions and the host, the
+``DESCRIPTION`` (``timing``, ``accuracy``, metadata), the resolution floor
+(the rows where both sides raise) and one row per ROW in ``measure()``'s
+order.  A row holds ``row``, ``rounds``; per timing, ``compare()`` of its
+seconds and each side's median minor page faults; under ``before`` and
+``after`` that side's first-round values (an array of more than ``SHOWN``
+entries by its largest absolute entry) or ``raised``; and under
+``max_rel``, ``max_rel()`` of every value both sides returned.  The
+console table prints the same rows.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -103,11 +107,11 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
 
-def run_side(script: str, src: Path, out: Path, *extra: str) -> dict:
-    """Results of ``script --measure src out *extra``, run in a fresh one-thread process."""
+def run_side(script: str, src: Path, out: Path) -> dict:
+    """Results of ``script --measure src out``, run in a fresh one-thread process."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run(
-        [sys.executable, script, "--measure", str(src), str(out), *extra],
+        [sys.executable, script, "--measure", str(src), str(out)],
         cwd=ROOT,
         env=env,
         check=True,
@@ -116,8 +120,8 @@ def run_side(script: str, src: Path, out: Path, *extra: str) -> dict:
         return {k: dat[k] for k in dat.files}
 
 
-def run_rounds(script: str, before: str, rounds: int, *extra: str) -> dict:
-    """Results of ``script --measure SRC OUT *extra`` per side, over alternating rounds.
+def run_rounds(script: str, before: str, rounds: int) -> dict:
+    """Results of ``script --measure SRC OUT`` per side, over alternating rounds.
 
     ``before`` runs with ``src/`` of git revision ``before``, ``after`` with
     this checkout's; each run is a fresh process, and ``before`` goes first
@@ -131,7 +135,7 @@ def run_rounds(script: str, before: str, rounds: int, *extra: str) -> dict:
         for k in range(rounds):
             order = list(srcs) if k % 2 == 0 else list(srcs)[::-1]
             for side in order:
-                runs[side].append(run_side(script, srcs[side], tmp / f"{side}.npz", *extra))
+                runs[side].append(run_side(script, srcs[side], tmp / f"{side}.npz"))
     return runs
 
 
@@ -175,9 +179,21 @@ def provenance(before: str) -> dict:
 
 
 def max_rel(a, b) -> float:
-    """max |a - b| / max |b|, and 0 where a and b are equal."""
-    diff = np.abs(np.asarray(a) - np.asarray(b)).max()
-    return 0.0 if diff == 0 else float(diff / np.abs(b).max())
+    """max |a - b| over the entries where a and b differ, over the largest finite |b|.
+
+    0.0 where every entry is equal, infinities included; inf where the
+    shapes differ, an entry that differs is not finite, or every finite b is 0.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return math.inf
+    differ = a != b
+    if not differ.any():
+        return 0.0
+    if not (np.isfinite(a[differ]).all() and np.isfinite(b[differ]).all()):
+        return math.inf
+    with np.errstate(divide="ignore"):
+        return float(np.abs(a[differ] - b[differ]).max() / np.abs(b[np.isfinite(b)]).max())
 
 
 def _shown(value):
@@ -246,38 +262,24 @@ def round_count(text: str) -> int:
     return n
 
 
-def parser(doc: str) -> argparse.ArgumentParser:
-    """The options every script takes, described by the first line of its docstring."""
-    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+def main(measure, doc: str, description: dict) -> None:
+    """Run one side when called as ``--measure SRC OUT``, else the rounds and the report.
+
+    A side imports ``rarewave`` from SRC and saves the arrays of ``measure()`` to OUT.
+    """
+    if sys.argv[1:2] == ["--measure"]:
+        src, out = sys.argv[2:]
+        load(src)
+        np.savez(out, **measure())
+        return
+    what = doc.splitlines()[0]
+    ap = argparse.ArgumentParser(description=what)
     ap.add_argument("--before", required=True, help="git revision to compare against")
     ap.add_argument("--rounds", type=round_count, default=10)
     ap.add_argument("--out", required=True, help="JSON file the report is written to")
-    return ap
-
-
-def write(args: argparse.Namespace, description: dict, rows: list[dict]) -> None:
-    """Write the report to ``args.out`` and print its table."""
-    report = {"what": description["what"], **provenance(args.before), **description}
+    args = ap.parse_args()
+    rows = report_rows(run_rounds(str(Path(sys.argv[0]).resolve()), args.before, args.rounds))
+    report = {"what": what, **provenance(args.before), **description}
     report.update(resolution_floor=floors(rows), rows=rows)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(table(rows))
-
-
-def main(script: str, doc: str, description: dict) -> None:
-    """Run ``script``'s sides for ``--rounds`` rounds and write its report."""
-    args = parser(doc).parse_args()
-    write(args, description, report_rows(run_rounds(script, args.before, args.rounds)))
-
-
-def dispatch(measure, main) -> None:
-    """Run ``main``, or one side when called as ``--measure SRC OUT *extra``.
-
-    A side imports ``rarewave`` from SRC and saves the arrays of
-    ``measure(*extra)`` to OUT.
-    """
-    if sys.argv[1:2] != ["--measure"]:
-        main()
-        return
-    src, out, *extra = sys.argv[2:]
-    load(src)
-    np.savez(out, **measure(*extra))

@@ -6,14 +6,13 @@ Run it from the root of a checkout.  With the ``rarewave`` the harness
 loaded it runs the workload classes of ``perfbench/workloads.py`` at seed
 3: one step of ``transport_table`` (two rows) and of ``wave_slice`` (one
 fan state), and 400 steps of ``wave_reports`` (400 time levels).  It reads
-``perfbench/`` and changes nothing in it.  Each workload is one report
-row holding every value its steps record: the table rows; the wave
-state's position, state, mu, kappa, nine residuals, A1, B11 and
-correction field; each level's decay values and shapes, gap and shape,
-states and Euler residuals.  Nothing is timed, so one round is enough.
-Both sides run the protocol in ``bench/harness.py``, and a ``max_rel`` of
-0.0 for every value means the two revisions compute the same numbers,
-bit for bit.
+``perfbench/`` and changes nothing in it.  Each workload is one report row
+holding every value its steps record: the table rows; the wave state's
+position, state, mu, kappa, nine residuals, A1, B11 and correction field;
+each level's decay rows (t, p, j, value, shape), gap and shape, states and
+Euler residuals.  Nothing is timed, so one round is enough.  Both sides
+run the protocol in ``bench/harness.py``, and a ``max_rel`` of 0.0 for
+every value means the two revisions compute the same numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 
 import numpy as np
 
-from harness import ROOT, dispatch, main
+from harness import ROOT, main
 
 SEED = 3
 REPORT_LEVELS = 400
@@ -63,8 +62,7 @@ def measure() -> dict:
         reports.step()
     at = "workload=wave_reports/"
     levels = reports.outputs
-    # t, value and shape of each decay row; p and j are fixed, and p = inf would read nan
-    res[at + "decay"] = [[(r.t, r.value, r.bound_shape) for r in rows] for rows, *_ in levels]
+    res[at + "decay"] = [[(r.t, r.p, r.j, r.value, r.bound_shape) for r in rs] for rs, *_ in levels]
     res[at + "gap"] = [tuple(gap) for _, gap, _, _ in levels]
     res[at + "states"] = [[(s.rho, *s.u, s.theta) for s in states] for _, _, states, _ in levels]
     res[at + "euler_residuals"] = [residuals for *_, residuals in levels]
@@ -72,8 +70,6 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "what": "every value of one seeded step of transport_table and wave_slice and of 400 "
-    "wave_reports levels: before/after",
     "seed": SEED,
     "wave_reports_levels": REPORT_LEVELS,
     "timing": "none; values only",
@@ -82,4 +78,4 @@ DESCRIPTION = {
 }
 
 if __name__ == "__main__":
-    dispatch(measure, lambda: main(__file__, __doc__, DESCRIPTION))
+    main(measure, __doc__, DESCRIPTION)

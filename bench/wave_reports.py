@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from harness import REPEATS, best_of, dispatch, main
+from harness import REPEATS, best_of, main
 
 TIMES = (0.5, 5.0, 50.0)
 POINTS = 16
@@ -60,8 +60,6 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "what": "derivative_decay_report and riemann_gap on a warm wave and on a fresh one, 16 "
-    "euler_residual and 16 SmoothWave.state calls: before/after",
     "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "p": "1, 2, inf"},
     "timing": f"best of {REPEATS} per round, alternating rounds, one thread, seconds; median and "
     "quartiles over rounds",
@@ -71,4 +69,4 @@ DESCRIPTION = {
 }
 
 if __name__ == "__main__":
-    dispatch(measure, lambda: main(__file__, __doc__, DESCRIPTION))
+    main(measure, __doc__, DESCRIPTION)

@@ -35,7 +35,6 @@ from .collision import (
     invert_LM_micro,
 )
 
-DEFAULT_TABLE_THETAS = (0.8, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5)
 # Residual target of the solves: the n = 20 thermal lattice floors the A1 residual near 1e-3.
 DEFAULT_TOL = 1e-2
 
@@ -385,7 +384,7 @@ class TransportTable:
 
 
 def transport_table(
-    theta_values=DEFAULT_TABLE_THETAS,
+    theta_values,
     n_per_axis: int = 20,
     span: float = 6.5,
     tol: float = DEFAULT_TOL,

@@ -1,8 +1,13 @@
 """The before/after protocol of bench/harness.py: when ``compare`` calls a
-difference resolved, how a side is run, how runs become report rows, and that every
+difference resolved, how a side is run, how ``main`` alternates the sides, how runs
+become report rows, how ``max_rel`` reads entries that are not finite, and that every
 script needs ``--out`` and at least one round."""
 
 import importlib.util
+import json
+import math
+import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +23,26 @@ SIDE = """
 import os, sys
 sys.path.insert(0, {bench!r})
 import harness
-harness.dispatch(lambda: {{"omp": os.environ["OMP_NUM_THREADS"]}}, None)
+harness.main(lambda: {{"omp": os.environ["OMP_NUM_THREADS"]}}, None, None)
 """
+# a two-round script on the same pattern: each side logs the src/ it imports from
+FAKE = '''"""A fake bench script whose value holds an inf.
+
+Its report's what is the line above.
+"""
+import os, sys
+sys.path.insert(0, {bench!r})
+import harness
+
+
+def measure():
+    with open(os.environ["FAKE_SIDE_LOG"], "a") as fh:
+        fh.write(sys.path[0] + "\\n")
+    return {{"row=1/value": [1.0, float("inf")]}}
+
+
+harness.main(measure, __doc__, {{"timing": "none"}})
+'''
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +82,46 @@ def test_a_side_runs_pinned_to_one_thread(harness, tmp_path, monkeypatch):
     script.write_text(SIDE.format(bench=str(BENCH)))
     out = harness.run_side(str(script), harness.ROOT / "src", tmp_path / "side.npz")
     assert str(out["omp"]) == "1"
+
+
+def test_main_runs_the_sides_in_turn_from_outside_the_checkout(harness, tmp_path, monkeypatch):
+    script, work, log = tmp_path / "fake.py", tmp_path / "work", tmp_path / "sides.log"
+    script.write_text(FAKE.format(bench=str(BENCH)))
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("FAKE_SIDE_LOG", str(log))
+    # the before side's src/ is this checkout's, so no git history is needed
+    monkeypatch.setattr(
+        harness, "export_src", lambda rev, dest: shutil.copytree(harness.ROOT / "src", dest / "src")
+    )
+    monkeypatch.setitem(sys.modules, "harness", harness)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argv = ["../fake.py", "--before", "HEAD", "--rounds", "2", "--out", "r.json"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path("../fake.py", run_name="__main__")
+    before, after, *rest = log.read_text().splitlines()
+    assert rest == [after, before]
+    assert after == str(harness.ROOT / "src") and Path(before).parts[-2:] == ("before", "src")
+    report = json.loads((work / "r.json").read_text())
+    assert report["what"] == "A fake bench script whose value holds an inf."
+    assert report["timing"] == "none"
+    (row,) = report["rows"]
+    assert row["rounds"] == 2 and row["max_rel"] == {"value": 0.0}
+
+
+@pytest.mark.parametrize(
+    "after, before, expected",
+    [
+        ([1.0, math.inf], [1.0, math.inf], 0.0),
+        ([1.0, math.inf], [2.0, math.inf], 0.5),
+        ([1.0, 2.0], [1.0, math.inf], math.inf),
+        ([1.0, math.inf], [1.0, -math.inf], math.inf),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], math.inf),
+        ([1.0], [0.0], math.inf),
+    ],
+)
+def test_max_rel_of_entries_that_are_not_finite(harness, after, before, expected):
+    assert harness.max_rel(after, before) == expected
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
