@@ -28,8 +28,10 @@ the script's docstring, then both revisions and the host, the
 order.  A row holds ``row``, ``rounds``; per timing, ``compare()`` of its
 seconds and each side's median minor page faults; under ``before`` and
 ``after`` that side's first-round values (an array of more than ``SHOWN``
-entries by its largest absolute entry) or ``raised``; and under
-``max_rel``, ``max_rel()`` of every value both sides returned.  The
+entries by its largest finite absolute entry and its count of entries that
+are not finite) or ``raised``; and under ``max_rel``, ``max_rel()`` of every
+value both sides returned.  The report is strict JSON: a number that is not
+finite is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``.  The
 console table prints the same rows.
 """
 
@@ -201,7 +203,24 @@ def _shown(value):
     value = np.asarray(value)
     if value.dtype.kind == "U":
         return str(value)
-    return value.tolist() if value.size <= SHOWN else {"max_abs": float(np.abs(value).max())}
+    if value.size <= SHOWN:
+        return value.tolist()
+    finite = np.abs(value[np.isfinite(value)])
+    return {
+        "max_abs": float(finite.max()) if finite.size else None,
+        "non_finite": value.size - finite.size,
+    }
+
+
+def _strict(obj):
+    """``obj`` with every float that is not finite replaced by its name, for strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
 
 
 def report_rows(runs: dict) -> list[dict]:
@@ -281,5 +300,5 @@ def main(measure, doc: str, description: dict) -> None:
     rows = report_rows(run_rounds(str(Path(sys.argv[0]).resolve()), args.before, args.rounds))
     report = {"what": what, **provenance(args.before), **description}
     report.update(resolution_floor=floors(rows), rows=rows)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
     print(table(rows))

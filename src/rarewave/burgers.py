@@ -13,7 +13,8 @@ in the residual cross-check.
 
 Paths given x (``SmoothWave.state``/``profile``, ``euler_residual``, the fan
 grid of ``riemann_gap``) solve for the foot points x0 by monotone Newton from
-the tanh inflection; the characteristic-grid reports choose x0 and solve none.
+the tanh inflection, a scalar point on Python floats and arrays vectorized, to
+the same bits; the characteristic-grid reports choose x0 and solve none.
 Along a characteristic only x and the Jacobian 1 + t omega0'(x0) depend on t,
 so each wave evaluates itself on that grid once, on first use, and
 ``derivative_decay_report`` and ``riemann_gap`` read that one evaluation at
@@ -33,6 +34,7 @@ import numpy as np
 from .euler import GAS_R, GasState, RiemannData, curve_coefficients, curve_lift, lambda3
 
 FOOT_MAX_ITER = 100
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def burgers_init(p: WaveParams, x):
 
 def _init_derivs(p: WaveParams, x0, order: int = 2):
     """omega0 and its first ``order`` (1 or 2) derivatives at x0, omega0 as ``burgers_init``."""
-    th = np.tanh(np.asarray(x0, dtype=float) / p.delta)
+    th = np.tanh(x0 / p.delta)
     sech2 = 1.0 - th * th
     g = p.mid + p.half_span * th
     gp = p.half_span / p.delta * sech2
@@ -100,8 +102,7 @@ def _foot_points(p: WaveParams, t, x):
         raise ValueError("x must be finite")
     x0 = np.minimum(np.maximum(x - p.omega_plus * t, 0.0), x - p.omega_minus * t)
     speed = max(abs(p.omega_minus), abs(p.omega_plus))
-    roundoff = 8.0 * np.finfo(float).eps * (np.abs(x) + t * speed)
-    tol = 1e-13 * (1.0 + np.abs(x)) + roundoff
+    tol = 1e-13 * (1.0 + np.abs(x)) + 8.0 * _EPS * (np.abs(x) + t * speed)
     for _ in range(FOOT_MAX_ITER):
         g, gp = _init_derivs(p, x0, order=1)
         f = x0 + t * g - x
@@ -112,6 +113,25 @@ def _foot_points(p: WaveParams, t, x):
     raise RuntimeError(
         f"foot-point iteration failed for {int(np.count_nonzero(~done))} points at t={t}"
     )
+
+
+def _foot_point(p: WaveParams, t: float, x: float) -> float:
+    """``_foot_points`` at one point on Python floats: the same iterates, bits and errors."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    # min and max keep a tie's first argument, np.minimum and np.maximum its second
+    x0 = min(x - p.omega_minus * t, max(0.0, x - p.omega_plus * t))
+    speed = max(abs(p.omega_minus), abs(p.omega_plus))
+    tol = 1e-13 * (1.0 + abs(x)) + 8.0 * _EPS * (abs(x) + t * speed)
+    for _ in range(FOOT_MAX_ITER):
+        g, gp = _init_derivs(p, x0, order=1)
+        f = x0 + t * g - x
+        if abs(f) <= tol:
+            return float(x0)
+        x0 = x0 - f / (1.0 + t * gp)
+    raise RuntimeError(f"foot-point iteration failed for 1 points at t={t}")
 
 
 def _eval_at_feet(p: WaveParams, t, x0):
@@ -195,10 +215,10 @@ class SmoothWave:
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        out = self._profile_at_feet(t, _foot_points(self.params, t, x), order)
         if np.ndim(t) == np.ndim(x) == 0:
+            out = self._profile_at_feet(t, np.array([_foot_point(self.params, t, x)]), order)
             return {name: float(a[0]) for name, a in out.items()}
-        return out
+        return self._profile_at_feet(t, _foot_points(self.params, t, x), order)
 
     def _profile_at_feet(self, t, x0, order: int) -> dict:
         """``profile`` at known foot points x0; order 0 lifts omega0(x0) alone."""

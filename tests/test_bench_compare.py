@@ -1,7 +1,7 @@
 """The before/after protocol of bench/harness.py: when ``compare`` calls a
 difference resolved, how a side is run, how ``main`` alternates the sides, how runs
-become report rows, how ``max_rel`` reads entries that are not finite, and that every
-script needs ``--out`` and at least one round."""
+become report rows, how ``max_rel`` reads entries that are not finite, that every
+script needs ``--out`` and at least one round, and that every report is strict JSON."""
 
 import importlib.util
 import json
@@ -102,11 +102,35 @@ def test_main_runs_the_sides_in_turn_from_outside_the_checkout(harness, tmp_path
     before, after, *rest = log.read_text().splitlines()
     assert rest == [after, before]
     assert after == str(harness.ROOT / "src") and Path(before).parts[-2:] == ("before", "src")
-    report = json.loads((work / "r.json").read_text())
+    report = json.loads((work / "r.json").read_text(), parse_constant=no_constant)
     assert report["what"] == "A fake bench script whose value holds an inf."
     assert report["timing"] == "none"
     (row,) = report["rows"]
     assert row["rounds"] == 2 and row["max_rel"] == {"value": 0.0}
+    assert row["before"] == row["after"] == {"value": [1.0, "inf"]}
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.parent.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_every_committed_report_is_strict_json(path):
+    # Infinity and NaN are tokens Python's json reads but strict JSON parsers reject
+    json.loads(path.read_text(), parse_constant=no_constant)
+
+
+def test_a_long_array_shows_its_largest_finite_entry_and_its_non_finite_count(harness):
+    value = np.r_[np.arange(-10.0, 0.0), math.inf, -math.inf, math.nan]
+    assert harness._shown(value) == {"max_abs": 10.0, "non_finite": 3}
+    assert harness._shown(np.full(10, math.inf)) == {"max_abs": None, "non_finite": 10}
+
+
+def test_strict_names_every_float_that_is_not_finite(harness):
+    report = {"max_rel": {"a": math.inf, "b": 0.0}, "rows": [(1.0, -math.inf), [math.nan]]}
+    text = json.dumps(harness._strict(report), allow_nan=False)
+    expected = {"max_rel": {"a": "inf", "b": 0.0}, "rows": [[1.0, "-inf"], ["nan"]]}
+    assert json.loads(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -166,7 +190,8 @@ def test_report_rows_compare_timings_list_values_and_floor_raises(harness):
         assert row["rounds"] == 10
         assert row["solve_s"] == {**harness.compare(times), "minor_faults": faults}
     one, two, three = rows
-    assert one["before"] == {"mu": 1.0, "vec": [1.0, 2.0, 3.0], "big": {"max_abs": 9.0}}
+    big = {"max_abs": 9.0, "non_finite": 0}
+    assert one["before"] == {"mu": 1.0, "vec": [1.0, 2.0, 3.0], "big": big}
     assert one["after"]["mu"] == 1.1 and one["after"]["vec"] == [1.0, 2.0, 3.3]
     assert one["max_rel"] == pytest.approx({"mu": 0.1, "vec": 0.1, "big": 0.0}, rel=1e-12)
     assert two["before"] == {"raised": "stalled"} and two["after"] == {"raised": "stalled at 2"}

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rarewave import burgers
 from rarewave.euler import GAS_R, GasState, RiemannData, lambda3, riemann_rarefaction
@@ -19,6 +20,7 @@ from rarewave.burgers import (
     WaveParams,
     _char_grid,
     _eval_at_feet,
+    _foot_point,
     _foot_points,
     burgers_init,
     derivative_decay_report,
@@ -150,10 +152,34 @@ def test_batched_foot_points_match_single_point(monkeypatch):
     assert len(iterations) >= 3
 
 
-def test_foot_points_raise_when_the_iteration_budget_runs_out(monkeypatch):
+# the vectorized driver and the one-point driver on Python floats
+FOOT_DRIVERS = pytest.mark.parametrize(
+    "solve", [_foot_points, _foot_point], ids=lambda f: f.__name__
+)
+
+
+@FOOT_DRIVERS
+def test_foot_points_raise_when_the_iteration_budget_runs_out(solve, monkeypatch):
     monkeypatch.setattr(burgers, "FOOT_MAX_ITER", 1)
     with pytest.raises(RuntimeError, match="foot-point iteration failed for 1 points"):
-        _foot_points(PARAMS, 2.0, 1.0)
+        solve(PARAMS, 2.0, 1.0)
+
+
+@FOOT_DRIVERS
+@pytest.mark.parametrize(
+    "t, x, message",
+    [
+        (2.0, math.nan, "x must be finite"),
+        (2.0, math.inf, "x must be finite"),
+        (2.0, -math.inf, "x must be finite"),
+        (math.inf, 0.0, "t must be finite and nonnegative"),
+        (math.nan, 0.0, "t must be finite and nonnegative"),
+        (-1e-12, 0.2, "t must be finite and nonnegative"),
+    ],
+)
+def test_foot_points_reject_points_that_are_not_finite_and_negative_times(solve, t, x, message):
+    with pytest.raises(ValueError, match=message):
+        solve(PARAMS, t, x)
 
 
 # the wave of the wave_reports benchmark workload
@@ -178,6 +204,38 @@ def test_foot_points_where_t_omega_cancels_x(p, t, x):
     scale = abs(x) + t * max(abs(p.omega_minus), abs(p.omega_plus))
     assert abs(x0 + t * burgers_init(p, x0) - x) <= 8 * np.finfo(float).eps * scale
     assert p.omega_minus <= (x - x0) / t <= p.omega_plus
+    assert _foot_point(p, t, x).hex() == float(x0).hex()
+
+
+# edge speeds whose t omega0 cancels x ~ 0 at every t > 0, as in the test above
+CANCELLING = WaveParams(2.0, -50.0, 80.0)
+
+
+@st.composite
+def foot_cases(draw):
+    """(params, t, x): t in [0, 60], t = 0 included, and x in the tanh transition,
+    the far field or, on ``CANCELLING``, where t omega0 cancels x."""
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+    regime = draw(st.sampled_from(("transition", "far field", "cancellation")))
+    if regime == "cancellation":
+        return CANCELLING, t, draw(st.floats(-1.0, 1.0))
+    p = draw(st.sampled_from((REPORT_WAVE.params, PARAMS, CANCELLING)))
+    if regime == "transition":
+        x0 = p.delta * draw(st.floats(-3.0, 3.0))
+        return p, t, float(x0 + t * burgers_init(p, x0))
+    edge, side = draw(st.sampled_from(((p.omega_minus, -1.0), (p.omega_plus, 1.0))))
+    return p, t, t * edge + side * draw(st.floats(5.0 * p.delta, 1e3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(foot_cases())
+@example((CANCELLING, 0.0, -0.0))
+@example((PARAMS, 0.0, -0.0))
+def test_the_float_driver_gives_the_vectorized_root_bit_for_bit(case):
+    # the same bits, the sign of a zero root included: at x = -0 and t = 0
+    # np.maximum and np.minimum pick the start's signed zero
+    p, t, x = case
+    assert _foot_point(p, t, x).hex() == float(_foot_points(p, t, x)[0]).hex()
 
 
 def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
@@ -221,6 +279,16 @@ def test_order0_lift_ties_the_order2_values_exactly(t):
     assert set(low) == {"omega", "rho", "u1", "theta"}
     for k in low:
         assert np.array_equal(low[k], full[k])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_scalar_profile_is_the_one_point_array_profile(order):
+    # scalars solve on floats, arrays on the vectorized Newton: the same numbers
+    rng = np.random.default_rng(12)
+    ts, xs = np.r_[0.0, rng.uniform(0.0, 60.0, 200)], np.r_[0.3, rng.uniform(-5.0, 120.0, 200)]
+    for t, x in zip(ts.tolist(), xs.tolist()):
+        one = REPORT_WAVE.profile(t, np.array([x]), order=order)
+        assert REPORT_WAVE.profile(t, x, order=order) == {k: float(a[0]) for k, a in one.items()}
 
 
 def test_state_is_scalar_profile():
@@ -303,6 +371,7 @@ class TestSmoothWave:
             raise AssertionError("foot points solved for a bad order")
 
         monkeypatch.setattr(burgers, "_foot_points", unsolved)
+        monkeypatch.setattr(burgers, "_foot_point", unsolved)
         for bad in (3, -1, 1.5):
             with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
                 self.wave.profile(1.0, 0.2, order=bad)
