@@ -11,10 +11,10 @@ derivatives are computed analytically by implicit differentiation of the
 characteristic relation x = x0 + t omega0(x0); finite differences appear only
 in the residual cross-check.
 
-Paths given x (``SmoothWave.state``/``profile``, ``euler_residual``, the fan
-grid of ``riemann_gap``) solve for the foot points x0 by monotone Newton from
-the tanh inflection, a scalar point on Python floats and arrays vectorized, to
-the same bits; the characteristic-grid reports choose x0 and solve none.
+Paths given x solve for the foot points x0 by monotone Newton from the tanh
+inflection: each pointwise (t, x) (``state``, ``euler_residual``'s stencil) on
+Python floats, the fan grid of ``riemann_gap`` vectorized at its one t, to the
+same bits; the characteristic-grid reports choose x0 and solve none.
 Along a characteristic only x and the Jacobian 1 + t omega0'(x0) depend on t,
 so each wave evaluates itself on that grid once, on first use, and
 ``derivative_decay_report`` and ``riemann_gap`` read that one evaluation at
@@ -79,25 +79,24 @@ def _init_derivs(p: WaveParams, x0, order: int = 2):
     return g, gp, gpp
 
 
-def _foot_points(p: WaveParams, t, x):
-    """Solve x = x0 + t omega0(x0) for x0 (vectorized monotone Newton).
+def _foot_points(p: WaveParams, t: float, x):
+    """Solve x = x0 + t omega0(x0) for x0 at one t (vectorized monotone Newton).
 
-    t broadcasts against x.  F(x0) = x0 + t omega0(x0) - x is increasing
-    (omega0' > 0, t >= 0), convex for x0 < 0 and concave for x0 > 0, and its
-    root lies in [x - omega+ t, x - omega- t].  Newton starts at the point of
-    that interval nearest the inflection x0 = 0.  The start is then on the
-    root's side of the inflection, and F there is >= 0 where F is convex and
-    <= 0 where it is concave, so each tangent step lands between the iterate
-    and the root: the iterates move monotonically to the root (Fourier's
-    condition).  At t = 0 the start is x itself.  A point that meets the
-    tolerance keeps its value, so each point iterates exactly as alone; the
-    tolerance has a floor at the round-off of F where t omega0 and x cancel.
-    Every t must be finite and >= 0 and every x finite, else ``ValueError``.
+    F(x0) = x0 + t omega0(x0) - x is increasing (omega0' > 0, t >= 0),
+    convex for x0 < 0 and concave for x0 > 0, and its root lies in
+    [x - omega+ t, x - omega- t].  Newton starts at the point of that interval
+    nearest the inflection x0 = 0.  The start is then on the root's side of
+    the inflection, and F there is >= 0 where F is convex and <= 0 where it
+    is concave, so each tangent step lands between the iterate and the root:
+    the iterates move monotonically to the root (Fourier's condition).  At
+    t = 0 the start is x itself.  A point that meets the tolerance keeps its
+    value, so each point iterates exactly as alone; the tolerance has a floor
+    at the round-off of F where t omega0 and x cancel.  t must be finite and
+    >= 0 and every x finite, else ``ValueError``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & np.isfinite(t)).all():
+    if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     x0 = np.minimum(np.maximum(x - p.omega_plus * t, 0.0), x - p.omega_minus * t)
@@ -206,16 +205,16 @@ class SmoothWave:
         return GasState.make(c["rho"], c["u1"], c["theta"])
 
     def profile(self, t: float, x, order: int = 1) -> dict:
-        """Arrays of (rho, u1, theta) and their (t, x)-derivatives.
+        """Arrays of (rho, u1, theta) and their (t, x)-derivatives at one t.
 
         order=0: values only; order=1: adds *_x and *_t; order=2: adds
         *_xx, *_xt, *_tt.  Everything is exact chain-rule algebra on the
-        characteristic solution.  t broadcasts against x; scalars give floats.
-        Any other order raises ``ValueError``.
+        characteristic solution.  A scalar x gives floats.  Any other order
+        raises ``ValueError``.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        if np.ndim(t) == np.ndim(x) == 0:
+        if np.ndim(x) == 0:
             out = self._profile_at_feet(t, np.array([_foot_point(self.params, t, x)]), order)
             return {name: float(a[0]) for name, a in out.items()}
         return self._profile_at_feet(t, _foot_points(self.params, t, x), order)
@@ -246,10 +245,10 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     Rows: mass, x-momentum, transverse momentum, internal energy.  Centered
     second-order differences with step ``stencil_h`` in both t and x; the
     analytic wave should satisfy the system, so the residual measures only
-    the stencil error (O(h^2)).  The five stencil points are evaluated in
-    one array call.  Their foot points take one Newton step past
-    ``_foot_points``' stop, whose error the 1 / (2 h) differences would
-    amplify.  Requires 0 < stencil_h < t.
+    the stencil error (O(h^2)).  Each stencil point solves its foot point
+    with ``_foot_point``.  The five feet take one Newton step past its stop,
+    whose error the 1 / (2 h) differences would amplify, and are lifted in
+    one array call.  Requires 0 < stencil_h < t.
     """
     if not stencil_h > 0.0:
         raise ValueError(f"stencil_h must be positive, got {stencil_h}")
@@ -257,9 +256,9 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
         raise ValueError("need t > stencil_h for the centered time stencil")
     h = stencil_h
     # (t, x+h), (t, x-h), (t+h, x), (t-h, x), (t, x)
-    dt, dx = h * np.array([[0.0, 0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
-    ts, xs = t + dt, x + dx
-    x0 = _foot_points(wave.params, ts, xs)
+    ts = t + h * np.array([0.0, 0.0, 1.0, -1.0, 0.0])
+    xs = x + h * np.array([1.0, -1.0, 0.0, 0.0, 0.0])
+    x0 = np.array([_foot_point(wave.params, *tx) for tx in zip(ts.tolist(), xs.tolist())])
     g, gp = _init_derivs(wave.params, x0, order=1)
     prof = wave._profile_at_feet(ts, x0 - (x0 + ts * g - xs) / (1.0 + ts * gp), order=0)
     rho, u1, theta = prof["rho"], prof["u1"], prof["theta"]

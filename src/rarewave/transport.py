@@ -487,7 +487,7 @@ def gbar_construct(
     prof = wave.profile(t, x, order=1)
     scale = eps**a
     core = (
-        math.sqrt(GAS_R) * (scale * float(prof["theta_x"])) / math.sqrt(s.theta) * sol.A[0].values
-        + (scale * float(prof["u1_x"])) * sol.B[0][0].values
+        math.sqrt(GAS_R) * (scale * prof["theta_x"]) / math.sqrt(s.theta) * sol.A[0].values
+        + (scale * prof["u1_x"]) * sol.B[0][0].values
     )
     return GridFunction(sol.grid, eps ** (1.0 - a) * core)

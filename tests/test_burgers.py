@@ -7,6 +7,7 @@ finite-difference stencils, quadrature identities).
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,9 +134,8 @@ def test_foot_point_residual_bulk():
 def test_batched_foot_points_match_single_point(monkeypatch):
     # t = 0 and the far field converge at once or in a few steps, the
     # transition at t = 50 after many; a converged point must keep its value
-    t = np.repeat([0.0, 0.5, 50.0], 4)
-    x = np.tile([-40.0, 0.05, 4.2, 60.0], 3)
-    batch = _foot_points(PARAMS, t, x)
+    x = np.array([-40.0, 0.05, 4.2, 60.0])
+    batches = {t: _foot_points(PARAMS, t, x) for t in (0.0, 0.5, 50.0)}
     calls = []
     init_derivs = burgers._init_derivs
 
@@ -145,10 +145,11 @@ def test_batched_foot_points_match_single_point(monkeypatch):
 
     monkeypatch.setattr(burgers, "_init_derivs", counting)
     iterations = set()
-    for ti, xi, b in zip(t, x, batch):
-        calls.clear()
-        assert b == _foot_points(PARAMS, ti, xi)[0]
-        iterations.add(len(calls))
+    for t, batch in batches.items():
+        for xi, b in zip(x, batch):
+            calls.clear()
+            assert b == _foot_points(PARAMS, t, xi)[0]
+            iterations.add(len(calls))
     assert len(iterations) >= 3
 
 
@@ -269,6 +270,34 @@ def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
     assert np.all((root - steps) * toward >= 0)
 
 
+def test_a_report_level_runs_the_vectorized_newton_once(monkeypatch):
+    # a wave_reports level on its wave: every pointwise (t, x) solves on
+    # floats, and only riemann_gap's 8001-point fan grid, at its one t, on arrays
+    grids, points = [], []
+
+    def spy(calls, solve):
+        def spied(p, t, x):
+            calls.append((sys._getframe(1).f_code.co_name, t, x))
+            return solve(p, t, x)
+
+        return spied
+
+    monkeypatch.setattr(burgers, "_foot_points", spy(grids, _foot_points))
+    monkeypatch.setattr(burgers, "_foot_point", spy(points, _foot_point))
+    t = 5.0
+    delta = REPORT_WAVE.params.delta
+    x0 = np.random.default_rng(3).uniform(-3.0 * delta, 3.0 * delta, 16)
+    derivative_decay_report(REPORT_WAVE, [t], [1.0, 2.0, math.inf])
+    riemann_gap(REPORT_WAVE, t)
+    for x in x0 + t * burgers_init(REPORT_WAVE.params, x0):
+        REPORT_WAVE.state(t, x)
+        euler_residual(REPORT_WAVE, t, x)
+    ((caller, t_grid, x_fan),) = grids
+    assert caller == "riemann_gap" and type(t_grid) is float and x_fan.shape == (8001,)
+    assert len(points) == 96
+    assert all(type(ti) is float and type(xi) is float for _, ti, xi in points)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 50.0])
 def test_order0_lift_ties_the_order2_values_exactly(t):
     # order 0 lifts omega0(x0) without the derivative arrays; its values are
@@ -360,9 +389,17 @@ class TestSmoothWave:
                 euler_residual(self.wave, t, 0.0)
 
     def test_profile_rejects_negative_time(self):
-        for t, x in ((-1.0, 0.2), (np.array([0.5, -1e-12]), np.array([0.1, 0.2]))):
-            with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            self.wave.profile(-1.0, 0.2)
+
+    def test_profile_and_the_vectorized_newton_take_one_time(self):
+        # both check t with 0.0 <= t < inf, which an array of times cannot pass
+        t = np.array([0.5, 1.0])
+        for x in (0.2, np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="truth value of an array"):
                 self.wave.profile(t, x)
+        with pytest.raises(ValueError, match="truth value of an array"):
+            _foot_points(self.wave.params, t, np.array([0.1, 0.2]))
 
     def test_profile_rejects_an_order_outside_0_to_2(self, monkeypatch):
         # order 3 returned the order-2 dict, -1 the order-0 one and 1.5 the
@@ -451,8 +488,8 @@ class TestEulerResidual:
         assert np.max(np.abs(r)) <= 1e-6
 
     def test_batched_stencil_matches_pointwise(self, monkeypatch):
-        # one array call for the five stencil points, at feet one Newton step
-        # past _foot_points; the curve lift may round arrays and scalars
+        # one array lift of the five stencil points, at feet one Newton step
+        # past _foot_point's stop; the curve lift may round arrays and scalars
         # differently in the last bit
         calls = []
         at_feet = SmoothWave._profile_at_feet
