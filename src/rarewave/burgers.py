@@ -11,10 +11,10 @@ derivatives are computed analytically by implicit differentiation of the
 characteristic relation x = x0 + t omega0(x0); finite differences appear only
 in the residual cross-check.
 
-Paths given x solve for the foot points x0 by monotone Newton from the tanh
-inflection: each pointwise (t, x) (``state``, ``euler_residual``'s stencil) on
-Python floats, the fan grid of ``riemann_gap`` vectorized at its one t, to the
-same bits; the characteristic-grid reports choose x0 and solve none.
+Paths given x solve for the foot points x0 point by point, on Python floats,
+by monotone Newton from the tanh inflection (``_foot_point``): ``state``,
+``profile``, ``euler_residual``'s stencil and the two fan edges of
+``riemann_gap``; the characteristic-grid reports choose x0 and solve none.
 Along a characteristic only x and the Jacobian 1 + t omega0'(x0) depend on t,
 so each wave evaluates itself on that grid once, on first use, and
 ``derivative_decay_report`` and ``riemann_gap`` read that one evaluation at
@@ -79,8 +79,17 @@ def _init_derivs(p: WaveParams, x0, order: int = 2):
     return g, gp, gpp
 
 
-def _foot_points(p: WaveParams, t: float, x):
-    """Solve x = x0 + t omega0(x0) for x0 at one t (vectorized monotone Newton).
+def _check_time(t) -> None:
+    """Raise ``ValueError`` unless t is one finite time >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    # an array of one time passes the line above; np.ndim costs 1 us on a float
+    if type(t) is not float and np.ndim(t) != 0:
+        raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
+
+
+def _foot_point(p: WaveParams, t: float, x: float) -> float:
+    """Solve x = x0 + t omega0(x0) for x0 at one (t, x), on Python floats (monotone Newton).
 
     F(x0) = x0 + t omega0(x0) - x is increasing (omega0' > 0, t >= 0),
     convex for x0 < 0 and concave for x0 > 0, and its root lies in
@@ -89,38 +98,13 @@ def _foot_points(p: WaveParams, t: float, x):
     the inflection, and F there is >= 0 where F is convex and <= 0 where it
     is concave, so each tangent step lands between the iterate and the root:
     the iterates move monotonically to the root (Fourier's condition).  At
-    t = 0 the start is x itself.  A point that meets the tolerance keeps its
-    value, so each point iterates exactly as alone; the tolerance has a floor
-    at the round-off of F where t omega0 and x cancel.  t must be finite and
-    >= 0 and every x finite, else ``ValueError``.
+    t = 0 the start is x itself.  The tolerance has a floor at the round-off
+    of F where t omega0 and x cancel.  t must be one finite time >= 0 and x
+    finite, else ``ValueError``.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    x0 = np.minimum(np.maximum(x - p.omega_plus * t, 0.0), x - p.omega_minus * t)
-    speed = max(abs(p.omega_minus), abs(p.omega_plus))
-    tol = 1e-13 * (1.0 + np.abs(x)) + 8.0 * _EPS * (np.abs(x) + t * speed)
-    for _ in range(FOOT_MAX_ITER):
-        g, gp = _init_derivs(p, x0, order=1)
-        f = x0 + t * g - x
-        done = np.abs(f) <= tol
-        if done.all():
-            return x0
-        x0 = np.where(done, x0, x0 - f / (1.0 + t * gp))
-    raise RuntimeError(
-        f"foot-point iteration failed for {int(np.count_nonzero(~done))} points at t={t}"
-    )
-
-
-def _foot_point(p: WaveParams, t: float, x: float) -> float:
-    """``_foot_points`` at one point on Python floats: the same iterates, bits and errors."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
+    _check_time(t)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    # min and max keep a tie's first argument, np.minimum and np.maximum its second
     x0 = min(x - p.omega_minus * t, max(0.0, x - p.omega_plus * t))
     speed = max(abs(p.omega_minus), abs(p.omega_plus))
     tol = 1e-13 * (1.0 + abs(x)) + 8.0 * _EPS * (abs(x) + t * speed)
@@ -131,6 +115,13 @@ def _foot_point(p: WaveParams, t: float, x: float) -> float:
             return float(x0)
         x0 = x0 - f / (1.0 + t * gp)
     raise RuntimeError(f"foot-point iteration failed for 1 points at t={t}")
+
+
+def _foot_points(p: WaveParams, t: float, x):
+    """``_foot_point`` at each point of x, at one t: the array form of the float driver."""
+    _check_time(t)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.array([_foot_point(p, t, xi) for xi in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _eval_at_feet(p: WaveParams, t, x0):
@@ -250,6 +241,7 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     whose error the 1 / (2 h) differences would amplify, and are lifted in
     one array call.  Requires 0 < stencil_h < t.
     """
+    _check_time(t)
     if not stencil_h > 0.0:
         raise ValueError(f"stencil_h must be positive, got {stencil_h}")
     if t <= stencil_h:
@@ -344,17 +336,17 @@ class GapReport(NamedTuple):
 def riemann_gap(wave: SmoothWave, t: float) -> GapReport:
     """Sup distance to the Riemann fan and the decay shape it is tested against.
 
-    The shape is delta t^-1 (ln(1+t) + |ln delta|).  The sup runs over two
-    grids: the characteristic grid, read from the wave's one evaluation on it
-    (``SmoothWave._char_eval``; it resolves the tanh transition), and uniform
-    samples across the fan opening, whose foot points are solved for.
+    The shape is delta t^-1 (ln(1+t) + |ln delta|).  The fan is only
+    Lipschitz at its edges x = t omega-, t omega+, where the sup sits, so it
+    runs over the characteristic grid, read from the wave's one evaluation on
+    it (``SmoothWave._char_eval``; it resolves the tanh transition), and over
+    those two edge points, whose foot points are solved for.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"gap defined for finite t > 0, got {t}")
     p = wave.params
     c = wave._char_eval
-    pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
-    x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
+    x_edges = t * np.array([p.omega_minus, p.omega_plus])
 
     def sup(x, prof):
         # The fan is the curve lift of the similarity variable clipped to the
@@ -365,7 +357,7 @@ def riemann_gap(wave: SmoothWave, t: float) -> GapReport:
 
     gap = max(
         sup(c["x0"] + t * c["w"], c),
-        sup(x_fan, wave._profile_at_feet(t, _foot_points(p, t, x_fan), order=0)),
+        sup(x_edges, wave._profile_at_feet(t, _foot_points(p, t, x_edges), order=0)),
     )
     shape = p.delta / t * (math.log1p(t) + abs(math.log(p.delta)))
     return GapReport(gap, shape)

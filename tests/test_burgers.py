@@ -153,7 +153,7 @@ def test_batched_foot_points_match_single_point(monkeypatch):
     assert len(iterations) >= 3
 
 
-# the vectorized driver and the one-point driver on Python floats
+# the array form and the one-point driver on Python floats
 FOOT_DRIVERS = pytest.mark.parametrize(
     "solve", [_foot_points, _foot_point], ids=lambda f: f.__name__
 )
@@ -232,47 +232,46 @@ def foot_cases(draw):
 @given(foot_cases())
 @example((CANCELLING, 0.0, -0.0))
 @example((PARAMS, 0.0, -0.0))
-def test_the_float_driver_gives_the_vectorized_root_bit_for_bit(case):
-    # the same bits, the sign of a zero root included: at x = -0 and t = 0
-    # np.maximum and np.minimum pick the start's signed zero
+def test_the_float_driver_meets_its_tolerance_inside_the_bracket(case):
+    # the root's residual is within the stopping tolerance, round-off floor
+    # included, and the root lies in [x - omega+ t, x - omega- t]
     p, t, x = case
-    assert _foot_point(p, t, x).hex() == float(_foot_points(p, t, x)[0]).hex()
+    x0 = _foot_point(p, t, x)
+    speed = max(abs(p.omega_minus), abs(p.omega_plus))
+    tol = 1e-13 * (1.0 + abs(x)) + 8.0 * np.finfo(float).eps * (abs(x) + t * speed)
+    assert abs(x0 + t * burgers_init(p, x0) - x) <= tol
+    assert x - p.omega_plus * t <= x0 <= x - p.omega_minus * t
 
 
 def test_fan_grid_newton_is_short_and_monotone(monkeypatch):
-    # riemann_gap's fan grid at t = 50 reaches feet deep in the saturated
-    # tanh tail; Newton from the inflection needs few steps there, and each
-    # point's iterates approach its root from one side without passing it
-    grids = []
-
-    def spy(p, t, x):
-        grids.append((t, x))
-        return _foot_points(p, t, x)
-
-    monkeypatch.setattr(burgers, "_foot_points", spy)
-    riemann_gap(REPORT_WAVE, 50.0)
-    ((t, x_fan),) = grids
-    assert t == 50.0 and len(x_fan) == 8001
-
+    # 8001 points across the fan opening at t = 50 reach feet deep in the
+    # saturated tanh tail; Newton from the inflection needs few steps there,
+    # and each point's iterates approach its root from one side without
+    # passing it
+    p, t = REPORT_WAVE.params, 50.0
+    pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
+    x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
     iterates = []
     init_derivs = burgers._init_derivs
 
     def counting(p, x0, order):  # called once per iteration
-        iterates.append(np.copy(x0))
+        iterates.append(x0)
         return init_derivs(p, x0, order)
 
     monkeypatch.setattr(burgers, "_init_derivs", counting)
-    root = _foot_points(REPORT_WAVE.params, t, x_fan)
-    assert len(iterates) <= 10
-    steps = np.array(iterates)
-    toward = np.sign(root - steps[0])
-    assert np.all(np.diff(steps, axis=0) * toward >= 0)
-    assert np.all((root - steps) * toward >= 0)
+    for x in x_fan.tolist():
+        iterates.clear()
+        root = _foot_point(p, t, x)
+        assert len(iterates) <= 10
+        steps = np.array(iterates)
+        toward = np.sign(root - steps[0])
+        assert np.all(np.diff(steps) * toward >= 0)
+        assert np.all((root - steps) * toward >= 0)
 
 
-def test_a_report_level_runs_the_vectorized_newton_once(monkeypatch):
-    # a wave_reports level on its wave: every pointwise (t, x) solves on
-    # floats, and only riemann_gap's 8001-point fan grid, at its one t, on arrays
+def test_a_report_level_solves_98_foot_points_on_floats(monkeypatch):
+    # a wave_reports level on its wave: every pointwise (t, x) and
+    # riemann_gap's two fan edges, in one array at its one t, solve on floats
     grids, points = [], []
 
     def spy(calls, solve):
@@ -292,9 +291,11 @@ def test_a_report_level_runs_the_vectorized_newton_once(monkeypatch):
     for x in x0 + t * burgers_init(REPORT_WAVE.params, x0):
         REPORT_WAVE.state(t, x)
         euler_residual(REPORT_WAVE, t, x)
-    ((caller, t_grid, x_fan),) = grids
-    assert caller == "riemann_gap" and type(t_grid) is float and x_fan.shape == (8001,)
-    assert len(points) == 96
+    ((caller, t_grid, x_edges),) = grids
+    p = REPORT_WAVE.params
+    assert caller == "riemann_gap" and type(t_grid) is float
+    assert x_edges.tolist() == [t * p.omega_minus, t * p.omega_plus]
+    assert len(points) == 98
     assert all(type(ti) is float and type(xi) is float for _, ti, xi in points)
 
 
@@ -312,7 +313,7 @@ def test_order0_lift_ties_the_order2_values_exactly(t):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_scalar_profile_is_the_one_point_array_profile(order):
-    # scalars solve on floats, arrays on the vectorized Newton: the same numbers
+    # one lift for scalars and arrays: the same numbers
     rng = np.random.default_rng(12)
     ts, xs = np.r_[0.0, rng.uniform(0.0, 60.0, 200)], np.r_[0.3, rng.uniform(-5.0, 120.0, 200)]
     for t, x in zip(ts.tolist(), xs.tolist()):
@@ -400,6 +401,22 @@ class TestSmoothWave:
                 self.wave.profile(t, x)
         with pytest.raises(ValueError, match="truth value of an array"):
             _foot_points(self.wave.params, t, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda wave, t: wave.profile(t, np.array([0.1, 0.2])),
+            lambda wave, t: wave.state(t, 0.2),
+            lambda wave, t: riemann_gap(wave, t),
+            lambda wave, t: euler_residual(wave, t, 0.2),
+        ],
+        ids=["profile", "state", "riemann_gap", "euler_residual"],
+    )
+    def test_a_one_element_array_of_times_is_rejected(self, call):
+        # it passed 0.0 <= t < inf: profile and euler_residual returned
+        # values, state and riemann_gap raised TypeError
+        with pytest.raises(ValueError, match="t must be one time"):
+            call(self.wave, np.array([0.5]))
 
     def test_profile_rejects_an_order_outside_0_to_2(self, monkeypatch):
         # order 3 returned the order-2 dict, -1 the order-0 one and 1.5 the
@@ -692,6 +709,20 @@ class TestDecayReport:
         assert 0.5 <= consts[0] / consts[1] <= 2.0
 
 
+def fan_distance(wave, t, x, prof):
+    """max over rho, u1, theta of sup |prof - fan| at the points x, prof there at t."""
+    fan = wave._curve_values(x / t)
+    return max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
+
+
+# the gap's wave and the benchmark's, at times from the transition to the far field
+GAP_CASES = pytest.mark.parametrize(
+    "wave, t",
+    [(wave, t) for wave in (SmoothWave(DATA, 0.1), REPORT_WAVE) for t in (0.5, 2.0, 5.0, 50.0)],
+    ids=[f"{name}-t{t:g}" for name in ("DATA", "REPORT_DATA") for t in (0.5, 2.0, 5.0, 50.0)],
+)
+
+
 class TestRiemannGap:
     def test_fan_closed_form_matches_pointwise_solver(self):
         wave = SmoothWave(DATA, 0.1)
@@ -723,36 +754,58 @@ class TestRiemannGap:
 
     @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05])
     def test_known_feet_match_newton_path(self, delta):
-        # reference: both grids merged and every foot point solved from x
+        # reference: the characteristic grid and the two fan edges merged and
+        # every foot point solved from x
         wave = SmoothWave(DATA, delta)
         p = wave.params
         x0 = _char_grid(p)
         for t in (0.5, 1.0, 2.0, 5.0, 50.0):
             x_char = x0 + t * burgers_init(p, x0)
-            pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
-            x = np.union1d(x_char, t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001))
-            prof = wave.profile(t, x, order=0)
-            fan = wave._curve_values(x / t)
-            ref = max(np.max(np.abs(prof[k] - fan[k])) for k in ("rho", "u1", "theta"))
+            x = np.union1d(x_char, t * np.array([p.omega_minus, p.omega_plus]))
+            ref = fan_distance(wave, t, x, wave.profile(t, x, order=0))
             assert riemann_gap(wave, t)[0] == pytest.approx(ref, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("delta", [0.2, 0.05])
     def test_equals_the_concatenated_grids_exactly(self, delta):
-        # reference: both grids in one array, the characteristic grid at its
-        # known feet and the fan grid at solved feet; the sup over the two
-        # grids apart is the same float
+        # reference: the characteristic grid at its known feet and the two fan
+        # edges at _foot_point feet, in one array; the sup over the two apart
+        # is the same float
         wave = SmoothWave(DATA, delta)
         p = wave.params
         x0 = _char_grid(p)
         for t in (0.5, 5.0, 50.0):
-            pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
-            x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
-            x = np.concatenate((x0 + t * burgers_init(p, x0), x_fan))
-            feet = np.concatenate((x0, _foot_points(p, t, x_fan)))
-            prof = wave._profile_at_feet(t, feet, order=0)
-            fan = wave._curve_values(x / t)
-            ref = max(float(np.max(np.abs(prof[k] - fan[k]))) for k in ("rho", "u1", "theta"))
+            x_edges = [t * p.omega_minus, t * p.omega_plus]
+            x = np.concatenate((x0 + t * burgers_init(p, x0), x_edges))
+            feet = np.concatenate((x0, [_foot_point(p, t, xe) for xe in x_edges]))
+            ref = fan_distance(wave, t, x, wave._profile_at_feet(t, feet, order=0))
             assert riemann_gap(wave, t).gap == ref
+
+    @GAP_CASES
+    def test_is_the_sup_over_a_fine_grid(self, wave, t):
+        # the fan is only Lipschitz at its two edges, where the sup sits; a
+        # fine grid of feet reaches it from below, to its spacing
+        p = wave.params
+        x0 = np.linspace(-30.0 * p.delta, 30.0 * p.delta, 200001)
+        x = x0 + t * burgers_init(p, x0)
+        fine = fan_distance(wave, t, x, wave._profile_at_feet(t, x0, order=0))
+        gap = riemann_gap(wave, t).gap
+        assert 0.0 <= (gap - fine) / gap <= 2.5e-4
+
+    @GAP_CASES
+    def test_is_at_least_the_fan_grid_sup(self, wave, t):
+        # the sup over the characteristic grid and 8001 uniform samples across
+        # the fan opening, the gap's two grids before it took the fan edges,
+        # lies slightly below the gap
+        p = wave.params
+        pad = 0.2 * (p.omega_plus - p.omega_minus) + 4.0 * p.delta / t
+        x_fan = t * np.linspace(p.omega_minus - pad, p.omega_plus + pad, 8001)
+        c = wave._char_eval
+        old = max(
+            fan_distance(wave, t, c["x0"] + t * c["w"], c),
+            fan_distance(wave, t, x_fan, wave._profile_at_feet(t, _foot_points(p, t, x_fan), 0)),
+        )
+        gap = riemann_gap(wave, t).gap
+        assert 0.0 <= (gap - old) / gap <= 1.5e-3
 
     def test_returns_a_gap_report(self):
         report = riemann_gap(SmoothWave(DATA, 0.1), 2.0)
@@ -768,7 +821,7 @@ class TestRiemannGap:
             riemann_gap(wave, 0.0)
 
     def test_rejects_a_non_finite_time(self):
-        # t = inf ran the fan grid's Newton to its cap, with RuntimeWarnings
+        # t = inf ran the foot-point Newton to its cap, with RuntimeWarnings
         wave = SmoothWave(DATA, 0.1)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite t > 0"):
