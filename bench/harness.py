@@ -13,7 +13,10 @@ MKL_NUM_THREADS set to 1, and stops unless ``rarewave`` is imported from
 its own SRC.  The sides alternate for ``--rounds`` rounds (``before`` first
 on even rounds).  A difference counts as resolved only when at least ten
 rounds ran, one side wins at least nine tenths of them and the medians
-differ by more than the distance between the quartiles of ``before``.
+differ by more than the distance between the quartiles of ``before``.  A
+timing whose two sides' median minor page faults differ by more than
+``FAULT_SPREAD`` of the larger is never resolved: its calls may differ in
+whether glibc gave the heap back between them, not in their work.
 
 A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 ``key=value`` words (``"state=rest n_per_axis=16"``).  A NAME ending in
@@ -25,8 +28,8 @@ The JSON report at ``--out`` (no default) holds ``what``, the first line of
 the script's docstring, then both revisions and the host, the
 ``DESCRIPTION`` (``timing``, ``accuracy``, metadata), the resolution floor
 (the rows where both sides raise) and one row per ROW in ``measure()``'s
-order.  A row holds ``row``, ``rounds``; per timing, ``compare()`` of its
-seconds and each side's median minor page faults; under ``before`` and
+order.  A row holds ``row``, ``rounds``; per timing, ``compare_costs()``
+of its [seconds, faults] per round; under ``before`` and
 ``after`` that side's first-round values (an array of more than ``SHOWN``
 entries by its largest finite absolute entry and its count of entries that
 are not finite) or ``raised``; and under ``max_rel``, ``max_rel()`` of every
@@ -61,6 +64,9 @@ REPEATS = 5
 MIN_ROUNDS = 10
 # Largest array a report lists entry by entry for each side.
 SHOWN = 9
+# Largest difference of the two sides' median minor page faults, as a share
+# of the larger, at which a timing can be resolved.
+FAULT_SPREAD = 0.1
 
 
 def cost_of(fn, *args, **kwargs) -> tuple:
@@ -164,6 +170,24 @@ def compare(times: dict) -> dict:
     }
 
 
+def compare_costs(costs: dict) -> dict:
+    """``compare()`` of per-side [seconds, minor faults] rounds, with each side's median faults.
+
+    Where those medians differ by more than ``FAULT_SPREAD`` of the larger,
+    the timing is not resolved and ``unresolved_because`` says so.
+    """
+    costs = {side: np.asarray(c, dtype=float) for side, c in costs.items()}
+    out = compare({side: c[:, 0].tolist() for side, c in costs.items()})
+    out["minor_faults"] = faults = {side: float(np.median(c[:, 1])) for side, c in costs.items()}
+    if abs(faults["after"] - faults["before"]) > FAULT_SPREAD * max(faults.values()):
+        out["resolved"] = False
+        out["unresolved_because"] = (
+            f"median minor faults differ by more than {FAULT_SPREAD:.0%}: "
+            f"{faults['before']:g} before, {faults['after']:g} after"
+        )
+    return out
+
+
 def provenance(before: str) -> dict:
     """Both revisions and the host the rounds ran on."""
     return {
@@ -236,11 +260,8 @@ def report_rows(runs: dict) -> list[dict]:
         timed = dict.fromkeys(n for side in rounds for n in rounds[side][0] if n.endswith("_s"))
         for name in timed:
             if all(name in r for side in rounds for r in rounds[side]):
-                costs = {side: np.array([r[name] for r in rounds[side]]) for side in rounds}
-                row[name] = {
-                    **compare({side: costs[side][:, 0].tolist() for side in costs}),
-                    "minor_faults": {side: float(np.median(costs[side][:, 1])) for side in costs},
-                }
+                costs = {side: [r[name] for r in rounds[side]] for side in rounds}
+                row[name] = compare_costs(costs)
         first = {side: rounds[side][0] for side in rounds}
         for side in first:
             row[side] = {n: _shown(v) for n, v in first[side].items() if n not in timed}
@@ -258,7 +279,8 @@ def floors(rows: list[dict]) -> list[str]:
 
 
 def table(rows: list[dict]) -> str:
-    """One line per timing (median s, after wins, resolved, median faults), one per max_rel."""
+    """One line per timing (median s, after wins, resolved, median faults and any
+    ``unresolved_because``), one per max_rel."""
     lines = ["row / timing: before after median s, after wins, resolved, before after faults"]
     for row in rows:
         for name, r in row.items():
@@ -267,6 +289,7 @@ def table(rows: list[dict]) -> str:
                 lines.append(
                     f"{row['row']} / {name}: {b['median']:.3e} {a['median']:.3e}, "
                     f"{r['after_wins']:.0%}, {r['resolved']}, {f['before']:.0f} {f['after']:.0f}"
+                    + (f" ({r['unresolved_because']})" if "unresolved_because" in r else "")
                 )
         raised = {s: row[s]["raised"] for s in ("before", "after") if "raised" in row[s]}
         lines.append(f"    max_rel {row['max_rel']}" + (f"  raised {raised}" if raised else ""))

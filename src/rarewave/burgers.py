@@ -15,6 +15,13 @@ Paths given x solve for the foot points x0 point by point, on Python floats,
 by monotone Newton from the tanh inflection (``_foot_point``): ``state``,
 ``profile``, ``euler_residual``'s stencil and the two fan edges of
 ``riemann_gap``; the characteristic-grid reports choose x0 and solve none.
+``_init_derivs`` turns ``np.tanh`` of a float back into a float, so each
+Newton step runs on Python floats, not NumPy scalars, and ``WaveParams``
+forms ``mid`` and ``half_span`` once, not at each read.  +, -, * and / round
+alike on floats and NumPy doubles, so the roots are bit for bit those of
+array arithmetic.  The lift of x0 to (rho, u1, theta) stays on arrays, even
+for one point: a float ``z ** 3`` rounds differently from NumPy's array
+power for about one z in twenty.
 Along a characteristic only x and the Jacobian 1 + t omega0'(x0) depend on t,
 so each wave evaluates itself on that grid once, on first use, and
 ``derivative_decay_report`` and ``riemann_gap`` read that one evaluation at
@@ -39,11 +46,17 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Burgers data: transition width and ordered fan-edge speeds."""
+    """Burgers data: transition width and ordered fan-edge speeds.
+
+    ``mid`` and ``half_span`` are formed once, as the foot-point Newton reads
+    them at every step; they take no argument and no part in eq, hash or repr.
+    """
 
     delta: float
     omega_minus: float
     omega_plus: float
+    mid: float = field(init=False, repr=False, compare=False)
+    half_span: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
@@ -52,14 +65,8 @@ class WaveParams:
             raise ValueError("edge speeds must be finite")
         if not (self.omega_minus < self.omega_plus):
             raise ValueError("need omega_minus < omega_plus")
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.omega_plus + self.omega_minus)
-
-    @property
-    def half_span(self) -> float:
-        return 0.5 * (self.omega_plus - self.omega_minus)
+        object.__setattr__(self, "mid", 0.5 * (self.omega_plus + self.omega_minus))
+        object.__setattr__(self, "half_span", 0.5 * (self.omega_plus - self.omega_minus))
 
 
 def burgers_init(p: WaveParams, x):
@@ -68,8 +75,14 @@ def burgers_init(p: WaveParams, x):
 
 
 def _init_derivs(p: WaveParams, x0, order: int = 2):
-    """omega0 and its first ``order`` (1 or 2) derivatives at x0, omega0 as ``burgers_init``."""
+    """omega0 and its first ``order`` (1 or 2) derivatives at x0, omega0 as ``burgers_init``.
+
+    For a float x0, ``np.tanh``'s NumPy scalar is turned back into a float,
+    so the Newton step runs on floats, with the bits of a one-point array.
+    """
     th = np.tanh(x0 / p.delta)
+    if type(x0) is float:
+        th = float(th)
     sech2 = 1.0 - th * th
     g = p.mid + p.half_span * th
     gp = p.half_span / p.delta * sech2
@@ -239,9 +252,13 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     the stencil error (O(h^2)).  Each stencil point solves its foot point
     with ``_foot_point``.  The five feet take one Newton step past its stop,
     whose error the 1 / (2 h) differences would amplify, and are lifted in
-    one array call.  Requires 0 < stencil_h < t.
+    one array call, as the module docstring says; the fluxes and rows are
+    then formed on floats, in the order of the array algebra.  x must be
+    one point and 0 < stencil_h < t, else ``ValueError``.
     """
     _check_time(t)
+    if type(x) is not float and np.ndim(x) != 0:
+        raise ValueError(f"x must be one point, got an array of shape {np.shape(x)}")
     if not stencil_h > 0.0:
         raise ValueError(f"stencil_h must be positive, got {stencil_h}")
     if t <= stencil_h:
@@ -253,14 +270,19 @@ def euler_residual(wave: SmoothWave, t: float, x: float, stencil_h: float = 1e-5
     x0 = np.array([_foot_point(wave.params, *tx) for tx in zip(ts.tolist(), xs.tolist())])
     g, gp = _init_derivs(wave.params, x0, order=1)
     prof = wave._profile_at_feet(ts, x0 - (x0 + ts * g - xs) / (1.0 + ts * gp), order=0)
-    rho, u1, theta = prof["rho"], prof["u1"], prof["theta"]
-    pressure = GAS_R * rho * theta
-    zero = 0.0 * rho  # transverse momentum: u2 = 0
-    cons = np.array([rho, rho * u1, zero, rho * theta])
-    flux = np.array([rho * u1, rho * u1 * u1 + pressure, zero, rho * u1 * theta])
-    resid = (cons[:, 2] - cons[:, 3]) / (2 * h) + (flux[:, 0] - flux[:, 1]) / (2 * h)
+    rho, u1, theta = (prof[k].tolist() for k in ("rho", "u1", "theta"))
+    pressure = [GAS_R * r * th for r, th in zip(rho, theta)]
+    # per stencil point, the four rows; transverse momentum is 0 (u2 = 0)
+    cons = [(r, r * u, 0.0, r * th) for r, u, th in zip(rho, u1, theta)]
+    flux = [
+        (r * u, r * u * u + pr, 0.0, r * u * th) for r, u, th, pr in zip(rho, u1, theta, pressure)
+    ]
+    resid = [
+        (ct - cb) / (2 * h) + (fr - fl) / (2 * h)
+        for ct, cb, fr, fl in zip(cons[2], cons[3], flux[0], flux[1])
+    ]
     resid[3] += pressure[4] * (u1[0] - u1[1]) / (2 * h)
-    return resid
+    return np.array(resid)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,28 @@ def test_eight_wins_in_ten_rounds_are_not_resolved(compare):
     assert out["resolved"] is False
 
 
+def test_a_timing_whose_sides_fault_apart_is_not_resolved(harness):
+    # 10 won rounds past the quartile spread, as above; with 124 and 164
+    # median faults (a trimmed heap on one side) the timing is not resolved
+    def costs(seconds, faults):
+        return [[s, faults] for s in seconds]
+
+    before = costs(BEFORE, 124)
+    out = harness.compare_costs({"before": before, "after": costs([0.5] * 10, 164)})
+    assert out["after_wins"] == 1.0 and out["minor_faults"] == {"before": 124.0, "after": 164.0}
+    assert out["resolved"] is False
+    assert out["unresolved_because"] == (
+        "median minor faults differ by more than 10%: 124 before, 164 after"
+    )
+    row = {"row": "r", "t_s": out, "before": {}, "after": {}, "max_rel": {}}
+    assert harness.table([row]).splitlines()[1].endswith(f"({out['unresolved_because']})")
+    # within 10% of the larger the timing resolves as compare() says
+    out = harness.compare_costs({"before": before, "after": costs([0.5] * 10, 136)})
+    timed = harness.compare({"before": BEFORE, "after": [0.5] * 10})
+    assert out == {**timed, "minor_faults": {"before": 124.0, "after": 136.0}}
+    assert out["resolved"] is True
+
+
 def test_a_side_runs_pinned_to_one_thread(harness, tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
     script = tmp_path / "side.py"

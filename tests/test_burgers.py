@@ -5,6 +5,7 @@ output against independently derived numbers (mpmath foot-point solves,
 finite-difference stencils, quadrature identities).
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -56,6 +57,22 @@ def test_params_reject_non_finite_values():
     for bad in ((0.3, -inf, 1.0), (0.3, 0.0, inf), (0.3, nan, 1.0), (inf, 0.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             WaveParams(*bad)
+
+
+def test_derived_speeds_are_stored_and_left_out_of_eq_hash_and_repr():
+    # mid and half_span are formed in __post_init__, not at each read; they
+    # take no argument, and equality, hash and repr read the three fields alone
+    p = WaveParams(0.3, 0.0, SPAN)
+    assert (p.mid, p.half_span) == (0.5 * (SPAN + 0.0), 0.5 * (SPAN - 0.0))
+    q = WaveParams(0.3, 0.0, SPAN)
+    object.__setattr__(q, "mid", -1.0)
+    object.__setattr__(q, "half_span", -1.0)
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    assert repr(p) == f"WaveParams(delta=0.3, omega_minus=0.0, omega_plus={SPAN!r})"
+    with pytest.raises(TypeError, match="mid"):
+        WaveParams(0.3, 0.0, SPAN, mid=1.0)
+    r = dataclasses.replace(p, omega_plus=1.0)
+    assert (r.mid, r.half_span) == (0.5, 0.5)
 
 
 def test_burgers_init_values():
@@ -206,6 +223,20 @@ def test_foot_points_where_t_omega_cancels_x(p, t, x):
     assert abs(x0 + t * burgers_init(p, x0) - x) <= 8 * np.finfo(float).eps * scale
     assert p.omega_minus <= (x - x0) / t <= p.omega_plus
     assert _foot_point(p, t, x).hex() == float(x0).hex()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("p", [PARAMS, REPORT_WAVE.params], ids=["PARAMS", "REPORT"])
+def test_init_derivs_of_a_float_are_floats_with_the_array_bits(p, order):
+    # np.tanh of a float is a NumPy scalar; _init_derivs turns it back into a
+    # float, so the Newton runs on floats, with the bits of the array path
+    u = np.random.default_rng(5).uniform(-3.0, 3.0, 50).tolist()
+    far = [-40.0, -19.5, 19.5, 40.0]  # tanh is +-1 to round-off past ~19 delta
+    for x0 in [0.0, -0.0, *(p.delta * v for v in u + far)]:
+        got = burgers._init_derivs(p, x0, order)
+        ref = burgers._init_derivs(p, np.array([x0]), order)
+        assert [type(v) for v in got] == [float] * (order + 1)
+        assert [v.hex() for v in got] == [float(r[0]).hex() for r in ref]
 
 
 # edge speeds whose t omega0 cancels x ~ 0 at every t > 0, as in the test above
@@ -536,6 +567,41 @@ class TestEulerResidual:
         ref[3] += GAS_R * rho[4] * th[4] * (u1[0] - u1[1]) / (2 * h)
         bound = 20 * np.finfo(float).eps * np.abs(flux).max() / h
         assert np.max(np.abs(r - ref)) <= bound
+
+    @pytest.mark.parametrize("wave", [wave, REPORT_WAVE], ids=["DATA", "REPORT"])
+    def test_rows_are_the_array_algebra_on_the_same_lift_bit_for_bit(self, wave, monkeypatch):
+        # the rows are formed on floats in the order of this array algebra,
+        # at 100 seeded (t, x) per wave with t in [0.5, 50]
+        lifts = []
+        at_feet = SmoothWave._profile_at_feet
+
+        def spy(wave, t, x0, order):
+            lifts.append(at_feet(wave, t, x0, order))
+            return lifts[-1]
+
+        monkeypatch.setattr(SmoothWave, "_profile_at_feet", spy)
+        rng, p, h = np.random.default_rng(17), wave.params, 1e-5
+        for t, u in zip(rng.uniform(0.5, 50.0, 100).tolist(), rng.uniform(-3.0, 3.0, 100)):
+            x = float(u * p.delta + t * burgers_init(p, u * p.delta))
+            lifts.clear()
+            r = euler_residual(wave, t, x, h)
+            ((rho, u1, th),) = ([prof[k] for k in ("rho", "u1", "theta")] for prof in lifts)
+            pressure = GAS_R * rho * th
+            zero = 0.0 * rho
+            cons = np.array([rho, rho * u1, zero, rho * th])
+            flux = np.array([rho * u1, rho * u1 * u1 + pressure, zero, rho * u1 * th])
+            ref = (cons[:, 2] - cons[:, 3]) / (2 * h) + (flux[:, 0] - flux[:, 1]) / (2 * h)
+            ref[3] += pressure[4] * (u1[0] - u1[1]) / (2 * h)
+            assert r.dtype == ref.dtype and r.tobytes() == ref.tobytes()
+
+    def test_rejects_an_x_that_is_not_one_point(self):
+        # a one-element array returned the residual at 0.2, a two-element one
+        # raised NumPy's broadcast error
+        for x in (np.array([0.2]), np.array([0.1, 0.2]), [0.2]):
+            with pytest.raises(ValueError, match="x must be one point"):
+                euler_residual(self.wave, 1.0, x)
+        one = euler_residual(self.wave, 1.0, np.array(0.2))
+        assert np.array_equal(one, euler_residual(self.wave, 1.0, 0.2))
 
     def test_stencil_feet_past_the_foot_point_stop(self):
         # on this wave four stencil feet stop at the 1e-13 (1 + |x|) term of
