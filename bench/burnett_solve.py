@@ -95,7 +95,8 @@ def measure() -> dict:
 DESCRIPTION = {
     "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
     "timing": f"best of {REPEATS} calls per round after the kernel-transform build, alternating "
-    "rounds per lattice, one thread, seconds; median and quartiles over rounds",
+    "rounds per lattice, one thread, seconds; median and quartiles over rounds, per side and "
+    "of the per-round after/before ratio",
     "accuracy": "per side: solves, LMOperator.apply calls per burnett_solve call, the nine "
     "recorded residuals, mu, kappa and max |B11|; max_rel: max |after - before| / max |before|",
 }

@@ -2,11 +2,12 @@
 
     python bench/fft_period.py --before REV [--rounds 10] --out FILE
 
-Run it from the root of a checkout.  For n_per_axis in {16, 24, 32} it
-times the ``_KernelTransforms`` build, ``LMOperator.apply`` and
-``LMOperator.weak_apply`` (best of 5, one thread) on both sides of the
-protocol in ``bench/harness.py``, next to the padded FFT length and point
-count and the ``apply`` and ``weak_apply`` outputs on a seeded input.
+Run it from the root of a checkout.  For n_per_axis in {16, 20, 24, 32}
+(20 is the ``transport_table`` lattice) it times the ``_KernelTransforms``
+build, ``LMOperator.apply`` and ``LMOperator.weak_apply`` (best of 5, one
+thread) on both sides of the protocol in ``bench/harness.py``, next to the
+padded FFT length and point count, the bytes of the cached kernel spectra
+and the ``apply`` and ``weak_apply`` outputs on a seeded input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from harness import REPEATS, best_of, main
 
-SIZES = (16, 24, 32)
+SIZES = (16, 20, 24, 32)
 # a drifting state on the transport lattice, so no axis symmetry is special
 RHO, U1, THETA = 1.0, 0.25, 1.0
 
@@ -37,8 +38,10 @@ def measure() -> dict:
         values = rng.standard_normal(g.shape) * maxwellian(s, g).values
         x = rng.standard_normal(g.shape)
         res[at + "build_s"] = best_of(_KernelTransforms, g, p)
-        pad = _KernelTransforms(g, p).pad_shape[0]
+        tr = _KernelTransforms(g, p)
+        pad = tr.pad_shape[0]
         res[at + "pad"], res[at + "fft_points"] = pad, pad**3
+        res[at + "kernel_bytes"] = sum(k.nbytes for k in tr.khat)
         op = LMOperator(s, g, p)
         res[at + "apply_s"] = best_of(op.apply, values)
         res[at + "weak_apply_s"] = best_of(op.weak_apply, x)
@@ -50,8 +53,9 @@ def measure() -> dict:
 DESCRIPTION = {
     "state": {"rho": RHO, "u1": U1, "theta": THETA, "lattice": "thermal_grid(theta, n)"},
     "timing": f"best of {REPEATS} per round, alternating rounds, one thread, seconds; median and "
-    "quartiles over rounds",
-    "accuracy": "per side: pad, fft_points and max |output|; max_rel: max |after - before| / "
+    "quartiles over rounds, per side and of the per-round after/before ratio",
+    "accuracy": "per side: pad, fft_points, kernel_bytes (the summed nbytes of the cached kernel "
+    "spectra) and max |output|; max_rel: max |after - before| / "
     "max |before| on the same seeded input",
 }
 

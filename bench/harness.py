@@ -11,9 +11,11 @@ archive`` into a temporary directory.  Each side runs in a fresh process,
 checkout's root, with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS set to 1, and stops unless ``rarewave`` is imported from
 its own SRC.  The sides alternate for ``--rounds`` rounds (``before`` first
-on even rounds).  A difference counts as resolved only when at least ten
-rounds ran, one side wins at least nine tenths of them and the medians
-differ by more than the distance between the quartiles of ``before``.  A
+on even rounds).  A timing is scored by its per-round ratio after/before,
+since a slow process or a busy host slows every call of its round
+together.  A difference counts as resolved only when at least ten rounds
+ran, one side wins at least nine tenths of them and the median ratio lies
+further from 1 than the distance between the quartiles of the ratios.  A
 timing whose two sides' median minor page faults differ by more than
 ``FAULT_SPREAD`` of the larger is never resolved: its calls may differ in
 whether glibc gave the heap back between them, not in their work.
@@ -153,20 +155,27 @@ def quartiles(xs) -> dict:
 
 
 def compare(times: dict) -> dict:
-    """Round times per side with median and quartiles, the share of rounds
-    ``after`` is faster, and whether the difference is resolved (never with
-    fewer than ``MIN_ROUNDS`` rounds)."""
-    stats = {side: quartiles(times[side]) for side in times}
+    """Round times per side and their per-round ratios after/before, each with
+    median and quartiles, the share of rounds ``after`` is faster, and whether
+    the difference is resolved (never with fewer than ``MIN_ROUNDS`` rounds).
+
+    A round's two sides share its host load, so the ratio, not either side's
+    spread, measures the difference: it is resolved when one side wins nine
+    tenths of the rounds and the median ratio is further from 1 than the
+    quartiles of the ratios are apart.
+    """
     pairs = list(zip(times["after"], times["before"]))
+    ratios = [a / b for a, b in pairs]
     wins = sum(a < b for a, b in pairs) / len(pairs)
     losses = sum(a > b for a, b in pairs) / len(pairs)
-    gap = abs(stats["after"]["median"] - stats["before"]["median"])
+    ratio = quartiles(ratios)
     return {
-        **{side: {"rounds": times[side], **stats[side]} for side in times},
+        **{side: {"rounds": times[side], **quartiles(times[side])} for side in times},
+        "ratio": {"rounds": ratios, **ratio},
         "after_wins": wins,
         "resolved": len(pairs) >= MIN_ROUNDS
         and max(wins, losses) >= 0.9
-        and gap > stats["before"]["q3"] - stats["before"]["q1"],
+        and abs(ratio["median"] - 1.0) > ratio["q3"] - ratio["q1"],
     }
 
 
@@ -279,16 +288,20 @@ def floors(rows: list[dict]) -> list[str]:
 
 
 def table(rows: list[dict]) -> str:
-    """One line per timing (median s, after wins, resolved, median faults and any
-    ``unresolved_because``), one per max_rel."""
-    lines = ["row / timing: before after median s, after wins, resolved, before after faults"]
+    """One line per timing (median s, median ratio, after wins, resolved, median
+    faults and any ``unresolved_because``), one per max_rel."""
+    lines = [
+        "row / timing: before after median s, median after/before, after wins, resolved, "
+        "before after faults"
+    ]
     for row in rows:
         for name, r in row.items():
             if name.endswith("_s"):
                 b, a, f = r["before"], r["after"], r["minor_faults"]
                 lines.append(
                     f"{row['row']} / {name}: {b['median']:.3e} {a['median']:.3e}, "
-                    f"{r['after_wins']:.0%}, {r['resolved']}, {f['before']:.0f} {f['after']:.0f}"
+                    f"{r['ratio']['median']:.3f}, {r['after_wins']:.0%}, {r['resolved']}, "
+                    f"{f['before']:.0f} {f['after']:.0f}"
                     + (f" ({r['unresolved_because']})" if "unresolved_because" in r else "")
                 )
         raised = {s: row[s]["raised"] for s in ("before", "after") if "raised" in row[s]}

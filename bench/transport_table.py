@@ -68,8 +68,8 @@ DESCRIPTION = {
     "tol": TOL,
     "span": SPAN,
     "timing": "one call per round, alternating rounds, one thread, seconds; median and quartiles "
-    "over rounds. per_row_s: the call over its two rows; first_row_s and second_row_s: "
-    "burnett_solve of each row",
+    "over rounds, per side and of the per-round after/before ratio. per_row_s: the call over "
+    "its two rows; first_row_s and second_row_s: burnett_solve of each row",
     "accuracy": "per side: the table's mu, kappa and residual columns; max_rel per column: "
     "max |after - before| / max |before|",
 }

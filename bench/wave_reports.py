@@ -62,7 +62,7 @@ def measure() -> dict:
 DESCRIPTION = {
     "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "p": "1, 2, inf"},
     "timing": f"best of {REPEATS} per round, alternating rounds, one thread, seconds; median and "
-    "quartiles over rounds",
+    "quartiles over rounds, per side and of the per-round after/before ratio",
     "accuracy": "per side: the decay values and the gap (warm and first use), max |residual| and "
     "max |state| over the 16 points; max_rel: max |after - before| / max |before| per decay "
     "value, gap, residual16 (every row) and state16 (every component)",

@@ -13,9 +13,12 @@ stencil.  Because the velocity nodes form a uniform lattice, those sums
 are ordinary discrete convolutions; they are evaluated through
 zero-padded real FFTs, which reproduces the direct node-pair summation
 exactly up to floating-point reordering.  Each axis is padded to a
-period P >= 2n - 1: of the 3n - 2 nodes of the linear convolution only
-the central n are kept, and P >= 2n - 1 keeps every wrapped term out of
-them (Hockney's zero-padding argument).  The tests compare the
+period P >= 2n - 1 on which the kernel sits centred at the origin
+(offset o at index o mod P); the block [0, n) of the circular
+convolution is the lattice sum, and P >= 2n - 1 keeps every wrapped
+term out of it (Hockney's zero-padding argument).  Each kernel
+component is even or odd in every axis, so on that period its spectrum
+is real and is stored as a real array.  The tests compare the
 transforms against the literal node-pair summation at small lattice
 sizes.
 
@@ -152,24 +155,32 @@ def _center_weight(h: float, p: KernelParams) -> float:
 
 
 class _KernelTransforms:
-    """Cached FFTs of the six packed kernel components, period next_fast_len(2n - 1).
+    """Cached real spectra of the six packed kernel components, period P = next_fast_len(2n - 1).
 
-    Kernel offsets k - (n - 1), k in [0, 2n - 2], against field nodes
-    m in [0, n - 1] fill k + m in [0, 3n - 3]; the kept outputs j in
-    [n - 1, 2n - 2] have j + P > 3n - 3 and j - P < 0 for any P >= 2n - 1,
-    so nothing aliases into them (P = 2n - 2 would alias at j = n - 1).
+    The kernel is sampled on the period, centred at the origin: offset o
+    in [-(n - 1), n - 1] at index o mod P, the coincident node at index 0
+    and zeros in the gap [n, P - n].  The kept outputs j in [0, n) take
+    field nodes m through offsets j - m alone, whose indices are distinct
+    for P >= 2n - 1, so nothing aliases into them (P = 2n - 2 would).
+    Diagonal components are even in every axis, and component (i, j),
+    i != j, is odd in axes i and j and even in the third; an even axis
+    transforms to a real factor and an odd one to an imaginary one, so
+    every spectrum is real (symmetric convolution, Martucci 1994) and only
+    its real part is kept.
     """
 
     def __init__(self, g: VelocityGrid, p: KernelParams):
         n = g.n_per_axis
         h = g.spacing
-        d = h * np.arange(-(n - 1), n, dtype=float)
-        kernel = _phi_packed(np.meshgrid(d, d, d, indexing="ij"), p)
-        kernel[_DIAGONAL, n - 1, n - 1, n - 1] = _center_weight(h, p)
         pad = next_fast_len(2 * n - 1)
+        d = h * np.r_[0:n, n - pad : 0]
+        kernel = _phi_packed(np.meshgrid(d, d, d, indexing="ij"), p)
+        gap = slice(n, pad - n + 1)
+        kernel[:, gap] = kernel[:, :, gap] = kernel[:, :, :, gap] = 0.0
+        kernel[_DIAGONAL, 0, 0, 0] = _center_weight(h, p)
         self.pad_shape = (pad, pad, pad)
-        self.keep = (slice(n - 1, 2 * n - 1),) * 3
-        self.khat = [rfftn(k, s=self.pad_shape) for k in kernel]
+        self.keep = (slice(0, n),) * 3
+        self.khat = [np.ascontiguousarray(rfftn(k).real) for k in kernel]
 
     def forward(self, field: np.ndarray) -> np.ndarray:
         return rfftn(field, s=self.pad_shape)

@@ -76,6 +76,43 @@ def test_eight_wins_in_ten_rounds_are_not_resolved(compare):
     assert out["resolved"] is False
 
 
+def test_a_win_past_slow_before_processes_is_resolved(compare):
+    # four of ten before processes ran 1.5-1.8x slow, as in the committed
+    # float-arithmetic report: before's quartiles lie further apart than the
+    # medians, yet every round's after/before ratio is 0.70 or less
+    base = [1.0 + 0.002 * k for k in range(10)]
+    slow = [1.0, 1.5, 1.0, 1.0, 1.6, 1.0, 1.7, 1.0, 1.8, 1.0]
+    before = [b * s for b, s in zip(base, slow)]
+    out = compare({"before": before, "after": [0.7 * b for b in base]})
+    spread = out["before"]["q3"] - out["before"]["q1"]
+    assert spread > out["before"]["median"] - out["after"]["median"]
+    assert out["after_wins"] == 1.0 and out["ratio"]["median"] == pytest.approx(0.7)
+    assert out["resolved"] is True
+
+
+def test_nine_small_wins_and_one_slow_before_process_are_not_resolved(compare):
+    # a null shape: after wins 9 of 10 rounds, one of them only because its
+    # before process ran slow, and the median ratio lies within the ratios' quartiles
+    ratios = [0.999, 0.95, 0.998, 0.93, 0.997, 0.99, 0.96, 0.996, 1.02, 0.62]
+    out = compare({"before": BEFORE, "after": [r * b for r, b in zip(ratios, BEFORE)]})
+    assert out["after_wins"] == 0.9
+    assert out["ratio"]["rounds"] == pytest.approx(ratios)
+    assert out["resolved"] is False
+
+
+@pytest.mark.parametrize("t", ["0.5", "5.0", "50.0"])
+def test_the_committed_float_arithmetic_rounds_resolve_residual16(compare, t):
+    # scored by before's quartiles these rounds read unresolved; paired by round they resolve
+    report = json.loads((BENCH.parent / "BENCH_float_arithmetic.json").read_text())
+    (row,) = [row for row in report["rows"] if row["row"] == f"t={t}"]
+    timing = row["residual16_s"]
+    assert timing["resolved"] is False
+    rounds = {side: timing[side]["rounds"] for side in ("before", "after")}
+    out = compare(rounds)
+    assert out["after_wins"] == 1.0 and out["ratio"]["median"] < 0.75
+    assert out["resolved"] is True
+
+
 def test_a_timing_whose_sides_fault_apart_is_not_resolved(harness):
     # 10 won rounds past the quartile spread, as above; with 124 and 164
     # median faults (a trimmed heap on one side) the timing is not resolved

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import fftn, irfftn
 from scipy.linalg import eigh
 from scipy.special import erf
 
@@ -179,6 +180,29 @@ def test_transform_pair_matches_direct_summation_at_tight_period(n, period, p):
     for k in range(6):
         conv = tr.inverse(tr.khat[k] * fhat)
         assert np.abs(conv - direct[k]).max() <= 1e-12 * np.abs(direct[k]).max()
+
+
+@pytest.mark.parametrize("n, period", [(24, 48), (32, 63)])
+def test_kernel_spectra_are_real_with_each_components_axis_parity(n, period):
+    # On its origin-centred period, component (i, j) of the kernel is odd in
+    # axes i and j when i != j and even in every other axis, so its spectrum
+    # is real with that parity in each frequency axis.  The half spectra are
+    # stored as real arrays; checked at an even and an odd period.
+    tr = _transforms(grid(n), KernelParams())
+    shape = (period,) * 3
+    assert tr.pad_shape == shape
+    for k, (i, j) in enumerate(collision._PAIRS):
+        half = tr.khat[k]
+        assert half.dtype == np.float64 and half.flags.c_contiguous
+        assert half.shape == (period, period, period // 2 + 1)
+        # the whole spectrum of the real kernel the half spectrum stands for
+        full = fftn(irfftn(half, s=shape))
+        scale = np.abs(half).max()
+        assert np.abs(full[..., : period // 2 + 1] - half).max() <= 1e-13 * scale
+        for axis in range(3):
+            sign = -1.0 if i != j and axis in (i, j) else 1.0
+            mirror = np.roll(np.flip(full, axis), 1, axis)  # frequency -k mod P
+            assert np.abs(mirror - sign * full).max() <= 1e-13 * scale
 
 
 def test_mismatched_grids_rejected():
