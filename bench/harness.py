@@ -27,7 +27,8 @@ A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 any other NAME holds a value, a number or an array.
 
 The JSON report at ``--out`` (no default) holds ``what``, the first line of
-the script's docstring, then both revisions and the host, the
+the script's docstring, then both revisions and the host with its 1, 5 and
+15 minute load averages just before and just after the rounds, the
 ``DESCRIPTION`` (``timing``, ``accuracy``, metadata), the resolution floor
 (the rows where both sides raise) and one row per ROW in ``measure()``'s
 order.  A row holds ``row``, ``rounds``; per timing, ``compare_costs()``
@@ -37,7 +38,7 @@ entries by its largest finite absolute entry and its count of entries that
 are not finite) or ``raised``; and under ``max_rel``, ``max_rel()`` of every
 value both sides returned.  The report is strict JSON: a number that is not
 finite is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``.  The
-console table prints the same rows.
+console table prints the same rows after the two load averages.
 """
 
 from __future__ import annotations
@@ -197,8 +198,9 @@ def compare_costs(costs: dict) -> dict:
     return out
 
 
-def provenance(before: str) -> dict:
-    """Both revisions and the host the rounds ran on."""
+def provenance(before: str, load_before: tuple) -> dict:
+    """Both revisions and the host the rounds ran on, with its load averages
+    before the rounds (``load_before``) and now, after them."""
     return {
         "before_rev": git("rev-parse", before),
         "after_rev": git("rev-parse", "HEAD")
@@ -209,6 +211,7 @@ def provenance(before: str) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "loadavg": {"before_rounds": list(load_before), "after_rounds": list(os.getloadavg())},
         },
     }
 
@@ -287,12 +290,16 @@ def floors(rows: list[dict]) -> list[str]:
     return [f"{row['row']}: both sides raise" for row in both]
 
 
-def table(rows: list[dict]) -> str:
-    """One line per timing (median s, median ratio, after wins, resolved, median
-    faults and any ``unresolved_because``), one per max_rel."""
+def table(rows: list[dict], loadavg: dict) -> str:
+    """The host's load averages before and after the rounds, then one line per
+    timing (median s, median ratio, after wins, resolved, median faults and any
+    ``unresolved_because``), one per max_rel."""
+    load = {k: " ".join(f"{x:.2f}" for x in v) for k, v in loadavg.items()}
     lines = [
+        f"host load averages (1, 5, 15 min): before rounds {load['before_rounds']}, "
+        f"after rounds {load['after_rounds']}",
         "row / timing: before after median s, median after/before, after wins, resolved, "
-        "before after faults"
+        "before after faults",
     ]
     for row in rows:
         for name, r in row.items():
@@ -333,8 +340,9 @@ def main(measure, doc: str, description: dict) -> None:
     ap.add_argument("--rounds", type=round_count, default=10)
     ap.add_argument("--out", required=True, help="JSON file the report is written to")
     args = ap.parse_args()
+    load_before = os.getloadavg()
     rows = report_rows(run_rounds(str(Path(sys.argv[0]).resolve()), args.before, args.rounds))
-    report = {"what": what, **provenance(args.before), **description}
+    report = {"what": what, **provenance(args.before, load_before), **description}
     report.update(resolution_floor=floors(rows), rows=rows)
     Path(args.out).write_text(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
-    print(table(rows))
+    print(table(rows, report["host"]["loadavg"]))

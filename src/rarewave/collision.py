@@ -174,7 +174,7 @@ class _KernelTransforms:
         h = g.spacing
         pad = next_fast_len(2 * n - 1)
         d = h * np.r_[0:n, n - pad : 0]
-        kernel = _phi_packed(np.meshgrid(d, d, d, indexing="ij"), p)
+        kernel = _phi_packed(np.ix_(d, d, d), p)
         gap = slice(n, pad - n + 1)
         kernel[:, gap] = kernel[:, :, gap] = kernel[:, :, :, gap] = 0.0
         kernel[_DIAGONAL, 0, 0, 0] = _center_weight(h, p)
@@ -227,9 +227,8 @@ def _relative_gradient(field: np.ndarray, g: VelocityGrid, weight: GasState) -> 
     offset = np.where(g4 != 0.0, np.arange(n) - np.arange(n)[:, None], 0)
     rtheta = GAS_R * weight.theta
     out = []
-    for j in range(3):
-        c = (g.axis - weight.u[j])[:, None]
-        ratio = np.exp((offset * c * h + 0.5 * offset * offset * h * h) / rtheta)
+    for j, c in enumerate(g.peculiar(weight.u)):
+        ratio = np.exp((offset * c.reshape(-1, 1) * h + 0.5 * offset * offset * h * h) / rtheta)
         out.append(_along(g4 * ratio, field, j))
     return out
 

@@ -64,7 +64,7 @@ def _sources(s: GasState, g: VelocityGrid) -> tuple[np.ndarray, dict]:
     xi_i xi_j - delta_ij |xi|^2 / 3.
     """
     rt = math.sqrt(GAS_R * s.theta)
-    xi = [(v - u) / rt for v, u in zip(g.components, s.u)]
+    xi = [c / rt for c in g.peculiar(s.u)]
     sq = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
     polys = {
         c: 0.5 * (sq - 5.0) * xi[c[0]]

@@ -9,6 +9,8 @@ On the lattice live the 1-D difference matrices that every velocity
 derivative of the package reads (``_stencils``), Maxwellians, their
 moments, the macro basis chi_0..chi_4 and its projections P0/P1, the
 soft-potential velocity weight, and the sigma-weighted dissipation norm.
+Node coordinates are never tabulated: every reader takes the peculiar
+velocity v - u as three broadcastable axes from ``VelocityGrid.peculiar``.
 The gas constant is fixed at R = 2/3 so that internal energy per unit
 mass equals the temperature; downstream constants bake that in.
 """
@@ -73,16 +75,9 @@ class VelocityGrid:
         w = self.axis_weights
         return w[:, None, None] * w[None, :, None] * w[None, None, :]
 
-    @cached_property
-    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense velocity component fields (v1, v2, v3)."""
-        vx, vy, vz = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
-        return vx, vy, vz
-
-    @cached_property
-    def speed_sq(self) -> np.ndarray:
-        vx, vy, vz = self.components
-        return vx * vx + vy * vy + vz * vz
+    def peculiar(self, u: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v - u at the nodes, as three axes of shapes (n,1,1), (1,n,1), (1,1,n) that broadcast."""
+        return np.ix_(*(self.axis - uj for uj in u))
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of a nodal field over the velocity box."""
@@ -134,16 +129,17 @@ def maxwellian(s: GasState, g: VelocityGrid) -> GridFunction:
     """Local Maxwellian sampled on the lattice.
 
     Warns when the box does not cover six thermal radii around the bulk
-    velocity, which is when trapezoid moments start losing digits.
+    velocity on every axis (M factorises per axis on the cube), which is
+    when trapezoid moments start losing digits.
     """
     rt = GAS_R * s.theta
-    vx, vy, vz = g.components
-    q = (vx - s.u[0]) ** 2 + (vy - s.u[1]) ** 2 + (vz - s.u[2]) ** 2
+    cx, cy, cz = g.peculiar(s.u)
+    q = cx**2 + cy**2 + cz**2
     vals = s.rho * (2.0 * math.pi * rt) ** -1.5 * np.exp(-q / (2.0 * rt))
-    reach = float(np.linalg.norm(s.u)) + 6.0 * math.sqrt(rt)
+    reach = max(map(abs, s.u)) + 6.0 * math.sqrt(rt)
     if g.half_width < reach:
         warnings.warn(
-            f"box half-width {g.half_width} below |u| + 6 sqrt(R theta) = {reach:.3f}",
+            f"box half-width {g.half_width} below max_j |u_j| + 6 sqrt(R theta) = {reach:.3f}",
             stacklevel=2,
         )
     return GridFunction(g, vals)
@@ -157,18 +153,12 @@ def moments(F: GridFunction) -> GasState:
     exactly at the quadrature level.
     """
     g = F.grid
-    vx, vy, vz = g.components
+    vx, vy, vz = g.peculiar((0.0, 0.0, 0.0))
     rho = g.integrate(F.values)
     if not rho > 0.0:
         raise ValueError(f"degenerate moments: nonpositive density {rho}")
-    u = np.array(
-        [
-            g.integrate(vx * F.values),
-            g.integrate(vy * F.values),
-            g.integrate(vz * F.values),
-        ]
-    ) / rho
-    kinetic = g.integrate(0.5 * g.speed_sq * F.values)
+    u = np.array([g.integrate(c * F.values) for c in (vx, vy, vz)]) / rho
+    kinetic = g.integrate(0.5 * (vx * vx + vy * vy + vz * vz) * F.values)
     e = kinetic / rho - 0.5 * float(u @ u)
     if not e > 0.0:
         raise ValueError(f"degenerate moments: nonpositive temperature {e}")
@@ -181,10 +171,12 @@ class MacroBasis:
 
     ``chi`` holds the five basis fields; ``duals`` holds chi_i / M as
     explicit polynomials, so projection coefficients never divide by the
-    (underflowing) Maxwellian tail.  ``gram`` is the quadrature Gram
-    matrix <chi_i, chi_j / M>; it deviates from the identity by the
-    trapezoid error of Gaussian moments, and projections solve against
-    it so that they stay exactly idempotent even on coarse lattices.
+    (underflowing) Maxwellian tail; the three velocity duals broadcast,
+    one lattice axis each, and only ever multiply full fields.  ``gram``
+    is the quadrature Gram matrix <chi_i, chi_j / M>; it deviates from
+    the identity by the trapezoid error of Gaussian moments, and
+    projections solve against it so that they stay exactly idempotent
+    even on coarse lattices.
     """
 
     grid: VelocityGrid
@@ -196,21 +188,14 @@ class MacroBasis:
 def macro_basis(s: GasState, g: VelocityGrid) -> MacroBasis:
     """Build chi_0..chi_4 and their duals for the Maxwellian of ``s``."""
     rt = GAS_R * s.theta
-    vx, vy, vz = g.components
-    c = (vx - s.u[0], vy - s.u[1], vz - s.u[2])
+    c = g.peculiar(s.u)
     csq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
     m = maxwellian(s, g).values
 
     inv0 = 1.0 / math.sqrt(s.rho)
     inv1 = 1.0 / math.sqrt(s.rho * rt)
     inv4 = 1.0 / math.sqrt(6.0 * s.rho)
-    duals = (
-        np.full(g.shape, inv0),
-        c[0] * inv1,
-        c[1] * inv1,
-        c[2] * inv1,
-        (csq / rt - 3.0) * inv4,
-    )
+    duals = (np.full(g.shape, inv0), *(ci * inv1 for ci in c), (csq / rt - 3.0) * inv4)
     chi = tuple(GridFunction(g, d * m) for d in duals)
     gram = np.array([[g.integrate(ch.values * d) for ch in chi] for d in duals])
     return MacroBasis(g, chi, duals, gram)
@@ -260,14 +245,15 @@ def sigma_norm(h: GridFunction, sigma, ell: float = 0.0) -> float:
     if sig.shape != (3, 3) + g.shape:
         raise ValueError(f"sigma coefficients have shape {sig.shape}, expected {(3, 3) + g.shape}")
     grads = [_along(_stencils(g.n_per_axis, g.spacing)[0], h.values, i) for i in range(3)]
-    vhalf = tuple(0.5 * comp for comp in g.components)
+    vx, vy, vz = g.peculiar((0.0, 0.0, 0.0))
+    vhalf = (0.5 * vx, 0.5 * vy, 0.5 * vz)
     hsq = h.values * h.values
     acc = np.zeros(g.shape)
     for i in range(3):
         for j in range(3):
             acc += sig[i, j] * (grads[i] * grads[j] + vhalf[i] * vhalf[j] * hsq)
     if ell != 0.0:
-        acc = acc * (1.0 + g.speed_sq) ** ((GAMMA_DEFAULT + 2.0) * ell)
+        acc = acc * (1.0 + (vx * vx + vy * vy + vz * vz)) ** ((GAMMA_DEFAULT + 2.0) * ell)
     return math.sqrt(max(g.integrate(acc), 0.0))
 
 

@@ -127,12 +127,30 @@ def test_a_timing_whose_sides_fault_apart_is_not_resolved(harness):
         "median minor faults differ by more than 10%: 124 before, 164 after"
     )
     row = {"row": "r", "t_s": out, "before": {}, "after": {}, "max_rel": {}}
-    assert harness.table([row]).splitlines()[1].endswith(f"({out['unresolved_because']})")
+    table = harness.table([row], {"before_rounds": [0.0] * 3, "after_rounds": [0.0] * 3})
+    assert table.splitlines()[2].endswith(f"({out['unresolved_because']})")
     # within 10% of the larger the timing resolves as compare() says
     out = harness.compare_costs({"before": before, "after": costs([0.5] * 10, 136)})
     timed = harness.compare({"before": BEFORE, "after": [0.5] * 10})
     assert out == {**timed, "minor_faults": {"before": 124.0, "after": 136.0}}
     assert out["resolved"] is True
+
+
+def test_the_host_load_is_recorded_before_and_after_the_rounds(harness, monkeypatch):
+    # a busy host can tilt a round's two sides apart, so the report keeps the
+    # load averages either side of the rounds and the table prints both
+    monkeypatch.setattr(harness.os, "getloadavg", lambda: (2.5, 1.25, 0.5))
+    host = harness.provenance("HEAD", (0.25, 0.5, 0.75))["host"]
+    assert host["loadavg"] == {
+        "before_rounds": [0.25, 0.5, 0.75],
+        "after_rounds": [2.5, 1.25, 0.5],
+    }
+    assert harness.table([], host["loadavg"]) == (
+        "host load averages (1, 5, 15 min): before rounds 0.25 0.50 0.75, "
+        "after rounds 2.50 1.25 0.50\n"
+        "row / timing: before after median s, median after/before, after wins, resolved, "
+        "before after faults"
+    )
 
 
 def test_a_side_runs_pinned_to_one_thread(harness, tmp_path, monkeypatch):

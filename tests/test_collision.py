@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import fftn, irfftn
+from scipy.fft import fftn, irfftn, rfftn
 from scipy.linalg import eigh
 from scipy.special import erf
 
@@ -23,6 +23,7 @@ from rarewave.velocity import (
     maxwellian,
     macro_basis,
     macro_coefficients,
+    moments,
     project_P1,
     REFERENCE_STATE,
     sigma_norm,
@@ -48,7 +49,7 @@ from rarewave.collision import (
     _transforms,
 )
 from rarewave import collision
-from rarewave.transport import thermal_grid
+from rarewave.transport import _COMPONENTS, _sources, thermal_grid
 
 # Cell average of |u|^(gamma+2) over the unit cube at gamma = -3, from the
 # self-similar shell reduction; the Monte Carlo test below rechecks it.
@@ -139,7 +140,7 @@ def _phi_conv_direct(g: VelocityGrid, p: KernelParams, field_w: np.ndarray) -> n
     """Six packed components of phi * field by literal node-pair summation."""
     n = g.n_per_axis
     assert n <= 12, "direct summation is sized for cross-checks"
-    nodes = [c.ravel() for c in g.components]
+    nodes = [c.ravel() for c in np.broadcast_arrays(*g.peculiar((0.0, 0.0, 0.0)))]
     cw = _center_weight(g.spacing, p)
     out = np.empty((6,) + g.shape)
     for a in range(n):  # target nodes one plane v1 = const at a time
@@ -203,6 +204,104 @@ def test_kernel_spectra_are_real_with_each_components_axis_parity(n, period):
             sign = -1.0 if i != j and axis in (i, j) else 1.0
             mirror = np.roll(np.flip(full, axis), 1, axis)  # frequency -k mod P
             assert np.abs(mirror - sign * full).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n, L", [(12, 6.0), (16, 7.5)])
+def test_coordinate_readers_match_the_dense_meshgrid_formulas_bit_for_bit(n, L, monkeypatch):
+    # Each reader of node coordinates takes v - u as three broadcast axes from
+    # VelocityGrid.peculiar; evaluated in the same order of operations, each
+    # equals its formula on dense np.meshgrid coordinate fields exactly.  The
+    # readers that return quadratures are checked on the integrands they pass.
+    def integrands(fn, *args):
+        seen, quadrature = [], VelocityGrid.integrate
+
+        def integrate(self, values):
+            seen.append(values)
+            return quadrature(self, values)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(VelocityGrid, "integrate", integrate)
+            return fn(*args), seen
+
+    g, p = grid(n, L), KernelParams()
+    s = GasState.make(1.3, 0.3, 1.2, u2=-0.17, u3=0.11)
+    rt, h = GAS_R * s.theta, g.spacing
+    assert [c.shape for c in g.peculiar(s.u)] == [(n, 1, 1), (1, n, 1), (1, 1, n)]
+    vx, vy, vz = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
+    c = (vx - s.u[0], vy - s.u[1], vz - s.u[2])
+    csq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+
+    q = (vx - s.u[0]) ** 2 + (vy - s.u[1]) ** 2 + (vz - s.u[2]) ** 2
+    m = s.rho * (2.0 * math.pi * rt) ** -1.5 * np.exp(-q / (2.0 * rt))
+    assert np.array_equal(maxwellian(s, g).values, m)
+
+    inv1 = 1.0 / math.sqrt(s.rho * rt)
+    duals = (
+        np.full(g.shape, 1.0 / math.sqrt(s.rho)),
+        c[0] * inv1,
+        c[1] * inv1,
+        c[2] * inv1,
+        (csq / rt - 3.0) * (1.0 / math.sqrt(6.0 * s.rho)),
+    )
+    basis = macro_basis(s, g)
+    for got, want in zip(basis.duals, duals):
+        assert np.array_equal(np.broadcast_to(got, g.shape), want)
+    for got, want in zip(basis.chi, duals):
+        assert np.array_equal(got.values, want * m)
+    gram = np.array([[g.integrate(a * m * b) for a in duals] for b in duals])
+    assert np.array_equal(basis.gram, gram)
+
+    f = GridFunction(g, np.random.default_rng(n).uniform(0.5, 1.5, g.shape))
+    want = [f.values, *(v * f.values for v in (vx, vy, vz))]
+    want.append(0.5 * (vx * vx + vy * vy + vz * vz) * f.values)
+    got, seen = integrands(moments, f)
+    assert len(seen) == 5 and all(map(np.array_equal, seen, want))
+    rho = g.integrate(want[0])
+    u = np.array([g.integrate(w) for w in want[1:4]]) / rho
+    assert got == GasState.make(rho, u[0], g.integrate(want[4]) / rho - 0.5 * float(u @ u), u[1], u[2])
+
+    sig = collision_frequency(g)
+    grads = [_along(_stencils(n, h)[0], f.values, i) for i in range(3)]
+    vhalf, hsq = (0.5 * vx, 0.5 * vy, 0.5 * vz), f.values * f.values
+    acc = np.zeros(g.shape)
+    for i in range(3):
+        for j in range(3):
+            acc += sig[i, j] * (grads[i] * grads[j] + vhalf[i] * vhalf[j] * hsq)
+    for ell in (0.0, 1.0):
+        if ell:
+            acc = acc * (1.0 + (vx * vx + vy * vy + vz * vz)) ** -1.0
+        got, seen = integrands(sigma_norm, f, sig, ell)
+        assert len(seen) == 1 and np.array_equal(seen[0], acc)
+        assert got == math.sqrt(max(g.integrate(acc), 0.0))
+
+    xi = [ci / math.sqrt(rt) for ci in c]
+    sq = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
+    got_sq, polys = _sources(s, g)
+    assert np.array_equal(got_sq, sq)
+    for comp in _COMPONENTS:
+        a, b = comp[0], comp[-1]
+        if len(comp) == 1:
+            want = 0.5 * (sq - 5.0) * xi[a]
+        else:
+            want = xi[a] * xi[b] - (sq / 3.0 if a == b else 0.0)
+        assert np.array_equal(np.broadcast_to(polys[comp], g.shape), want)
+
+    g4 = _stencils(n, h)[2]
+    offset = np.where(g4 != 0.0, np.arange(n) - np.arange(n)[:, None], 0)
+    for j, got in enumerate(_relative_gradient(f.values, g, s)):
+        col = np.moveaxis(c[j], j, 0)[:, :1, 0]
+        ratio = np.exp((offset * col * h + 0.5 * offset * offset * h * h) / rt)
+        assert np.array_equal(got, _along(g4 * ratio, f.values, j))
+
+    tr = _transforms(g, p)
+    pad = tr.pad_shape[0]
+    d = h * np.r_[0:n, n - pad : 0]
+    kernel = _phi_packed(np.meshgrid(d, d, d, indexing="ij"), p)
+    gap = slice(n, pad - n + 1)
+    kernel[:, gap] = kernel[:, :, gap] = kernel[:, :, :, gap] = 0.0
+    kernel[_DIAGONAL, 0, 0, 0] = _center_weight(h, p)
+    for got, k in zip(tr.khat, kernel):
+        assert np.array_equal(got, rfftn(k).real)
 
 
 def test_mismatched_grids_rejected():
@@ -313,7 +412,7 @@ def rosenbluth_hessian(g):
     gamma = -3, where phi^{ij}(d) is the Hessian of |d|, it is the continuum
     sigma^{ij} (Rosenbluth, MacDonald & Judd 1957).  Returns (sigma, |v|).
     """
-    v = np.stack(g.components)
+    v = np.stack(np.broadcast_arrays(*g.peculiar((0.0, 0.0, 0.0))))
     r = np.sqrt(np.sum(v * v, axis=0))
     erf_r = erf(r / math.sqrt(2.0))
     gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
@@ -650,7 +749,7 @@ def weak_form_coercivity(n):
     grads = [reduce(np.kron, [d if k == i else eye for k in range(3)]) for i in range(3)]
     sigma = collision_frequency(g)
     sig = sigma.reshape(3, 3, size) * g.weights.ravel()
-    v = [c.ravel() for c in g.components]
+    v = [c.ravel() for c in np.broadcast_arrays(*g.peculiar((0.0, 0.0, 0.0)))]
     gram = sum(
         grads[i].T @ (sig[i, j][:, None] * grads[j]) + np.diag(0.25 * sig[i, j] * v[i] * v[j])
         for i in range(3)

@@ -37,6 +37,11 @@ def small_grid(n=16, L=8.0):
     return VelocityGrid(half_width=L, n_per_axis=n)
 
 
+def speed_sq(g):
+    vx, vy, vz = g.peculiar((0.0, 0.0, 0.0))
+    return vx * vx + vy * vy + vz * vz
+
+
 states = st.builds(
     GasState.make,
     rho=st.floats(0.5, 2.0),
@@ -105,7 +110,7 @@ class TestMaxwellian:
         # at the origin scaled by the Gaussian, checked at every node
         g = VelocityGrid(half_width=8.0, n_per_axis=12)
         vals = maxwellian(STATE_A1, g).values
-        closed = (2 * math.pi) ** -1.5 * np.exp(-0.5 * g.speed_sq)
+        closed = (2 * math.pi) ** -1.5 * np.exp(-0.5 * speed_sq(g))
         assert np.allclose(vals, closed, rtol=1e-14, atol=0.0)
 
     def test_moments_round_trip_reference(self):
@@ -157,6 +162,17 @@ class TestMaxwellian:
             warnings.simplefilter("error")
             maxwellian(STATE_A1, small_grid())
 
+    def test_box_is_read_per_axis(self):
+        # M factorises over the cube's axes: at max_j |u_j| + 6 sqrt(R theta)
+        # = 5.269 a box of half-width 5.3 fits, though |u| + 6 sqrt(R theta)
+        # = 5.540 exceeds it
+        s = GasState(1.0, (0.37, 0.37, 0.37), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            maxwellian(s, small_grid(L=5.3))
+        with pytest.warns(UserWarning, match="half-width"):
+            maxwellian(s, small_grid(L=5.2))
+
 
 class TestMoments:
     def test_zero_field_degenerate(self):
@@ -195,7 +211,7 @@ class TestMacroBasis:
         g = small_grid(n=48)
         s = STATE_A1
         basis = macro_basis(s, g)
-        r = np.sqrt(g.speed_sq)
+        r = np.sqrt(speed_sq(g))
         six = r >= 6.0 * math.sqrt(GAS_R * s.theta)
         far = r >= 7.5 * math.sqrt(GAS_R * s.theta)
         for chi in basis.chi:
@@ -206,7 +222,7 @@ class TestMacroBasis:
         g = small_grid(n=32)
         basis = macro_basis(GasState.make(1.1, 0.1, 1.4), g)
         chi4 = basis.chi[4].values
-        vx, vy, vz = g.components
+        vx, vy, vz = g.peculiar((0.0, 0.0, 0.0))
         assert abs(g.integrate(chi4)) < 1e-10
         for comp in (vx, vy, vz):
             assert abs(g.integrate(comp * chi4)) < 1e-10
@@ -236,13 +252,13 @@ class TestProjections:
         rng = np.random.default_rng(12)
         h = GridFunction(self.g, rng.standard_normal(self.g.shape) * self.m.values)
         p1 = project_P1(h, self.basis)
-        vx, vy, vz = self.g.components
+        vx, vy, vz = self.g.peculiar((0.0, 0.0, 0.0))
         invariants = (
             np.ones(self.g.shape),
             vx,
             vy,
             vz,
-            0.5 * self.g.speed_sq,
+            0.5 * speed_sq(self.g),
         )
         scale = self.g.integrate(np.abs(h.values))
         for psi in invariants:
@@ -283,8 +299,8 @@ def identity_sigma(g):
 def anisotropic_sigma(g):
     """SPD matrix field I + e(v) e(v)^T with a smooth unit vector e."""
     sig = identity_sigma(g)
-    vx, vy, vz = g.components
-    norm = np.sqrt(g.speed_sq + 1.0)
+    vx, vy, vz = g.peculiar((0.0, 0.0, 0.0))
+    norm = np.sqrt(speed_sq(g) + 1.0)
     e = (vx / norm, vy / norm, 1.0 / norm)
     for i in range(3):
         for j in range(3):
