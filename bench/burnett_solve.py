@@ -1,58 +1,48 @@
-"""Cost of ``burnett_solve`` at rest and at a drifting wave state, against an earlier revision.
+"""Cost of ``burnett_solve`` and ``transport_table``, against an earlier revision.
 
     python bench/burnett_solve.py --before REV [--rounds 10] --out FILE
 
-Run it from the root of a checkout.  For n_per_axis in {16, 20, 24, 32} it
-times ``burnett_solve`` (tol 1e-2, ``DEFAULT_TOL``; best of 5, one thread) at
-two states:
+Run it from the root of a checkout.  The wave, fan time, lattices and
+tolerances are those of ``perfbench/workloads.py``.  For n_per_axis in
+{16, 20, 24, 32} it times ``burnett_solve`` (best of 5, one thread, each call
+building its own ``LMOperator``) at three states, after the lattice's kernel
+transforms are built, as the workloads' set-up builds them:
 
-- ``rest``: (rho, u, theta) = (1, 0, 1) on ``thermal_grid(1.0, n)``, the
-  lattice family of ``transport_table``, whose default is n = 20;
-- ``mid_fan``: on the wave of the ``wave_slice`` benchmark workload (left
-  state (1, 0, 1), right density 1.5, width 0.5), the state at t = 2,
-  x = t (lambda3(left) + lambda3(right)) / 2, on that workload's shared
-  lattice: half width |u1| + 6.5 sqrt(R theta) of the right state.  At
-  n = 20 this state passes with almost no margin (largest residual 9.9e-3),
-  and the fan states on its cool side, x = 1.6-2.4, raise on that lattice.
+- ``rest``: (1, 0, 1) on ``thermal_grid(1.0, n)``, solved cold;
+- ``rest_warm``: theta = 1.25 on its own thermal lattice, started from the
+  ``rest`` solution, as ``transport_table`` starts every later row;
+- ``mid_fan``: the ``wave_slice`` wave at its fan time t and x = t
+  (lambda3(left) + lambda3(right)) / 2, on that workload's shared lattice.
+  At n = 20 it passes with almost no margin (largest residual 9.9e-3); the
+  fan states on its cool side, x = 1.6-2.4, raise there.
 
-The lattice's kernel transforms are built before the clock starts, as the
-workload's set-up builds them.  Each of the five calls builds its own
-``LMOperator``: a best-of-7 build took about 6, 12, 24 and 65 ms at n = 16,
-20, 24 and 32 (one thread of a 2-core Intel Xeon).  Both sides run the
-protocol in ``bench/harness.py``, next to the solves, the
-``LMOperator.apply`` calls of one ``burnett_solve`` call (counted by a
-wrapper this script installs, so ``src/`` is the same as without it), the
-nine residuals, mu, kappa and B11, or the message raised.
+``table`` times one ``transport_table((1.0, 1.25))`` call per round, builds
+included, per row: the ``transport_table`` workload's operation.  Its rows
+are the ``rest`` and ``rest_warm`` solves, so where ``rest`` passes its
+columns equal theirs.  Both sides run the protocol in ``bench/harness.py``.
+Next to each time stand the solves, the ``LMOperator.apply`` calls of one
+``burnett_solve`` call (counted by a wrapper this script installs, so
+``src/`` is the same as without it), the nine residuals, mu, kappa and B11,
+or the table's columns, or the message raised.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
-from harness import REPEATS, best_of, main
+from harness import REPEATS, best_of, cost_of, main, workloads
 
 SIZES = (16, 20, 24, 32)
-LEFT, RHO_PLUS, DELTA, T, TOL, SPAN = (1.0, 0.0, 1.0), 1.5, 0.5, 2.0, 1e-2, 6.5
-STATES = ("rest", "mid_fan")
+THETAS = (1.0, 1.25)
 
 
 def measure() -> dict:
-    """Time ``burnett_solve`` at both states with the ``rarewave`` the harness loaded."""
-    from rarewave import collision, velocity
-    from rarewave.burgers import SmoothWave
-    from rarewave.euler import GAS_R, GasState, RiemannData, lambda3
-    from rarewave.transport import burnett_solve, thermal_grid
+    """Time the three states and the table with the ``rarewave`` the harness loaded."""
+    from rarewave import collision, transport, velocity
+    from rarewave.euler import GasState, lambda3
 
-    data = RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS)
-    wave = SmoothWave(data, DELTA)
-    half_width = abs(data.right.u1) + SPAN * math.sqrt(GAS_R * data.right.theta)
-    lattices = {
-        "rest": (GasState.make(1.0, 0.0, 1.0), lambda n: thermal_grid(1.0, n, SPAN)),
-        "mid_fan": (
-            wave.state(T, 0.5 * T * (lambda3(data.left) + lambda3(data.right))),
-            lambda n: velocity.VelocityGrid(half_width, n),
-        ),
-    }
+    w = workloads()
+    c = w.TABLE_LATTICE
     calls = [0]
     plain_apply = collision.LMOperator.apply
 
@@ -60,23 +50,37 @@ def measure() -> dict:
         calls[0] += 1
         return plain_apply(self, values)
 
+    def solved(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except collision.NonConvergenceError as exc:
+            return exc
+
     collision.LMOperator.apply = counted_apply
     res = {}
     for n in SIZES:
-        for state in STATES:
-            s, lattice = lattices[state]
-            g = lattice(n)
+        fan = w.WaveSlice(0, replace(w.SLICE_LATTICE, n_per_axis=n))
+        fan.setup()
+        x = 0.5 * w.SLICE_T * (lambda3(fan.data.left) + lambda3(fan.data.right))
+        states = {
+            name: (GasState.make(1.0, 0.0, th), transport.thermal_grid(th, n, c.span), c.tol)
+            for name, th in zip(("rest", "rest_warm"), THETAS)
+        }
+        states["mid_fan"] = (fan.wave.state(w.SLICE_T, x), fan.grid, fan.lattice.tol)
+        sol = None
+        for state, (s, g, tol) in states.items():
+            at = f"state={state} n_per_axis={n}/"
+            start = sol if state == "rest_warm" else None  # sol: the rest outcome
+            if isinstance(start, Exception):
+                res[at + "raised"] = "not run: the rest solve raised"
+                continue
             m = velocity.maxwellian(s, g)
             collision.collision_Q(m, m, g)  # builds the lattice's kernel transforms
-            at = f"state={state} n_per_axis={n}/"
             outcome = []
 
             def solve():
                 calls[0] = 0
-                try:
-                    outcome.append(burnett_solve(s, g, tol=TOL))
-                except collision.NonConvergenceError as exc:
-                    outcome.append(exc)
+                outcome.append(solved(transport.burnett_solve, s, g, tol=tol, start=start))
 
             res[at + "burnett_solve_s"] = best_of(solve)
             res[at + "apply_calls"] = calls[0]
@@ -85,20 +89,31 @@ def measure() -> dict:
                 res[at + "raised"] = str(sol)
                 continue
             res[at + "solves"] = len(sol.solved)
-            res[at + "residuals"] = [sol.residuals[c] for c in sorted(sol.residuals)]
+            res[at + "residuals"] = [sol.residuals[k] for k in sorted(sol.residuals)]
             res[at + "mu"] = sol.mu_theta
             res[at + "kappa"] = sol.kappa_theta
             res[at + "B11"] = sol.B[0][0].values
+        # the transform cache holds mid_fan's lattice, so both rows build theirs
+        at = f"state=table n_per_axis={n}/"
+        out, cost = cost_of(solved, transport.transport_table, THETAS, n, c.span, c.tol)
+        res[at + "per_row_s"] = cost / len(THETAS)
+        if isinstance(out, Exception):
+            res[at + "raised"] = str(out)
+            continue
+        for col in ("mu", "kappa", "residual"):
+            res[at + col] = getattr(out, col)
     return res
 
 
 DESCRIPTION = {
-    "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "t": T, "tol": TOL},
-    "timing": f"best of {REPEATS} calls per round after the kernel-transform build, alternating "
-    "rounds per lattice, one thread, seconds; median and quartiles over rounds, per side and "
-    "of the per-round after/before ratio",
-    "accuracy": "per side: solves, LMOperator.apply calls per burnett_solve call, the nine "
-    "recorded residuals, mu, kappa and max |B11|; max_rel: max |after - before| / max |before|",
+    "objects": f"perfbench/workloads.py's wave, fan time, lattices and tolerances at n {SIZES}",
+    "timing": f"states: best of {REPEATS} calls per round after the kernel-transform build; "
+    "table: one call per round, builds included, over its rows; alternating rounds, one "
+    "thread, seconds; median and quartiles over rounds, per side and of the per-round "
+    "after/before ratio",
+    "accuracy": "per state: solves, LMOperator.apply calls per burnett_solve call, the nine "
+    "recorded residuals, mu, kappa and max |B11|; table: its mu, kappa and residual columns; "
+    "max_rel: max |after - before| / max |before|",
 }
 
 if __name__ == "__main__":

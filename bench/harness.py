@@ -4,7 +4,8 @@
 
 A script is its docstring, its constants, ``measure()`` and a
 ``DESCRIPTION`` dict, and ends with ``main(measure, __doc__, DESCRIPTION)``,
-its one entry point.  It measures twice over: once with this checkout's
+its one entry point.  The benchmark's wave, fan time, lattices and
+tolerances it reads from ``perfbench/workloads.py`` through ``workloads()``.  It measures twice over: once with this checkout's
 ``src/`` and once with ``src/`` of git revision REV, exported by ``git
 archive`` into a temporary directory.  Each side runs in a fresh process,
 ``SCRIPT.py --measure SRC OUT`` by the script's absolute path, in the
@@ -93,6 +94,14 @@ def load(src: str) -> None:
 
     if Path(rarewave.__file__).resolve().parent != Path(src).resolve() / "rarewave":
         raise SystemExit(f"rarewave imported from {rarewave.__file__}, not from {src}")
+
+
+def workloads():
+    """``perfbench/workloads.py``, imported with the ``rarewave`` that ``load`` loaded."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
 
 
 def export_src(rev: str, dest: Path) -> None:

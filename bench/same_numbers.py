@@ -3,8 +3,8 @@
     python bench/same_numbers.py --before REV [--rounds 10] --out FILE
 
 Run it from the root of a checkout.  With the ``rarewave`` the harness
-loaded it runs the workload classes of ``perfbench/workloads.py`` at seed
-3: one step of ``transport_table`` (two rows) and of ``wave_slice`` (one
+loaded it runs the workload classes of ``perfbench/workloads.py``, on its
+lattices, at seed 3: one step of ``transport_table`` (two rows) and of ``wave_slice`` (one
 fan state), and 400 steps of ``wave_reports`` (400 time levels).  It reads
 ``perfbench/`` and changes nothing in it.  Each workload is one report row
 holding every value its steps record: the table rows; the wave state's
@@ -17,11 +17,9 @@ every value means the two revisions compute the same numbers, bit for bit.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
-from harness import ROOT, main
+from harness import main, workloads
 
 SEED = 3
 REPORT_LEVELS = 400
@@ -29,16 +27,14 @@ REPORT_LEVELS = 400
 
 def measure() -> dict:
     """Every value of the seeded workload steps, run with the ``rarewave`` the harness loaded."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
+    w = workloads()
     res = {}
-    table = workloads.TransportTable(SEED)
+    table = w.TransportTable(SEED, w.TABLE_LATTICE)
     table.setup()
     table.step()
     res["workload=transport_table/rows"] = np.array(table.rows)
 
-    wave_slice = workloads.WaveSlice(SEED)
+    wave_slice = w.WaveSlice(SEED, w.SLICE_LATTICE)
     wave_slice.setup()
     wave_slice.step()
     ((x, s, sol, gbar),) = wave_slice.outputs
@@ -56,7 +52,7 @@ def measure() -> dict:
         }
     )
 
-    reports = workloads.WaveReports(SEED)
+    reports = w.WaveReports(SEED)
     reports.setup()
     for _ in range(REPORT_LEVELS):
         reports.step()

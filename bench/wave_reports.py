@@ -3,8 +3,8 @@
     python bench/wave_reports.py --before REV [--rounds 10] --out FILE
 
 Run it from the root of a checkout.  On the wave of the ``wave_reports``
-benchmark workload (left state (1, 0, 1), right density 1.5, width 0.5) and
-at t in {0.5, 5, 50} it times ``derivative_decay_report`` (p = 1, 2, inf),
+benchmark workload (``perfbench/workloads.py``) and at t in {0.5, 5, 50} it
+times ``derivative_decay_report`` (that workload's p = 1, 2, inf),
 ``riemann_gap``, 16 ``euler_residual`` calls and 16 ``SmoothWave.state``
 calls (best of 5 each, one thread) at 16 seeded points of the transition,
 on both sides of the protocol in ``bench/harness.py``, next to the six
@@ -17,37 +17,33 @@ first use.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from harness import REPEATS, best_of, main
+from harness import REPEATS, best_of, main, workloads
 
 TIMES = (0.5, 5.0, 50.0)
 POINTS = 16
-P_EXPONENTS = (1.0, 2.0, math.inf)
-LEFT, RHO_PLUS, DELTA = (1.0, 0.0, 1.0), 1.5, 0.5
 
 
 def measure() -> dict:
     """Time the six calls with the ``rarewave`` the harness loaded."""
     from rarewave import burgers
-    from rarewave.euler import GasState, RiemannData
 
-    data = RiemannData.from_density(GasState.make(*LEFT), RHO_PLUS)
-    wave = burgers.SmoothWave(data, DELTA)
+    w = workloads()
+    data, wave = w._wave()
+    delta, p_exponents = w.WAVE_DELTA, w.REPORT_P
     res = {}
     for t in TIMES:
         at = f"t={t}/"
-        x0 = np.random.default_rng(int(t * 10)).uniform(-3.0 * DELTA, 3.0 * DELTA, POINTS)
+        x0 = np.random.default_rng(int(t * 10)).uniform(-3.0 * delta, 3.0 * delta, POINTS)
         xs = x0 + t * burgers.burgers_init(wave.params, x0)
         calls = {
-            "decay": lambda: burgers.derivative_decay_report(wave, [t], P_EXPONENTS),
+            "decay": lambda: burgers.derivative_decay_report(wave, [t], p_exponents),
             "gap": lambda: burgers.riemann_gap(wave, t)[0],
             "decay_first": lambda: burgers.derivative_decay_report(
-                burgers.SmoothWave(data, DELTA), [t], P_EXPONENTS
+                burgers.SmoothWave(data, delta), [t], p_exponents
             ),
-            "gap_first": lambda: burgers.riemann_gap(burgers.SmoothWave(data, DELTA), t)[0],
+            "gap_first": lambda: burgers.riemann_gap(burgers.SmoothWave(data, delta), t)[0],
             "residual16": lambda: [burgers.euler_residual(wave, t, x) for x in xs],
             "state16": lambda: [(s.rho, s.u1, s.theta) for s in (wave.state(t, x) for x in xs)],
         }
@@ -60,7 +56,7 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "wave": {"left": LEFT, "rho_plus": RHO_PLUS, "delta": DELTA, "p": "1, 2, inf"},
+    "objects": "perfbench/workloads.py's wave and p exponents of the wave_reports workload",
     "timing": f"best of {REPEATS} per round, alternating rounds, one thread, seconds; median and "
     "quartiles over rounds, per side and of the per-round after/before ratio",
     "accuracy": "per side: the decay values and the gap (warm and first use), max |residual| and "

@@ -94,11 +94,11 @@ def _init_derivs(p: WaveParams, x0, order: int = 2):
 
 def _check_time(t) -> None:
     """Raise ``ValueError`` unless t is one finite time >= 0."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    # an array of one time passes the line above; np.ndim costs 1 us on a float
+    # first, so an array never reaches the comparison; np.ndim costs 1 us on a float
     if type(t) is not float and np.ndim(t) != 0:
         raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
 
 
 def _foot_point(p: WaveParams, t: float, x: float) -> float:
@@ -205,6 +205,8 @@ class SmoothWave:
 
     def state(self, t: float, x: float) -> GasState:
         """Pointwise GasState of the wave (u2 = u3 = 0)."""
+        if type(x) is not float and np.ndim(x) != 0:
+            raise ValueError(f"x must be one point, got an array of shape {np.shape(x)}")
         c = self.profile(t, float(x), order=0)
         return GasState.make(c["rho"], c["u1"], c["theta"])
 
@@ -364,6 +366,8 @@ def riemann_gap(wave: SmoothWave, t: float) -> GapReport:
     it (``SmoothWave._char_eval``; it resolves the tanh transition), and over
     those two edge points, whose foot points are solved for.
     """
+    if type(t) is not float and np.ndim(t) != 0:
+        raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"gap defined for finite t > 0, got {t}")
     p = wave.params

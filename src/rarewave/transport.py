@@ -472,13 +472,13 @@ def gbar_construct(
     """The wave-gradient correction field at one space-time point.
 
     The field is linear in the wave gradients:
-    sqrt(R) theta_y / sqrt(theta) A1 + u1_y B11.  The wave provides
-    physical-frame profile derivatives; the analysis frame compresses
-    space by eps^a, so the frame gradients theta_y, u1_y carry one
-    factor of eps^a, and the whole field another eps^(1 - a).  It closes the
+    sqrt(R) theta_y / sqrt(theta) A1 + u1_y B11.  The analysis frame
+    compresses space by eps^a, so its gradients theta_y, u1_y carry eps^a
+    and the field eps^(1 - a): ``a`` cancels up to round-off, and the field
+    is eps times the wave's physical-frame gradient terms.  It closes the
     Navier-Stokes fluxes: heat flux -eps kappa_theta theta_x, normal stress
-    -(4/3) eps mu11 u1_x with mu11 from B11.  An eps that is not finite and
-    positive raises ``ValueError``.
+    -(4/3) eps mu11 u1_x with mu11 from B11.  ``s`` must be ``sol.state``
+    and eps finite and positive, else ``ValueError``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")

@@ -1,7 +1,8 @@
 """The before/after protocol of bench/harness.py: when ``compare`` calls a
 difference resolved, how a side is run, how ``main`` alternates the sides, how runs
 become report rows, how ``max_rel`` reads entries that are not finite, that every
-script needs ``--out`` and at least one round, and that every report is strict JSON."""
+script needs ``--out`` and at least one round, that every report is strict JSON,
+and that every script's ``measure()`` runs at toy size."""
 
 import importlib.util
 import json
@@ -297,3 +298,60 @@ def test_wave_reports_rows_read_no_difference_between_equal_sides(monkeypatch):
         side = row["after"]
         assert side["gap_first"] == side["gap"]
         assert [side[n] for n in decay_first] == [side[n] for n in decay]
+
+
+# each script's sizes cut to toy size, where the script has them
+TOY = {"SIZES": (10,), "TIMES": (0.5,), "REPORT_LEVELS": 2}
+
+
+def toy_script(script, monkeypatch):
+    """The bench script ``script``, freshly imported, at toy size.
+
+    Its harness takes one repeat, and the benchmark's lattices are the toy
+    lattices of perfbench/test_perfbench.py.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))  # undone with every later sys.path insert
+    stem = script.removesuffix(".py")
+    for name in ("harness", stem):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    harness = importlib.import_module("harness")
+    module = importlib.import_module(stem)
+    monkeypatch.setattr(harness, "REPEATS", 1)
+    for name, value in TOY.items():
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
+    w = harness.workloads()
+    monkeypatch.setattr(w, "TABLE_LATTICE", w.Lattice(10, 3.5, 0.05, "thermal_n10_span3.5_tol0.05"))
+    monkeypatch.setattr(w, "SLICE_LATTICE", w.Lattice(12, 3.5, 0.05, "shared_n12_span3.5_tol0.05"))
+    from rarewave import collision
+
+    # burnett_solve.py wraps LMOperator.apply to count its calls; this undoes it
+    monkeypatch.setattr(collision.LMOperator, "apply", collision.LMOperator.apply)
+    return module
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_every_script_measures_at_toy_size(script, monkeypatch, tmp_path):
+    # a broken script used to show only in a report run
+    res = toy_script(script, monkeypatch).measure()
+    assert res
+    for key, value in res.items():
+        row, name = key.split("/")
+        assert name and row.split() and all("=" in word for word in row.split())
+        if name.endswith("_s"):
+            seconds, faults = value
+            assert np.shape(value) == (2,) and seconds > 0.0 and faults >= 0
+    np.savez(tmp_path / "side.npz", **res)
+    with np.load(tmp_path / "side.npz") as saved:
+        assert set(saved.files) == set(res)
+
+
+def test_the_table_rows_are_the_rest_solves_bit_for_bit(monkeypatch):
+    # transport_table solves its first row cold and its second from the first
+    res = toy_script("burnett_solve.py", monkeypatch).measure()
+    at = {state: f"state={state} n_per_axis=10/" for state in ("rest", "rest_warm", "table")}
+    assert at["rest"] + "mu" in res and at["rest_warm"] + "mu" in res
+    for col in ("mu", "kappa"):
+        assert list(res[at["table"] + col]) == [res[at[s] + col] for s in ("rest", "rest_warm")]
+    residual = [max(res[at[s] + "residuals"]) for s in ("rest", "rest_warm")]
+    assert list(res[at["table"] + "residual"]) == residual

@@ -401,7 +401,7 @@ class TestSmoothWave:
             SmoothWave(DATA, -0.1)
 
     def test_build_is_the_constructor(self):
-        # the alias stays while the benchmark workloads and bench/wave_reports.py call it
+        # the alias stays while _wave() of perfbench/workloads.py, its one caller, calls it
         assert SmoothWave.build(DATA, 0.3) == self.wave
 
     def test_rejects_an_infinite_width(self):
@@ -427,13 +427,16 @@ class TestSmoothWave:
             self.wave.profile(-1.0, 0.2)
 
     def test_profile_and_the_vectorized_newton_take_one_time(self):
-        # both check t with 0.0 <= t < inf, which an array of times cannot pass
+        # an array of times reached 0.0 <= t < inf, whose truth value NumPy
+        # calls ambiguous, before the one-time check
         t = np.array([0.5, 1.0])
         for x in (0.2, np.array([0.1, 0.2])):
-            with pytest.raises(ValueError, match="truth value of an array"):
+            with pytest.raises(ValueError, match="t must be one time"):
                 self.wave.profile(t, x)
-        with pytest.raises(ValueError, match="truth value of an array"):
+        with pytest.raises(ValueError, match="t must be one time"):
             _foot_points(self.wave.params, t, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="t must be one time"):
+            _foot_point(self.wave.params, t, 0.2)
 
     @pytest.mark.parametrize(
         "call",
@@ -446,10 +449,20 @@ class TestSmoothWave:
         ids=["profile", "state", "riemann_gap", "euler_residual"],
     )
     def test_a_one_element_array_of_times_is_rejected(self, call):
-        # it passed 0.0 <= t < inf: profile and euler_residual returned
-        # values, state and riemann_gap raised TypeError
-        with pytest.raises(ValueError, match="t must be one time"):
-            call(self.wave, np.array([0.5]))
+        # one time passed 0.0 <= t < inf: profile and euler_residual returned
+        # values, state and riemann_gap raised TypeError; two raised NumPy's
+        # "truth value of an array is ambiguous"
+        for t in (np.array([0.5]), np.array([0.5, 1.0])):
+            with pytest.raises(ValueError, match="t must be one time"):
+                call(self.wave, t)
+
+    def test_state_rejects_an_x_that_is_not_one_point(self):
+        # float(x) raised TypeError for shapes (1,) and (2,)
+        for x in (np.array([0.2]), np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="x must be one point"):
+                self.wave.state(1.0, x)
+        for x in (np.array(0.2), np.float64(0.2)):
+            assert self.wave.state(1.0, x) == self.wave.state(1.0, 0.2)
 
     def test_profile_rejects_an_order_outside_0_to_2(self, monkeypatch):
         # order 3 returned the order-2 dict, -1 the order-0 one and 1.5 the
