@@ -107,10 +107,9 @@ def measure() -> dict:
 
 DESCRIPTION = {
     "objects": f"perfbench/workloads.py's wave, fan time, lattices and tolerances at n {SIZES}",
-    "timing": f"states: best of {REPEATS} calls per round after the kernel-transform build; "
-    "table: one call per round, builds included, over its rows; alternating rounds, one "
-    "thread, seconds; median and quartiles over rounds, per side and of the per-round "
-    "after/before ratio",
+    "timing": f"states: best of {REPEATS} calls per round after the kernel-transform build; table: "
+    "one call per round, builds included, over its rows; alternating rounds, one thread, seconds; "
+    "median and quartiles over rounds, per side and of the per-round after/before ratio",
     "accuracy": "per state: solves, LMOperator.apply calls per burnett_solve call, the nine "
     "recorded residuals, mu, kappa and max |B11|; table: its mu, kappa and residual columns; "
     "max_rel: max |after - before| / max |before|",

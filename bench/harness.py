@@ -4,8 +4,9 @@
 
 A script is its docstring, its constants, ``measure()`` and a
 ``DESCRIPTION`` dict, and ends with ``main(measure, __doc__, DESCRIPTION)``,
-its one entry point.  The benchmark's wave, fan time, lattices and
-tolerances it reads from ``perfbench/workloads.py`` through ``workloads()``.  It measures twice over: once with this checkout's
+its one entry point, and reads the benchmark's wave, fan time, lattices and
+tolerances from ``perfbench/workloads.py`` through ``workloads()``.  It
+measures twice over: once with this checkout's
 ``src/`` and once with ``src/`` of git revision REV, exported by ``git
 archive`` into a temporary directory.  Each side runs in a fresh process,
 ``SCRIPT.py --measure SRC OUT`` by the script's absolute path, in the

@@ -4,15 +4,16 @@
 
 Run it from the root of a checkout.  With the ``rarewave`` the harness
 loaded it runs the workload classes of ``perfbench/workloads.py``, on its
-lattices, at seed 3: one step of ``transport_table`` (two rows) and of ``wave_slice`` (one
-fan state), and 400 steps of ``wave_reports`` (400 time levels).  It reads
-``perfbench/`` and changes nothing in it.  Each workload is one report row
-holding every value its steps record: the table rows; the wave state's
-position, state, mu, kappa, nine residuals, A1, B11 and correction field;
-each level's decay rows (t, p, j, value, shape), gap and shape, states and
-Euler residuals.  Nothing is timed, so one round is enough.  Both sides
-run the protocol in ``bench/harness.py``, and a ``max_rel`` of 0.0 for
-every value means the two revisions compute the same numbers, bit for bit.
+lattices, at seed 3: one step of ``transport_table`` (two rows) and of
+``wave_slice`` (one fan state), and 400 steps of ``wave_reports`` (400 time
+levels).  It reads ``perfbench/`` and changes nothing in it.  Each workload
+is one report row holding every value its steps record: the table rows; the
+wave state's position, state, mu, kappa, nine residuals, A1, B11 and
+correction field; each level's decay rows (t, p, j, value, shape), gap and
+shape, states and Euler residuals.  Nothing is timed, so one round is
+enough.  Both sides run the protocol in ``bench/harness.py``, and a
+``max_rel`` of 0.0 for every value means the two revisions compute the same
+numbers, bit for bit.
 """
 
 from __future__ import annotations

@@ -302,13 +302,17 @@ def test_wave_reports_rows_read_no_difference_between_equal_sides(monkeypatch):
 
 # each script's sizes cut to toy size, where the script has them
 TOY = {"SIZES": (10,), "TIMES": (0.5,), "REPORT_LEVELS": 2}
+# the toy lattices of perfbench/test_perfbench.py
+TOY_LATTICES = {
+    "TABLE_LATTICE": (10, 3.5, 0.05, "thermal_n10_span3.5_tol0.05"),
+    "SLICE_LATTICE": (12, 3.5, 0.05, "shared_n12_span3.5_tol0.05"),
+}
 
 
 def toy_script(script, monkeypatch):
     """The bench script ``script``, freshly imported, at toy size.
 
-    Its harness takes one repeat, and the benchmark's lattices are the toy
-    lattices of perfbench/test_perfbench.py.
+    Its harness takes one repeat, and the benchmark's lattices are toy ones.
     """
     monkeypatch.syspath_prepend(str(BENCH))  # undone with every later sys.path insert
     stem = script.removesuffix(".py")
@@ -321,8 +325,8 @@ def toy_script(script, monkeypatch):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, value)
     w = harness.workloads()
-    monkeypatch.setattr(w, "TABLE_LATTICE", w.Lattice(10, 3.5, 0.05, "thermal_n10_span3.5_tol0.05"))
-    monkeypatch.setattr(w, "SLICE_LATTICE", w.Lattice(12, 3.5, 0.05, "shared_n12_span3.5_tol0.05"))
+    for name, fields in TOY_LATTICES.items():
+        monkeypatch.setattr(w, name, w.Lattice(*fields))
     from rarewave import collision
 
     # burnett_solve.py wraps LMOperator.apply to count its calls; this undoes it
