@@ -10,9 +10,9 @@ measures twice over: once with this checkout's
 ``src/`` and once with ``src/`` of git revision REV, exported by ``git
 archive`` into a temporary directory.  Each side runs in a fresh process,
 ``SCRIPT.py --measure SRC OUT`` by the script's absolute path, in the
-checkout's root, with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
-MKL_NUM_THREADS set to 1, and stops unless ``rarewave`` is imported from
-its own SRC.  The sides alternate for ``--rounds`` rounds (``before`` first
+checkout's root, with the six thread pools of ``THREAD_VARS`` pinned to 1
+as ``perfbench/run.py`` pins them, and stops unless ``rarewave`` is imported
+from its own SRC.  The sides alternate for ``--rounds`` rounds (``before`` first
 on even rounds).  A timing is scored by its per-round ratio after/before,
 since a slow process or a busy host slows every call of its round
 together.  A difference counts as resolved only when at least ten rounds
@@ -24,8 +24,8 @@ whether glibc gave the heap back between them, not in their work.
 
 A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 ``key=value`` words (``"state=rest n_per_axis=16"``).  A NAME ending in
-``_s`` holds a timing, [seconds, minor page faults] as ``cost_of`` and
-``best_of`` give it; ``raised`` holds the message of a call that raised;
+``_s`` holds a timing, the [seconds, minor page faults] of the fastest of
+``best_of``'s calls; ``raised`` holds the message of a call that raised;
 any other NAME holds a value, a number or an array.
 
 The JSON report at ``--out`` (no default) holds ``what``, the first line of
@@ -72,20 +72,24 @@ SHOWN = 9
 # Largest difference of the two sides' median minor page faults, as a share
 # of the larger, at which a timing can be resolved.
 FAULT_SPREAD = 0.1
-
-
-def cost_of(fn, *args, **kwargs) -> tuple:
-    """``fn(*args, **kwargs)`` and what it cost: [seconds, this process's minor page faults]."""
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    seconds = time.perf_counter() - t0
-    return out, np.array([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+# The thread pools a side pins to one thread: the list of perfbench/run.py,
+# copied so that a change there cannot change how bench/ runs.
+THREAD_VARS = (
+    "OMP_NUM_THREADS OPENBLAS_NUM_THREADS MKL_NUM_THREADS "
+    "BLIS_NUM_THREADS VECLIB_MAXIMUM_THREADS NUMEXPR_NUM_THREADS"
+).split()
 
 
 def best_of(fn, *args) -> np.ndarray:
-    """The cost of the fastest of ``REPEATS`` calls: [seconds, minor page faults]."""
-    return min((cost_of(fn, *args)[1] for _ in range(REPEATS)), key=lambda cost: cost[0])
+    """The [seconds, minor page faults] of the fastest of ``REPEATS`` calls of ``fn(*args)``."""
+    costs = []
+    for _ in range(REPEATS):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        fn(*args)
+        seconds = time.perf_counter() - t0
+        costs.append([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+    return np.array(min(costs, key=lambda cost: cost[0]))
 
 
 def load(src: str) -> None:
@@ -130,11 +134,10 @@ def git(*args: str) -> str:
 
 def run_side(script: str, src: Path, out: Path) -> dict:
     """Results of ``script --measure src out``, run in a fresh one-thread process."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run(
         [sys.executable, script, "--measure", str(src), str(out)],
         cwd=ROOT,
-        env=env,
+        env=dict(os.environ, **dict.fromkeys(THREAD_VARS, "1")),
         check=True,
     )
     with np.load(out) as dat:

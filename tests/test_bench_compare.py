@@ -19,12 +19,21 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SCRIPTS = sorted(p.name for p in BENCH.glob("*.py") if p.name != "harness.py")
 BEFORE = [1.0 + 0.01 * k for k in range(10)]  # quartile spread 0.045
-# a side that reports the thread pin it was started with
+# the thread pools perfbench/run.py pins, each of which a side pins too
+PINS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+# a side that reports the thread pins it was started with
 SIDE = """
 import os, sys
 sys.path.insert(0, {bench!r})
 import harness
-harness.main(lambda: {{"omp": os.environ["OMP_NUM_THREADS"]}}, None, None)
+harness.main(lambda: {{v: os.environ[v] for v in {pins!r}}}, None, None)
 """
 # a two-round script on the same pattern: each side logs the src/ it imports from
 FAKE = '''"""A fake bench script whose value holds an inf.
@@ -155,11 +164,12 @@ def test_the_host_load_is_recorded_before_and_after_the_rounds(harness, monkeypa
 
 
 def test_a_side_runs_pinned_to_one_thread(harness, tmp_path, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    for var in PINS:
+        monkeypatch.setenv(var, "4")
     script = tmp_path / "side.py"
-    script.write_text(SIDE.format(bench=str(BENCH)))
+    script.write_text(SIDE.format(bench=str(BENCH), pins=PINS))
     out = harness.run_side(str(script), harness.ROOT / "src", tmp_path / "side.npz")
-    assert str(out["omp"]) == "1"
+    assert {var: str(out[var]) for var in PINS} == dict.fromkeys(PINS, "1")
 
 
 def test_main_runs_the_sides_in_turn_from_outside_the_checkout(harness, tmp_path, monkeypatch):
@@ -327,10 +337,6 @@ def toy_script(script, monkeypatch):
     w = harness.workloads()
     for name, fields in TOY_LATTICES.items():
         monkeypatch.setattr(w, name, w.Lattice(*fields))
-    from rarewave import collision
-
-    # burnett_solve.py wraps LMOperator.apply to count its calls; this undoes it
-    monkeypatch.setattr(collision.LMOperator, "apply", collision.LMOperator.apply)
     return module
 
 
@@ -350,12 +356,24 @@ def test_every_script_measures_at_toy_size(script, monkeypatch, tmp_path):
         assert set(saved.files) == set(res)
 
 
-def test_the_table_rows_are_the_rest_solves_bit_for_bit(monkeypatch):
-    # transport_table solves its first row cold and its second from the first
-    res = toy_script("burnett_solve.py", monkeypatch).measure()
-    at = {state: f"state={state} n_per_axis=10/" for state in ("rest", "rest_warm", "table")}
-    assert at["rest"] + "mu" in res and at["rest_warm"] + "mu" in res
-    for col in ("mu", "kappa"):
-        assert list(res[at["table"] + col]) == [res[at[s] + col] for s in ("rest", "rest_warm")]
-    residual = [max(res[at[s] + "residuals"]) for s in ("rest", "rest_warm")]
-    assert list(res[at["table"] + "residual"]) == residual
+def rarewave_attributes():
+    """Each attribute of every loaded ``rarewave`` module and of every class defined in one."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "rarewave":
+            continue
+        for attr, value in vars(module).items():
+            out[name, attr] = value
+            if isinstance(value, type) and value.__module__ == name:
+                out.update({(name, attr, a): v for a, v in vars(value).items()})
+    return out
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_script_leaves_rarewave_patched(script, monkeypatch):
+    # burnett_solve.py counts LMOperator.apply calls through a wrapper it installs
+    module = toy_script(script, monkeypatch)
+    before = rarewave_attributes()
+    module.measure()
+    after = rarewave_attributes()
+    assert [key for key, value in before.items() if after.get(key) is not value] == []

@@ -148,28 +148,6 @@ def test_foot_point_residual_bulk():
         assert np.all(w[inner] < PARAMS.omega_plus)
 
 
-def test_batched_foot_points_match_single_point(monkeypatch):
-    # t = 0 and the far field converge at once or in a few steps, the
-    # transition at t = 50 after many; a converged point must keep its value
-    x = np.array([-40.0, 0.05, 4.2, 60.0])
-    batches = {t: _foot_points(PARAMS, t, x) for t in (0.0, 0.5, 50.0)}
-    calls = []
-    init_derivs = burgers._init_derivs
-
-    def counting(p, x0, order):  # called once per iteration
-        calls.append(x0)
-        return init_derivs(p, x0, order)
-
-    monkeypatch.setattr(burgers, "_init_derivs", counting)
-    iterations = set()
-    for t, batch in batches.items():
-        for xi, b in zip(x, batch):
-            calls.clear()
-            assert b == _foot_points(PARAMS, t, xi)[0]
-            iterations.add(len(calls))
-    assert len(iterations) >= 3
-
-
 # the array form and the one-point driver on Python floats
 FOOT_DRIVERS = pytest.mark.parametrize(
     "solve", [_foot_points, _foot_point], ids=lambda f: f.__name__
