@@ -1,14 +1,17 @@
-"""Cost of ``burnett_solve`` at rest, warm-started and mid-fan, against an earlier revision.
+"""Cost of the collision layers and of ``burnett_solve``, against an earlier revision.
 
     python bench/burnett_solve.py --before REV [--rounds 10] --out FILE
 
 The wave, fan time, lattices and tolerances are those of
 ``perfbench/workloads.py``.  For n_per_axis in {16, 20, 24, 32} it times
-``burnett_solve`` (best of 5, one thread, each call building its own
-``LMOperator``) at three states, after the lattice's kernel transforms are
-built, as the workloads' set-up builds them:
+four rows (best of 5, one thread):
 
-- ``rest``: (1, 0, 1) on ``thermal_grid(1.0, n)``, solved cold;
+- ``drift``: the ``_KernelTransforms`` build, ``LMOperator.apply`` and
+  ``LMOperator.weak_apply`` at the drifting state (1, 0.25, 1), where no
+  axis symmetry is special, on ``thermal_grid(1.0, n)``, next to the padded
+  FFT length and point count, the bytes of the cached kernel spectra and
+  the two outputs on a seeded input;
+- ``rest``: ``burnett_solve`` at (1, 0, 1) on that lattice, solved cold;
 - ``rest_warm``: theta = 1.25 on its own thermal lattice, started from the
   ``rest`` solution, as ``transport_table`` starts every later row;
 - ``mid_fan``: the ``wave_slice`` wave at its fan time t and x = t
@@ -16,30 +19,37 @@ built, as the workloads' set-up builds them:
   At n = 20 it passes with almost no margin (largest residual 9.9e-3); the
   fan states on its cool side, x = 1.6-2.4, raise there.
 
-A ``transport_table((1.0, 1.25))`` row, that workload's operation, is the
-``rest`` or ``rest_warm`` solve: read its cost as theirs plus ``build_s`` of
-``bench/fft_period.py``.  Both sides run ``bench/harness.py``'s protocol.
-Next to each time stand the solves, the ``LMOperator.apply`` calls of one
-``burnett_solve`` call (counted by this script's wrapper, removed after, not
-by ``src/``), the nine residuals, mu, kappa and B11, or the message raised.
+Each solve builds its own ``LMOperator`` after the lattice's kernel
+transforms are built, as the workloads' set-up builds them.  A
+``transport_table((1.0, 1.25))`` row, that workload's operation, costs
+``rest`` or ``rest_warm`` plus ``build_s`` of ``drift`` at the same n, read
+from one report.  Both sides run ``bench/harness.py``'s protocol.  Next to
+each solve's time stand the solves, the ``LMOperator.apply`` calls of one
+call (counted by this script's wrapper, removed after, not by ``src/``;
+``drift`` times the unwrapped method), the nine residuals, mu, kappa and
+B11, or the message raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from harness import REPEATS, best_of, main, workloads
 
 SIZES = (16, 20, 24, 32)
+DRIFT = (1.0, 0.25, 1.0)  # rho, u1, theta of the drift row
 
 
 def measure() -> dict:
-    """Time the three states with the ``rarewave`` the harness loaded."""
+    """Time the layers and the three solves with the ``rarewave`` the harness loaded."""
     from rarewave import collision, transport, velocity
     from rarewave.euler import GasState, lambda3
 
     w = workloads()
     c = w.TABLE_LATTICE
+    p = collision.KernelParams()
     calls = [0]
     plain_apply = collision.LMOperator.apply
 
@@ -51,6 +61,22 @@ def measure() -> dict:
     collision.LMOperator.apply = counted_apply
     try:
         for n in SIZES:
+            at = f"state=drift n_per_axis={n}/"
+            s = GasState.make(*DRIFT)
+            g = transport.thermal_grid(DRIFT[2], n, c.span)
+            rng = np.random.default_rng(n)
+            values = rng.standard_normal(g.shape) * velocity.maxwellian(s, g).values
+            pot = rng.standard_normal(g.shape)
+            res[at + "build_s"] = best_of(collision._KernelTransforms, g, p)
+            tr = collision._KernelTransforms(g, p)
+            res[at + "pad"], res[at + "fft_points"] = tr.pad_shape[0], np.prod(tr.pad_shape)
+            res[at + "kernel_bytes"] = sum(k.nbytes for k in tr.khat)
+            op = collision.LMOperator(s, g, p)
+            res[at + "apply_s"] = best_of(plain_apply, op, values)
+            res[at + "weak_apply_s"] = best_of(op.weak_apply, pot)
+            res[at + "apply"] = plain_apply(op, values)
+            res[at + "weak_apply"] = op.weak_apply(pot)
+
             fan = w.WaveSlice(0, replace(w.SLICE_LATTICE, n_per_axis=n))
             fan.setup()
             x = 0.5 * w.SLICE_T * (lambda3(fan.data.left) + lambda3(fan.data.right))
@@ -93,12 +119,15 @@ def measure() -> dict:
 
 
 DESCRIPTION = {
-    "objects": f"perfbench/workloads.py's wave, fan time, lattices and tolerances at n {SIZES}",
-    "timing": f"best of {REPEATS} calls per round after the kernel-transform build, alternating "
-    "rounds, one thread, seconds, median and quartiles per side and of the after/before ratio; "
-    "a transport_table row costs rest or rest_warm plus build_s of bench/fft_period.py",
-    "accuracy": "per state: solves, LMOperator.apply calls per burnett_solve call, the nine "
-    "recorded residuals, mu, kappa and max |B11|; max_rel: max |after - before| / max |before|",
+    "objects": f"perfbench/workloads.py's wave, fan time, lattices and tolerances at n {SIZES}; "
+    f"drift: (rho, u1, theta) = {DRIFT} on thermal_grid(theta, n, span)",
+    "timing": f"best of {REPEATS} calls per round, a solve's after the kernel-transform build, "
+    "alternating rounds, one thread, seconds, median and quartiles per side and of the "
+    "after/before ratio; a transport_table row costs rest or rest_warm plus drift's build_s",
+    "accuracy": "drift: pad, fft_points, kernel_bytes (summed nbytes of the cached kernel "
+    "spectra), apply and weak_apply on a seeded input; per solve: solves, LMOperator.apply "
+    "calls per burnett_solve call, the nine residuals, mu, kappa and max |B11|; "
+    "max_rel: max |after - before| / max |before|",
 }
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ together.  A difference counts as resolved only when at least ten rounds
 ran, one side wins at least nine tenths of them and the median ratio lies
 further from 1 than the distance between the quartiles of the ratios.  A
 timing whose two sides' median minor page faults differ by more than
-``FAULT_SPREAD`` of the larger is never resolved: its calls may differ in
-whether glibc gave the heap back between them, not in their work.
+``FAULT_FLOOR`` and by more than ``FAULT_SPREAD`` of the larger is never
+resolved: its calls may differ in whether glibc gave the heap back between
+them, not in their work.
 
 A script's ``measure()`` returns a flat dict keyed ``"ROW/NAME"``, ROW as
 ``key=value`` words (``"state=rest n_per_axis=16"``).  A NAME ending in
@@ -69,9 +70,10 @@ REPEATS = 5
 MIN_ROUNDS = 10
 # Largest array a report lists entry by entry for each side.
 SHOWN = 9
-# Largest difference of the two sides' median minor page faults, as a share
-# of the larger, at which a timing can be resolved.
-FAULT_SPREAD = 0.1
+# Largest gap between the two sides' median minor page faults at which a
+# timing can be resolved: FAULT_SPREAD of the larger, or FAULT_FLOOR faults
+# (equal code faults 0 against 1, a heap given back 64 or more).
+FAULT_SPREAD, FAULT_FLOOR = 0.1, 32
 # The thread pools a side pins to one thread: the list of perfbench/run.py,
 # copied so that a change there cannot change how bench/ runs.
 THREAD_VARS = (
@@ -196,13 +198,15 @@ def compare(times: dict) -> dict:
 def compare_costs(costs: dict) -> dict:
     """``compare()`` of per-side [seconds, minor faults] rounds, with each side's median faults.
 
-    Where those medians differ by more than ``FAULT_SPREAD`` of the larger,
-    the timing is not resolved and ``unresolved_because`` says so.
+    Where those medians differ by more than ``FAULT_FLOOR`` and by more than
+    ``FAULT_SPREAD`` of the larger, the timing is not resolved and
+    ``unresolved_because`` says so.
     """
     costs = {side: np.asarray(c, dtype=float) for side, c in costs.items()}
     out = compare({side: c[:, 0].tolist() for side, c in costs.items()})
     out["minor_faults"] = faults = {side: float(np.median(c[:, 1])) for side, c in costs.items()}
-    if abs(faults["after"] - faults["before"]) > FAULT_SPREAD * max(faults.values()):
+    gap = abs(faults["after"] - faults["before"])
+    if gap > FAULT_FLOOR and gap > FAULT_SPREAD * max(faults.values()):
         out["resolved"] = False
         out["unresolved_because"] = (
             f"median minor faults differ by more than {FAULT_SPREAD:.0%}: "

@@ -146,6 +146,27 @@ def test_a_timing_whose_sides_fault_apart_is_not_resolved(harness):
     assert out["resolved"] is True
 
 
+def test_a_gap_of_a_few_faults_does_not_block_resolution(harness):
+    # equal code faulted 0 against 1 in a full burnett_solve.py run; within
+    # FAULT_FLOOR the timing resolves as compare() says
+    out = harness.compare_costs({"before": [[s, 0] for s in BEFORE], "after": [[0.5, 1]] * 10})
+    timed = harness.compare({"before": BEFORE, "after": [0.5] * 10})
+    assert out == {**timed, "minor_faults": {"before": 0.0, "after": 1.0}}
+    assert out["resolved"] is True
+
+
+@pytest.mark.parametrize("before, after", [(0, 100), (166, 102)])
+def test_a_heap_sized_fault_gap_still_blocks_resolution(harness, before, after):
+    # 166 against 102 is the gap of state=rest n_per_axis=32 on equal code
+    out = harness.compare_costs(
+        {"before": [[s, before] for s in BEFORE], "after": [[0.5, after]] * 10}
+    )
+    assert out["after_wins"] == 1.0 and out["resolved"] is False
+    assert out["unresolved_because"] == (
+        f"median minor faults differ by more than 10%: {before} before, {after} after"
+    )
+
+
 def test_the_host_load_is_recorded_before_and_after_the_rounds(harness, monkeypatch):
     # a busy host can tilt a round's two sides apart, so the report keeps the
     # load averages either side of the rounds and the table prints both
@@ -354,6 +375,20 @@ def test_every_script_measures_at_toy_size(script, monkeypatch, tmp_path):
     np.savez(tmp_path / "side.npz", **res)
     with np.load(tmp_path / "side.npz") as saved:
         assert set(saved.files) == set(res)
+
+
+def test_burnett_solve_writes_layer_rows_next_to_solve_rows(monkeypatch):
+    # the layer timings of the drift row and the solve timings share one lattice and one report
+    res = toy_script("burnett_solve.py", monkeypatch).measure()
+    rows = {}
+    for key in res:
+        row, name = key.split("/")
+        rows.setdefault(row, set()).add(name)
+    layers = {"build_s", "apply_s", "weak_apply_s", "pad", "fft_points", "kernel_bytes"}
+    assert rows["state=drift n_per_axis=10"] == layers | {"apply", "weak_apply"}
+    for state in ("rest", "rest_warm", "mid_fan"):
+        assert "burnett_solve_s" in rows[f"state={state} n_per_axis=10"]
+    assert len(rows) == 4
 
 
 def rarewave_attributes():

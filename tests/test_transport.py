@@ -666,16 +666,23 @@ def test_decay_check_constants_positive_and_nonincreasing_in_eps(wave_point):
     assert all(c2 <= c1 for c1, c2 in zip(consts, consts[1:]))
 
 
-def test_the_package_imports_no_sparse_or_optimize_scipy():
+def test_the_package_imports_no_scipy_beyond_scipy_fft():
     # scipy.sparse.linalg alone adds 9.8 MB of peak RSS, past the 5% bound
-    # of the benchmark's lightest workload
+    # of the benchmark's lightest workload; scipy.fft is the one part it needs
     probe = (
-        "import sys, rarewave.transport, rarewave.burgers; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))))"
+        "import importlib, json, pkgutil, sys, scipy.fft\n"
+        "def scipy_modules(): return {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "fft = scipy_modules()\n"
+        "import rarewave\n"
+        "names = [m.name for m in pkgutil.iter_modules(rarewave.__path__)]\n"
+        "for name in names: importlib.import_module('rarewave.' + name)\n"
+        "print(json.dumps([names, sorted(scipy_modules() - fft)]))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rarewave.__file__).parents[1])}
     run = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    names, added = json.loads(run.stdout)
+    assert {"collision", "transport", "burgers"} <= set(names)
+    assert added == []
