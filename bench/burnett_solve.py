@@ -16,8 +16,8 @@ four rows (best of 5, one thread):
   ``rest`` solution, as ``transport_table`` starts every later row;
 - ``mid_fan``: the ``wave_slice`` wave at its fan time t and x = t
   (lambda3(left) + lambda3(right)) / 2, on that workload's shared lattice.
-  At n = 20 it passes with almost no margin (largest residual 9.9e-3); the
-  fan states on its cool side, x = 1.6-2.4, raise there.
+  At n = 20 it raises on A2's penalty share (0.994: a lattice odd-even
+  mode), and the fan states on its cool side, x = 1.6-2.4, raise there too.
 
 Each solve builds its own ``LMOperator`` after the lattice's kernel
 transforms are built, as the workloads' set-up builds them.  A
@@ -26,8 +26,8 @@ transforms are built, as the workloads' set-up builds them.  A
 from one report.  Both sides run ``bench/harness.py``'s protocol.  Next to
 each solve's time stand the solves, the ``LMOperator.apply`` calls of one
 call (counted by this script's wrapper, removed after, not by ``src/``;
-``drift`` times the unwrapped method), the nine residuals, mu, kappa and
-B11, or the message raised.
+``drift`` times the unwrapped method), the nine residuals, the solved
+components' penalty shares, mu, kappa and B11, or the message raised.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def measure() -> dict:
                     continue
                 res[at + "solves"] = len(sol.solved)
                 res[at + "residuals"] = [sol.residuals[k] for k in sorted(sol.residuals)]
+                if hasattr(sol, "penalty_shares"):  # absent from a revision without the check
+                    res[at + "penalty_shares"] = [v for _, v in sorted(sol.penalty_shares.items())]
                 res[at + "mu"] = sol.mu_theta
                 res[at + "kappa"] = sol.kappa_theta
                 res[at + "B11"] = sol.B[0][0].values
@@ -126,7 +128,8 @@ DESCRIPTION = {
     "after/before ratio; a transport_table row costs rest or rest_warm plus drift's build_s",
     "accuracy": "drift: pad, fft_points, kernel_bytes (summed nbytes of the cached kernel "
     "spectra), apply and weak_apply on a seeded input; per solve: solves, LMOperator.apply "
-    "calls per burnett_solve call, the nine residuals, mu, kappa and max |B11|; "
+    "calls per burnett_solve call, the nine residuals, the solved components' penalty shares "
+    "(by name; above 0.5 the solve raises), mu, kappa and max |B11|; "
     "max_rel: max |after - before| / max |before|",
 }
 

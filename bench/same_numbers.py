@@ -8,8 +8,9 @@ lattices, at seed 3: one step of ``transport_table`` (two rows) and of
 ``wave_slice`` (one fan state), and 400 steps of ``wave_reports`` (400 time
 levels).  It reads ``perfbench/`` and changes nothing in it.  Each workload
 is one report row holding every value its steps record: the table rows; the
-wave state's position, state, mu, kappa, nine residuals, A1, B11 and
-correction field; each level's decay rows (t, p, j, value, shape), gap and
+wave state's position, state, mu, kappa, nine residuals, A1, B11,
+correction field and the solved components' penalty shares (where ``src/``
+records them); each level's decay rows (t, p, j, value, shape), gap and
 shape, states and Euler residuals.  Nothing is timed, so one round is
 enough.  Both sides run the protocol in ``bench/harness.py``, and a
 ``max_rel`` of 0.0 for every value means the two revisions compute the same
@@ -52,6 +53,8 @@ def measure() -> dict:
             at + "gbar": gbar,
         }
     )
+    if hasattr(sol, "penalty_shares"):  # absent from a revision without the check
+        res[at + "penalty_shares"] = [v for _, v in sorted(sol.penalty_shares.items())]
 
     reports = w.WaveReports(SEED)
     reports.setup()

@@ -24,6 +24,8 @@ from .velocity import (
     GAMMA_DEFAULT,
     GridFunction,
     VelocityGrid,
+    _along,
+    _stencils,
     maxwellian,
     project_P1,
 )
@@ -50,6 +52,9 @@ _COMPONENTS = ((0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # order: 0.135-0.137 measured over n_per_axis 20-28, at rest, on the wave and
 # with three distinct velocity components.
 PAIRING_ANISOTROPY = 0.14
+
+# Largest penalty share of a solved field: healthy ones read < 0.05, the odd-even mode > 0.99.
+PENALTY_SHARE = 0.5
 
 
 def _name(c: tuple) -> str:
@@ -107,9 +112,10 @@ class BurnettSolution:
     bare source polynomials.  ``residuals`` maps component names to the
     relative residual of the linearized equation, source minus the L_M
     product made as the field was (for a solved component, the product
-    its solve returned); ``solved`` lists the components that
-    ran through the solver.  Every other component is either the transpose
-    of an earlier one under an axis transposition (a, b) with
+    its solve returned); ``solved`` lists the components that ran through
+    the solver, and ``penalty_shares`` maps each to the penalty share that
+    ``burnett_solve`` checks.  Every other component is either the
+    transpose of an earlier one under an axis transposition (a, b) with
     u_a == u_b, which maps the lattice, the state and the sources onto
     themselves, or a diagonal shear that follows from the trace:
     B11 + B22 + B33 = 0, since the sources sum to zero and L_M is linear.
@@ -124,6 +130,7 @@ class BurnettSolution:
     kappa_theta: float
     residuals: dict
     solved: tuple
+    penalty_shares: dict
 
     @cached_property
     def grid_defect(self) -> float:
@@ -199,7 +206,10 @@ def burnett_solve(
     logged at DEBUG to ``rarewave.transport``; one above ``tol`` raises
     :class:`NonConvergenceError` naming the component, with the
     residuals recorded so far.  A failed solve re-raises the solver's
-    error with the component, ``grid_defect`` and ``n_per_axis``.
+    error with the component, ``grid_defect`` and ``n_per_axis``.  Then a
+    solved potential x = field / M raises too if its penalty share P / (P -
+    sum x w product), P = sum_j stab_j (S_j x)^2 the weak form's penalty,
+    exceeds ``PENALTY_SHARE``: it is mostly the lattice odd-even mode.
     ``start`` is an earlier solution on a lattice of ``g``'s shape: each
     solved component starts its solve from the same component of it
     (``x0`` of :func:`invert_LM_micro`) and is still solved to ``tol``.
@@ -211,6 +221,7 @@ def burnett_solve(
     op = LMOperator(s, g, p)
     _, polys = _sources(s, g)
     m = op.m
+    sec = _stencils(g.n_per_axis, g.spacing)[1]
 
     def transposes(c):
         """(origin, axes) of each allowed axis transposition moving onto c."""
@@ -223,6 +234,7 @@ def burnett_solve(
     diagonal = sorted(_COMPONENTS[3:6], key=lambda c: -len(list(transposes(c))))
     fields, products = both = {}, {}  # products[c] is L_M fields[c], made by the same rule
     residuals: dict = {}
+    shares: dict = {}
     solved: list = []
     for c in _COMPONENTS[:3] + tuple(diagonal) + _COMPONENTS[6:]:
         name = _name(c)
@@ -245,15 +257,22 @@ def burnett_solve(
             fields[c] = field.values
             solved.append(name)
             how = "solve"
+            x = field.values / m.values
+            pen = sum(np.sum(st * _along(sec, x, j) ** 2) for j, st in enumerate(op.stab))
+            shares[name] = float(pen / (pen - np.sum(x * g.weights * products[c])))
         res = source.values - products[c]
         residuals[name] = math.sqrt(g.integrate(res * res) / g.integrate(source.values**2))
-        _log.debug("%s: %s, verified residual %.3e", name, how, residuals[name])
+        share = f", penalty share {shares[name]:.3f}" if name in shares else ""
+        _log.debug("%s: %s%s, verified residual %.3e", name, how, share, residuals[name])
         if not residuals[name] <= tol:
             recorded = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
             raise NonConvergenceError(
                 f"{name} ({how}) has verified residual above tol {tol:.1e}; recorded {recorded}",
                 residuals.values(),
             )
+        if shares.get(name, 0.0) > PENALTY_SHARE:
+            why = f"penalty share {shares[name]:.3f} above {PENALTY_SHARE}: an odd-even mode"
+            raise NonConvergenceError(f"{name} (solve): {why}", residuals.values())
     residuals = {_name(c): residuals[_name(c)] for c in _COMPONENTS}
 
     kappa = -GAS_R * GAS_R * s.theta * g.integrate(polys[(0,)] * fields[(0,)])
@@ -270,6 +289,7 @@ def burnett_solve(
         kappa_theta=float(kappa),
         residuals=residuals,
         solved=tuple(solved),
+        penalty_shares=shares,
     )
 
 

@@ -309,30 +309,8 @@ def test_report_rows_compare_timings_list_values_and_floor_raises(harness):
     assert harness.floors(rows) == ["n=2: both sides raise"]
 
 
-def test_wave_reports_rows_read_no_difference_between_equal_sides(monkeypatch):
-    # both sides measure this checkout's src/ in this process: every difference is 0.0
-    monkeypatch.syspath_prepend(str(BENCH))
-    wave_reports = importlib.import_module("wave_reports")
-    runs = {side: [wave_reports.measure()] for side in ("before", "after")}
-    rows = importlib.import_module("harness").report_rows(runs)
-    assert [row["row"] for row in rows] == [f"t={t}" for t in wave_reports.TIMES]
-    entries = [f"_p{p}_j{j}" for p in ("1", "2", "inf") for j in (1, 2)]
-    decay, decay_first = ([name + e for e in entries] for name in ("decay", "decay_first"))
-    timed = ("decay", "gap", "decay_first", "gap_first", "residual16", "state16")
-    for row in rows:
-        assert all(f"{name}_s" in row for name in timed)
-        values = ["gap", "gap_first", "residual16", "state16"] + decay + decay_first
-        assert list(row["max_rel"]) == values
-        assert set(row["max_rel"].values()) == {0.0}
-        assert row["before"] == row["after"]
-        # a wave's first report and its warm ones give the same values
-        side = row["after"]
-        assert side["gap_first"] == side["gap"]
-        assert [side[n] for n in decay_first] == [side[n] for n in decay]
-
-
 # each script's sizes cut to toy size, where the script has them
-TOY = {"SIZES": (10,), "TIMES": (0.5,), "REPORT_LEVELS": 2}
+TOY = {"SIZES": (10,), "REPORT_LEVELS": 2}
 # the toy lattices of perfbench/test_perfbench.py
 TOY_LATTICES = {
     "TABLE_LATTICE": (10, 3.5, 0.05, "thermal_n10_span3.5_tol0.05"),
@@ -388,6 +366,10 @@ def test_burnett_solve_writes_layer_rows_next_to_solve_rows(monkeypatch):
     assert rows["state=drift n_per_axis=10"] == layers | {"apply", "weak_apply"}
     for state in ("rest", "rest_warm", "mid_fan"):
         assert "burnett_solve_s" in rows[f"state={state} n_per_axis=10"]
+    for state in ("rest", "rest_warm"):
+        assert {"residuals", "penalty_shares"} <= rows[f"state={state} n_per_axis=10"]
+    # on the toy shared lattice the mid-fan A1 is almost all odd-even mode
+    assert "A1 (solve): penalty share" in res["state=mid_fan n_per_axis=10/raised"]
     assert len(rows) == 4
 
 

@@ -634,6 +634,18 @@ class TestCharGridEvaluation:
         assert "_char_eval" in vars(a) and "_char_eval" not in vars(b)
         assert a == b and hash(a) == hash(b)
 
+    def test_a_fresh_waves_first_reports_equal_a_warm_waves(self):
+        # a wave evaluates its characteristic grid on first use; that first
+        # report gives the values every later one gives
+        warm = SmoothWave(REPORT_DATA, 0.5)
+        derivative_decay_report(warm, [1.0], [2.0])
+        assert "_char_eval" in vars(warm)
+        for t in (0.5, 5.0, 50.0):
+            p = [1.0, 2.0, math.inf]
+            first = derivative_decay_report(SmoothWave(REPORT_DATA, 0.5), [t], p)
+            assert first == derivative_decay_report(warm, [t], p)
+            assert riemann_gap(SmoothWave(REPORT_DATA, 0.5), t) == riemann_gap(warm, t)
+
     def test_pointwise_paths_leave_it_unbuilt(self):
         # only the two reports read the grid; state, profile and the
         # residual (and gbar_construct, which reads profile) never build it

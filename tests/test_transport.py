@@ -583,6 +583,32 @@ def test_a_failed_solve_names_its_component_and_the_resolution_floor(a1_stall):
     assert isinstance(exc.value.__cause__, NonConvergenceError)
 
 
+def test_a_field_that_is_mostly_the_odd_even_mode_raises():
+    # at tol 1e-3 the n = 20 rest A1 solve passes its residual check by adding a
+    # checkerboard along v1 (share 0.999), and kappa read 4.4% above the Galerkin value
+    s = GasState.make(1.0, 0.0, 1.0)
+    with pytest.raises(NonConvergenceError, match=r"^A1 \(solve\): penalty share 0\.9\d\d above"):
+        burnett_solve(s, thermal_grid(1.0, N), tol=1e-3)
+
+
+def test_the_mid_fan_state_on_the_shared_lattice_raises_on_its_odd_even_a2(wave_point):
+    # the wave_slice lattice at n = 20: A2 passes tol 1e-2 with 99% of it odd-even along v2
+    wave, t, x = wave_point[:3]
+    right = wave.data.right
+    g = VelocityGrid(abs(right.u1) + 6.5 * math.sqrt(GAS_R * right.theta), N)
+    with pytest.raises(NonConvergenceError, match=r"^A2 \(solve\): penalty share 0\.9\d\d above"):
+        burnett_solve(wave.state(t, x), g, tol=TOL)
+
+
+def test_healthy_solves_keep_their_penalty_share_far_below_the_bound(
+    solutions, wave_point, distinct_point
+):
+    # measured at most 0.054 on these lattices, against the bound 0.5
+    for sol in (*solutions.values(), wave_point[3], distinct_point):
+        assert list(sol.penalty_shares) == list(sol.solved)
+        assert all(0.0 < share <= 0.1 for share in sol.penalty_shares.values())
+
+
 def test_each_component_is_logged_with_its_origin_and_residual(wave_point):
     sol, log = wave_point[3:]
     assert not logging.getLogger("rarewave.transport").handlers
@@ -593,7 +619,8 @@ def test_each_component_is_logged_with_its_origin_and_residual(wave_point):
     assert "B33: transpose of B22," in logged["B33"]
     assert "B11: trace of B22, B33," in logged["B11"]
     for name in sol.solved:
-        assert logged[name].startswith(f"{name}: solve,")
+        share = sol.penalty_shares[name]
+        assert logged[name].startswith(f"{name}: solve, penalty share {share:.3f},")
     for name, r in sol.residuals.items():
         assert logged[name].endswith(f"verified residual {r:.3e}")
 
